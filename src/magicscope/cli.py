@@ -27,7 +27,13 @@ from . import oracle as oracle_mod
 from .fgraph import build_frustration_graph, enumerate_maximal_independent_sets
 from .pauli import MeasurementSet, PauliError, format_pauli, read_measurement_file
 from .polytope import v_representation
-from .rom import DECISION_TOLERANCE, ExpectationVector, reduced_rom, sample_complexity
+from .rom import (
+    DECISION_TOLERANCE,
+    LP_TOLERANCE,
+    ExpectationVector,
+    reduced_rom,
+    sample_complexity,
+)
 from .spinchain import (
     SpinChainSpec,
     hamiltonian_measurement_set,
@@ -60,7 +66,7 @@ def _default_threads() -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="magicscope")
     parser.add_argument("--threads", type=int, default=_default_threads())
-    parser.add_argument("--lp-tol", type=float, default=1e-9)
+    parser.add_argument("--lp-tol", type=float, default=LP_TOLERANCE)
     parser.add_argument("--decision-tol", type=float, default=DECISION_TOLERANCE)
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -151,7 +157,9 @@ def _cmd_rom(args) -> int:
     measurements = _load_measurements(args.measurements)
     expectations = _read_expectations(args.expectations, measurements)
     vset = v_representation(measurements)
-    result = reduced_rom(vset, expectations, decision_tolerance=args.decision_tol)
+    result = reduced_rom(
+        vset, expectations, decision_tolerance=args.decision_tol, lp_tolerance=args.lp_tol
+    )
     if result.status == "infeasible":
         raise CliError("expectations lie outside the affine hull", EXIT_INFEASIBLE)
     if result.status != "optimal":
@@ -209,7 +217,9 @@ def _cmd_scan(args) -> int:
         return tuple(repr(point[name]) for name in param_names)
 
     pending = [p for p in grid if key(p) not in done]
-    records = sweep(spec, pending, measurements, vset, threads=args.threads)
+    records = sweep(
+        spec, pending, measurements, vset, threads=args.threads, lp_tolerance=args.lp_tol
+    )
 
     mode = "a" if (args.resume and done) else "w"
     failed = 0

@@ -19,6 +19,7 @@ from scipy.optimize import linprog
 
 from .pauli import MeasurementSet, PauliString, identity, multiply
 from .rom import LP_TOLERANCE
+from .spinchain import apply_pauli
 
 __all__ = [
     "StabilizerGroup",
@@ -163,13 +164,6 @@ def pauli_basis(n: int) -> Tuple[PauliString, ...]:
     return tuple(basis)
 
 
-def _apply_pauli_dense(p: PauliString, vec: np.ndarray) -> np.ndarray:
-    idx = np.arange(vec.size, dtype=np.int64)
-    src = idx ^ p.xbits
-    signs = 1.0 - 2.0 * (np.bitwise_count(src & np.int64(p.zbits)) & 1)
-    return (1j**p.phase_k) * signs * vec[src]
-
-
 def full_pauli_table(state: np.ndarray) -> np.ndarray:
     """All 4^n Pauli expectations of a pure state, canonical order."""
     n = int(math.log2(state.size))
@@ -177,7 +171,7 @@ def full_pauli_table(state: np.ndarray) -> np.ndarray:
         raise ValueError("state length is not a power of two")
     table = np.empty(4**n)
     for i, p in enumerate(pauli_basis(n)):
-        val = np.vdot(state, _apply_pauli_dense(p, state))
+        val = np.vdot(state, apply_pauli(p, state))
         if abs(val.imag) > 1e-10:
             raise ValueError("non-real expectation; state not normalized?")
         table[i] = val.real

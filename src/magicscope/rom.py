@@ -78,12 +78,14 @@ def _vertex_matrix(vset: VertexSet) -> np.ndarray:
     """Float copy of the vertex rows, cached on the (frozen) vertex set."""
     cached = getattr(vset, "_vmat", None)
     if cached is None:
-        cached = np.asarray(vset.as_rows(), dtype=float)  # N x m
+        cached = np.array([v.coords for v in vset.vertices], dtype=float)  # N x m
         object.__setattr__(vset, "_vmat", cached)
     return cached
 
 
-def _solve_l1_dense(vmat: np.ndarray, b_eq: np.ndarray):
+def _solve_l1_dense(
+    vmat: np.ndarray, b_eq: np.ndarray, lp_tolerance: float = LP_TOLERANCE
+):
     """Full p - q split LP; returns (fun, coefficients, status)."""
     n_vert, m = vmat.shape
     a_eq = np.empty((m + 1, 2 * n_vert))
@@ -98,14 +100,16 @@ def _solve_l1_dense(vmat: np.ndarray, b_eq: np.ndarray):
         b_eq=b_eq,
         bounds=(0, None),
         method="highs",
-        options={"primal_feasibility_tolerance": LP_TOLERANCE},
+        options={"primal_feasibility_tolerance": lp_tolerance},
     )
     if res.status != 0:
         return math.nan, None, res.status
     return float(res.fun), res.x[:n_vert] - res.x[n_vert:], 0
 
 
-def _solve_l1_column_generation(vmat: np.ndarray, b_eq: np.ndarray):
+def _solve_l1_column_generation(
+    vmat: np.ndarray, b_eq: np.ndarray, lp_tolerance: float = LP_TOLERANCE
+):
     """Dual cutting-plane solve of the same 1-norm LP.
 
     The dual is max b_eq . y subject to |v_j . y[:m] + y[m]| <= 1 for
@@ -134,7 +138,7 @@ def _solve_l1_column_generation(vmat: np.ndarray, b_eq: np.ndarray):
             b_ub=np.ones(2 * block.shape[0]),
             bounds=(-bound, bound),
             method="highs",
-            options={"primal_feasibility_tolerance": LP_TOLERANCE},
+            options={"primal_feasibility_tolerance": lp_tolerance},
         )
         if res.status != 0:
             return math.nan, None, res.status
@@ -155,7 +159,7 @@ def _solve_l1_column_generation(vmat: np.ndarray, b_eq: np.ndarray):
         active = np.unique(np.concatenate([active, worst]))
     else:
         return math.nan, None, 1
-    fun, coeffs_active, status = _solve_l1_dense(vmat[active], b_eq)
+    fun, coeffs_active, status = _solve_l1_dense(vmat[active], b_eq, lp_tolerance)
     if status != 0:
         return math.nan, None, status
     coeffs = np.zeros(n_vert)
@@ -167,17 +171,21 @@ def reduced_rom(
     vset: VertexSet,
     b: ExpectationVector,
     decision_tolerance: float = DECISION_TOLERANCE,
+    lp_tolerance: float = LP_TOLERANCE,
 ) -> RomResult:
-    """min ||x||_1 s.t. sum_j x_j v_j = b, sum_j x_j = 1."""
+    """min ||x||_1 s.t. sum_j x_j v_j = b, sum_j x_j = 1.
+
+    lp_tolerance is the LP solver's primal feasibility tolerance.
+    """
     if vset.m != b.m:
         raise ValueError("dimension mismatch between vertex set and expectations")
     vmat = _vertex_matrix(vset)
     n_vert = vmat.shape[0]
     b_eq = np.concatenate([np.asarray(b.values, dtype=float), [1.0]])
     if n_vert > COLUMN_GENERATION_CUTOFF:
-        fun, coeffs, status = _solve_l1_column_generation(vmat, b_eq)
+        fun, coeffs, status = _solve_l1_column_generation(vmat, b_eq, lp_tolerance)
     else:
-        fun, coeffs, status = _solve_l1_dense(vmat, b_eq)
+        fun, coeffs, status = _solve_l1_dense(vmat, b_eq, lp_tolerance)
     if status == 2:
         return RomResult(math.inf, np.zeros(n_vert), math.inf, False, "infeasible")
     if status != 0:

@@ -1,8 +1,10 @@
 """Spin-chain Hamiltonians, ground states, and parameter sweeps.
 
-Hamiltonians are kept as weighted Pauli-string term lists; the ground
-state comes from a matrix-free Krylov eigensolver (dense fallback at
-small sizes).  The sweep driver reuses a single reduced-polytope
+Hamiltonians are kept as weighted Pauli-string term lists and turned
+into one sparse CSR matrix, real for all three chain models.  The ground
+state and the gap come from seeded Lanczos (``eigsh``) runs on that
+matrix, or from a dense real ``eigh`` of it at a few qubits, where that
+is faster.  The sweep driver reuses a single reduced-polytope
 V-representation across a parameter grid and reports one record per
 grid point.
 """
@@ -15,17 +17,19 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .pauli import MeasurementSet, PauliString
 from .polytope import VertexSet
-from .rom import ExpectationVector, reduced_rom
+from .rom import LP_TOLERANCE, ExpectationVector, reduced_rom
 
 __all__ = [
     "SpinChainSpec",
     "GroundStateResult",
     "SweepRecord",
     "build_hamiltonian",
+    "hamiltonian_matrix",
     "ground_state",
     "apply_pauli",
     "pauli_expectation",
@@ -37,7 +41,7 @@ __all__ = [
 
 EIG_TOLERANCE = 1e-10
 DEGENERACY_THRESHOLD = 1e-8
-DENSE_CUTOFF = 10  # build the full matrix up to 2^10 dimensions
+DENSE_CUTOFF = 7  # dense eigh up to 2^7 dimensions; Lanczos is faster from n = 8
 MODELS = ("tfim", "annni", "xxz")
 
 TermList = List[Tuple[float, PauliString]]
@@ -157,46 +161,69 @@ def pauli_expectation(state: np.ndarray, p: PauliString) -> float:
     return float(min(1.0, max(-1.0, val.real)))
 
 
-def _dense_hamiltonian(terms: TermList, n: int) -> np.ndarray:
-    dim = 2**n
-    h = np.zeros((dim, dim), dtype=complex)
-    cols = np.arange(dim, dtype=np.int64)
+def hamiltonian_matrix(terms: TermList, n: int) -> sp.csr_matrix:
+    """H = sum_j w_j P_j as a CSR matrix in the computational basis.
+
+    Terms sharing an X-part share a sparsity pattern (column c feeds row
+    c ^ xbits), so each row holds one entry per distinct X-part.  The
+    matrix is real whenever every term has an even phase exponent (all
+    three chain models), complex otherwise.
+    """
+    real = all(p.phase_k % 2 == 0 for _, p in terms)
+    xparts = sorted({p.xbits for _, p in terms})
+    # cols[r, g] = r ^ xparts[g]: the one column of row r that X-part g fills
+    cols = np.arange(2**n, dtype=np.int64)[:, None] ^ np.array(xparts, dtype=np.int64)
+    data = np.zeros(cols.shape, dtype=float if real else complex)
     for weight, p in terms:
-        rows = cols ^ p.xbits
-        signs = 1.0 - 2.0 * (np.bitwise_count(cols & np.int64(p.zbits)) & 1)
-        h[rows, cols] += weight * (1j**p.phase_k) * signs
+        g = xparts.index(p.xbits)
+        phase = 1j**p.phase_k
+        signs = 1.0 - 2.0 * (np.bitwise_count(cols[:, g] & np.int64(p.zbits)) & 1)
+        data[:, g] += weight * (phase.real if real else phase) * signs
+    indptr = np.arange(0, cols.size + 1, len(xparts))
+    h = sp.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(2**n, 2**n))
+    h.eliminate_zeros()
     return h
+
+
+def _lowest(op, v0: np.ndarray, tol: float) -> Tuple[float, np.ndarray]:
+    evals, evecs = spla.eigsh(op, k=1, which="SA", tol=tol, v0=v0, maxiter=5000)
+    return float(evals[0]), evecs[:, 0]
 
 
 def ground_state(
     terms: TermList, tol: float = EIG_TOLERANCE, seed: int = 1234
 ) -> GroundStateResult:
-    """Lowest eigenpair and gap estimate of a Pauli-term Hamiltonian."""
+    """Lowest eigenpair and gap estimate of a Pauli-term Hamiltonian.
+
+    Above DENSE_CUTOFF qubits both levels come from seeded Lanczos runs:
+    the ground state of H, then the ground state of the deflated
+    operator H + sigma |psi0><psi0|, which lifts psi0 above the spectrum
+    so that an exactly degenerate partner shows up as a zero gap.
+    """
     if not terms:
         raise ValueError("empty term list")
     n = terms[0][1].n
     if n > 14:
         raise ValueError("exact diagonalization capped at 14 qubits")
-    dim = 2**n
+    h = hamiltonian_matrix(terms, n)
     if n <= DENSE_CUTOFF:
-        h = _dense_hamiltonian(terms, n)
-        evals, evecs = np.linalg.eigh(h)
+        evals, evecs = np.linalg.eigh(h.toarray())
         e0, e1 = float(evals[0]), float(evals[1])
         state = evecs[:, 0]
     else:
-        def matvec(v):
-            out = np.zeros(dim, dtype=complex)
-            for weight, p in terms:
-                out += weight * apply_pauli(p, v)
-            return out
-
-        op = spla.LinearOperator((dim, dim), matvec=matvec, dtype=complex)
         rng = np.random.default_rng(seed)
-        v0 = rng.normal(size=dim)
-        evals, evecs = spla.eigsh(op, k=2, which="SA", tol=tol, v0=v0, maxiter=5000)
-        order = np.argsort(evals)
-        e0, e1 = float(evals[order[0]]), float(evals[order[1]])
-        state = evecs[:, order[0]]
+        e0, state = _lowest(h, rng.normal(size=h.shape[0]), tol)
+        # sigma exceeds the spectral width: E_max <= sum |w| and E0 >= -sum |w|
+        sigma = sum(abs(w) for w, _ in terms) - e0 + 1.0
+
+        def deflated(v):
+            v = np.ravel(v)
+            return h @ v + sigma * np.vdot(state, v) * state
+
+        op = spla.LinearOperator(h.shape, matvec=deflated, dtype=h.dtype)
+        # a fresh start: Lanczos from the first one only reaches psi0 inside
+        # the ground space, so it would miss a degenerate partner
+        e1, _ = _lowest(op, rng.normal(size=h.shape[0]), tol)
     state = state / np.linalg.norm(state)
     gap = max(0.0, e1 - e0)
     return GroundStateResult(e0, state, gap, gap < DEGENERACY_THRESHOLD)
@@ -253,6 +280,7 @@ def sweep(
     measurements: MeasurementSet,
     vset: VertexSet,
     threads: int = 1,
+    lp_tolerance: float = LP_TOLERANCE,
 ) -> List[SweepRecord]:
     """One record per grid point; eigensolver failures are recorded, not raised."""
 
@@ -261,7 +289,9 @@ def sweep(
             terms = build_hamiltonian(spec.with_params(point))
             gs = ground_state(terms)
             expectations = tuple(pauli_expectation(gs.state, p) for p in measurements)
-            result = reduced_rom(vset, ExpectationVector.of(expectations))
+            result = reduced_rom(
+                vset, ExpectationVector.of(expectations), lp_tolerance=lp_tolerance
+            )
             return SweepRecord(
                 dict(point),
                 gs.energy,

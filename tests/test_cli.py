@@ -209,3 +209,31 @@ class TestGlobalFlags:
     def test_missing_file_is_parse_error(self, tmp_path):
         missing = str(tmp_path / "nope.txt")
         assert main(["polytope", missing]) in (EXIT_PARSE, EXIT_USAGE)
+
+    @pytest.fixture
+    def linprog_tolerances(self, monkeypatch):
+        import magicscope.rom as rom
+
+        seen = []
+        original = rom.linprog
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs["options"]["primal_feasibility_tolerance"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(rom, "linprog", recording)
+        return seen
+
+    def test_lp_tol_reaches_rom_solver(self, octahedron_file, tmp_path, capsys,
+                                       linprog_tolerances):
+        b = write(tmp_path / "b.txt", "0.5\n0.5\n0.5\n")
+        assert main(["--lp-tol", "3e-8", "rom", octahedron_file, b]) == EXIT_OK
+        assert linprog_tolerances and set(linprog_tolerances) == {3e-8}
+
+    def test_lp_tol_reaches_scan_solver(self, tmp_path, linprog_tolerances):
+        out = tmp_path / "scan.csv"
+        assert main([
+            "--lp-tol", "2e-7", "--threads", "1", "scan", "--model", "tfim",
+            "--n", "4", "--grid", "g=0:1:2", "--out", str(out),
+        ]) == EXIT_OK
+        assert len(linprog_tolerances) >= 2 and set(linprog_tolerances) == {2e-7}

@@ -6,20 +6,20 @@ import numpy as np
 import pytest
 
 from magicscope import oracle
-from magicscope.pauli import MeasurementSet, format_pauli, parse_pauli
+from magicscope.pauli import MeasurementSet, PauliString, format_pauli, parse_pauli
 from magicscope.polytope import v_representation
 from magicscope.spinchain import (
     GroundStateResult,
     SpinChainSpec,
-    _dense_hamiltonian,
     apply_pauli,
     build_hamiltonian,
     ground_state,
+    hamiltonian_matrix,
     hamiltonian_measurement_set,
     pauli_expectation,
     sweep,
 )
-from util import pauli_matrix
+from util import dense_hamiltonian, pauli_matrix
 
 
 def term_dict(terms):
@@ -91,8 +91,6 @@ class TestApplyPauli:
                 x = int(rng.integers(0, 1 << n))
                 z = int(rng.integers(0, 1 << n))
                 k = ((x & z).bit_count() + 2 * int(rng.integers(0, 2))) % 4
-                from magicscope.pauli import PauliString
-
                 p = PauliString(n, k, x, z)
                 assert np.allclose(apply_pauli(p, state), pauli_matrix(p) @ state)
 
@@ -106,10 +104,34 @@ class TestApplyPauli:
         assert pauli_expectation(bell, parse_pauli("YY")) == pytest.approx(-1.0)
 
     def test_non_hermitian_rejected(self):
-        from magicscope.pauli import PauliString
-
         with pytest.raises(ValueError):
             pauli_expectation(np.array([1.0, 0.0]), PauliString(1, 1, 1, 0))
+
+
+class TestHamiltonianMatrix:
+    @pytest.mark.parametrize("model, params", [
+        ("tfim", {"g": 0.7}),
+        ("annni", {"k": 0.3, "g": 0.9}),
+        ("xxz", {"delta": -0.6, "h": 0.4}),
+    ])
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_matches_kronecker_sum(self, model, params, n):
+        terms = build_hamiltonian(SpinChainSpec(model, n, params))
+        h = hamiltonian_matrix(terms, n)
+        assert h.dtype == np.float64
+        assert np.allclose(h.toarray(), dense_hamiltonian(terms), atol=1e-14)
+
+    def test_lone_y_field_is_complex(self):
+        n = 4
+        terms = [
+            (0.8, PauliString(n, 1, 0b0010, 0b0010)),  # Y on qubit 2
+            (-1.0, PauliString(n, 0, 0, 0b0011)),
+            (0.25, PauliString(n, 2, 0b1100, 0b1100)),
+            (-0.3, PauliString(n, 0, 0b1000, 0)),
+        ]
+        h = hamiltonian_matrix(terms, n)
+        assert np.iscomplexobj(h.toarray())
+        assert np.allclose(h.toarray(), dense_hamiltonian(terms), atol=1e-14)
 
 
 class TestGroundState:
@@ -135,7 +157,7 @@ class TestGroundState:
         spec = SpinChainSpec("tfim", 5, {"g": 0.7})
         terms = build_hamiltonian(spec)
         gs = ground_state(terms)
-        h = _dense_hamiltonian(terms, 5)
+        h = dense_hamiltonian(terms)
         assert np.linalg.norm(h @ gs.state - gs.energy * gs.state) < 1e-8
         assert abs(np.linalg.norm(gs.state) - 1.0) < 1e-12
         assert gs.gap_estimate >= 0.0
@@ -145,8 +167,9 @@ class TestGroundState:
 
         spec = SpinChainSpec("annni", 6, {"k": 0.4, "g": 0.9})
         terms = build_hamiltonian(spec)
+        monkeypatch.setattr(sc, "DENSE_CUTOFF", 6)
         dense = ground_state(terms)
-        monkeypatch.setattr(sc, "DENSE_CUTOFF", 3)
+        monkeypatch.setattr(sc, "DENSE_CUTOFF", 0)
         krylov = ground_state(terms)
         assert krylov.energy == pytest.approx(dense.energy, abs=1e-8)
         assert krylov.gap_estimate == pytest.approx(dense.gap_estimate, abs=1e-6)
@@ -154,6 +177,18 @@ class TestGroundState:
             assert pauli_expectation(krylov.state, parse_pauli(p)) == pytest.approx(
                 pauli_expectation(dense.state, parse_pauli(p)), abs=1e-6
             )
+
+    @pytest.mark.parametrize("model, params", [
+        ("xxz", {"delta": -1.1, "h": 0.0}),
+        ("annni", {"k": 0.25, "g": 0.0}),
+    ])
+    def test_sparse_path_flags_degeneracy(self, model, params, monkeypatch):
+        import magicscope.spinchain as sc
+
+        monkeypatch.setattr(sc, "DENSE_CUTOFF", 0)
+        gs = ground_state(build_hamiltonian(SpinChainSpec(model, 8, params)))
+        assert gs.degenerate_flag
+        assert gs.gap_estimate < 1e-8
 
     def test_empty_terms_rejected(self):
         with pytest.raises(ValueError):
@@ -177,7 +212,7 @@ class TestPhysicalInvariants:
         spec = SpinChainSpec("tfim", 5, {"g": 1.0})
         terms = build_hamiltonian(spec)
         gs = ground_state(terms)
-        h = _dense_hamiltonian(terms, 5)
+        h = dense_hamiltonian(terms)
         for _ in range(10):
             # random product state
             phi = np.ones(1, dtype=complex)
@@ -267,12 +302,14 @@ class TestSweep:
         assert records[0].rom is None
 
     def test_threaded_matches_serial(self):
-        spec = SpinChainSpec("xxz", 5, {})
-        ms = hamiltonian_measurement_set(spec, "first-cell")
-        vset = v_representation(ms)
-        grid = [{"delta": d, "h": 0.3} for d in (-1.5, 0.0, 1.5)]
-        serial = sweep(spec, grid, ms, vset, threads=1)
-        threaded = sweep(spec, grid, ms, vset, threads=3)
-        assert [r.params for r in serial] == [r.params for r in threaded]
-        for a, b in zip(serial, threaded):
-            assert a.rom == pytest.approx(b.rom, abs=1e-9)
+        for n in (5, 8):  # dense eigh, then concurrent Lanczos runs
+            spec = SpinChainSpec("xxz", n, {})
+            ms = hamiltonian_measurement_set(spec, "first-cell")
+            vset = v_representation(ms)
+            grid = [{"delta": d, "h": 0.3} for d in (-1.5, 0.0, 1.5)]
+            serial = sweep(spec, grid, ms, vset, threads=1)
+            threaded = sweep(spec, grid, ms, vset, threads=3)
+            assert [r.params for r in serial] == [r.params for r in threaded]
+            for a, b in zip(serial, threaded):
+                assert b.solver_status == "optimal"
+                assert a.rom == pytest.approx(b.rom, abs=1e-9)

@@ -29,6 +29,11 @@ def pauli_matrix(p: PauliString) -> np.ndarray:
     return (1j**p.phase_k) * full
 
 
+def dense_hamiltonian(terms) -> np.ndarray:
+    """Dense sum of weighted Pauli-term matrices built from Kronecker factors."""
+    return sum(weight * pauli_matrix(p) for weight, p in terms)
+
+
 def pauli_strings(max_n: int = 3, hermitian: bool = False):
     """Strategy producing random PauliString values."""
 
