@@ -13,43 +13,44 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from . import gf2
 from .fgraph import build_frustration_graph, enumerate_maximal_independent_sets
 from .pauli import MeasurementSet, commutes, format_pauli, identity, identity_sign, multiply
 
 __all__ = [
-    "SignedContext",
-    "Vertex",
     "VertexSet",
     "admissible_signs",
-    "vertex",
     "v_representation",
     "size_bound",
 ]
 
 
-@dataclass(frozen=True)
-class SignedContext:
-    set_indices: Tuple[int, ...]
-    signs: Tuple[int, ...]  # aligned with set_indices, entries +-1
-
-
-@dataclass(frozen=True)
-class Vertex:
-    coords: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VertexSet:
+    """The vertices as rows of one read-only N x m float array (entries -1, 0, 1).
+
+    Rows come in context order: one maximal commuting subset after
+    another, each with its admissible sign assignments in sorted order.
+    A row's support is its context and its non-zero entries its signs.
+    """
+
     m: int
-    vertices: Tuple[Vertex, ...]
-    provenance: Tuple[SignedContext, ...]
+    vertices: np.ndarray
     measurements: Optional[MeasurementSet] = None
 
-    def as_rows(self) -> List[List[int]]:
-        return [list(v.coords) for v in self.vertices]
+    def contexts(self) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+        """(support, signs on the support) of every row, in row order."""
+        rows, cols = np.nonzero(self.vertices)
+        signs = self.vertices[rows, cols].astype(np.int8).tolist()
+        bounds = np.searchsorted(rows, np.arange(len(self.vertices) + 1)).tolist()
+        cols = cols.tolist()
+        return [
+            (tuple(cols[a:b]), tuple(signs[a:b])) for a, b in zip(bounds[:-1], bounds[1:])
+        ]
 
     def to_json(self) -> str:
         payload = {
@@ -57,16 +58,14 @@ class VertexSet:
             "measurements": [format_pauli(p) for p in self.measurements]
             if self.measurements is not None
             else None,
-            "vertices": self.as_rows(),
-            "contexts": [
-                {"set": list(ctx.set_indices), "signs": list(ctx.signs)}
-                for ctx in self.provenance
-            ],
+            "vertices": self.vertices.astype(np.int8).tolist(),
+            "contexts": [{"set": s, "signs": f} for s, f in self.contexts()],
         }
         return json.dumps(payload, indent=1)
 
     def to_txt(self) -> str:
-        return "\n".join(" ".join(str(c) for c in v.coords) for v in self.vertices) + "\n"
+        rows = self.vertices.astype(np.int8).tolist()
+        return "\n".join(" ".join(str(c) for c in row) for row in rows) + "\n"
 
 
 def _symplectic_column_matrix(measurements: MeasurementSet, subset: Sequence[int]) -> gf2.F2Matrix:
@@ -92,8 +91,10 @@ def admissible_signs(
 
     Returns tuples of +-1 aligned with ``subset`` (ascending index
     order), sorted so that repeated runs emit identical lists.  The
-    empty list signals an inconsistent context (e.g. both P and -P
-    forced positive through a product relation).
+    parity constraints come from a kernel basis, which has full row
+    rank, so they always have a solution (``+Z, -Z`` gives the two
+    assignments (-1, 1) and (1, -1)); the empty list, returned if the
+    solve ever finds none, marks an inconsistent context.
     """
     subset = tuple(sorted(subset))
     for a in range(len(subset)):
@@ -125,30 +126,21 @@ def admissible_signs(
     return assignments
 
 
-def vertex(measurements: MeasurementSet, ctx: SignedContext) -> Vertex:
-    coords = [0] * len(measurements)
-    for idx, sign in zip(ctx.set_indices, ctx.signs):
-        coords[idx] = sign
-    return Vertex(tuple(coords))
-
-
-def v_representation(measurements: MeasurementSet, verbose: bool = False) -> VertexSet:
+def v_representation(measurements: MeasurementSet) -> VertexSet:
     """Enumerate every (maximal commuting subset, admissible signs) vertex."""
-    graph = build_frustration_graph(measurements)
-    vertices: List[Vertex] = []
-    contexts: List[SignedContext] = []
-    for subset in enumerate_maximal_independent_sets(graph):
-        signs = admissible_signs(measurements, subset)
-        if not signs:
-            if verbose:
-                print(f"skipping inconsistent context {subset}")
-            continue
-        for f in signs:
-            ctx = SignedContext(subset, f)
-            contexts.append(ctx)
-            vertices.append(vertex(measurements, ctx))
-    assert len(set(vertices)) == len(vertices), "duplicate vertices from distinct contexts"
-    return VertexSet(len(measurements), tuple(vertices), tuple(contexts), measurements)
+    m = len(measurements)
+    blocks = []
+    for subset in enumerate_maximal_independent_sets(build_frustration_graph(measurements)):
+        signs = np.array(admissible_signs(measurements, subset), dtype=np.int8)
+        block = np.zeros((len(signs), m), dtype=np.int8)
+        block[:, list(subset)] = signs.reshape(-1, len(subset))
+        blocks.append(block)
+    packed = np.concatenate(blocks)
+    rows = packed.view(np.dtype((np.void, m))).ravel()
+    assert len(np.unique(rows)) == len(rows), "duplicate vertices from distinct contexts"
+    vertices = packed.astype(float)
+    vertices.setflags(write=False)
+    return VertexSet(m, vertices, measurements)
 
 
 def _isotropic_subspace_count(n: int) -> int:
@@ -171,12 +163,17 @@ def size_bound(n: int, m: int) -> int:
 
 
 def vertex_set_from_json(text: str) -> VertexSet:
+    """Read a vertex file written by ``to_json``; its contexts follow from the rows."""
     payload = json.loads(text)
-    vertices = tuple(Vertex(tuple(row)) for row in payload["vertices"])
-    contexts = tuple(
-        SignedContext(tuple(c["set"]), tuple(c["signs"])) for c in payload["contexts"]
-    )
+    m = payload["m"]
+    rows = payload["vertices"]
+    if any(not isinstance(row, list) or len(row) != m for row in rows):
+        raise ValueError(f"vertex rows must have m = {m} entries")
+    vertices = np.array(rows, dtype=float).reshape(len(rows), m)
+    if not np.isin(vertices, (-1.0, 0.0, 1.0)).all():
+        raise ValueError("vertex entries must be -1, 0 or 1")
+    vertices.setflags(write=False)
     measurements = None
     if payload.get("measurements"):
         measurements = MeasurementSet.from_strings(payload["measurements"])
-    return VertexSet(payload["m"], vertices, contexts, measurements)
+    return VertexSet(m, vertices, measurements)

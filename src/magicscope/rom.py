@@ -74,15 +74,6 @@ class RomResult:
         }
 
 
-def _vertex_matrix(vset: VertexSet) -> np.ndarray:
-    """Float copy of the vertex rows, cached on the (frozen) vertex set."""
-    cached = getattr(vset, "_vmat", None)
-    if cached is None:
-        cached = np.array([v.coords for v in vset.vertices], dtype=float)  # N x m
-        object.__setattr__(vset, "_vmat", cached)
-    return cached
-
-
 def _solve_l1_dense(
     vmat: np.ndarray, b_eq: np.ndarray, lp_tolerance: float = LP_TOLERANCE
 ):
@@ -179,7 +170,7 @@ def reduced_rom(
     """
     if vset.m != b.m:
         raise ValueError("dimension mismatch between vertex set and expectations")
-    vmat = _vertex_matrix(vset)
+    vmat = vset.vertices
     n_vert = vmat.shape[0]
     b_eq = np.concatenate([np.asarray(b.values, dtype=float), [1.0]])
     if n_vert > COLUMN_GENERATION_CUTOFF:
@@ -206,7 +197,7 @@ def membership(
     """
     if vset.m != b.m:
         raise ValueError("dimension mismatch between vertex set and expectations")
-    vmat = _vertex_matrix(vset)
+    vmat = vset.vertices
     n_vert = vmat.shape[0]
     # variables: x (n_vert), t; minimize t s.t. |V^T x - b| <= t, sum x = 1
     cost = np.zeros(n_vert + 1)

@@ -1,5 +1,6 @@
 """V-representation of the reduced stabilizer polytope."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -12,12 +13,10 @@ from magicscope.fgraph import build_frustration_graph, enumerate_maximal_indepen
 from magicscope.oracle import hull_contains, hull_equal, topdown_vertices
 from magicscope.pauli import MeasurementSet, PauliString
 from magicscope.polytope import (
-    SignedContext,
     _symplectic_column_matrix,
     admissible_signs,
     size_bound,
     v_representation,
-    vertex,
     vertex_set_from_json,
 )
 
@@ -110,40 +109,26 @@ class TestAdmissibleSigns:
                         assert sign * value != -1
 
 
-class TestVertex:
-    def test_octahedron_vertex(self):
-        ms = MeasurementSet.from_strings(["X", "Y", "Z"])
-        assert vertex(ms, SignedContext((0,), (1,))).coords == (1, 0, 0)
-
-    def test_diamond_vertex(self):
-        ms = MeasurementSet.from_strings(["ZZ", "XI"])
-        assert vertex(ms, SignedContext((1,), (-1,))).coords == (0, -1)
-
-    def test_hypercube_corner(self):
-        ms = MeasurementSet.from_strings(["XI", "IX"])
-        assert vertex(ms, SignedContext((0, 1), (1, -1))).coords == (1, -1)
-
-
 class TestVRepresentation:
     def test_single_pauli_segment(self):
         vset = v_representation(MeasurementSet.from_strings(["Z"]))
-        assert sorted(v.coords for v in vset.vertices) == [(-1,), (1,)]
+        assert sorted(map(tuple, vset.vertices.tolist())) == [(-1,), (1,)]
 
     def test_commuting_pair_hypercube(self):
         vset = v_representation(MeasurementSet.from_strings(["XI", "IX"]))
-        assert sorted(v.coords for v in vset.vertices) == [
+        assert sorted(map(tuple, vset.vertices.tolist())) == [
             (-1, -1), (-1, 1), (1, -1), (1, 1),
         ]
 
     def test_anticommuting_pair_diamond(self):
         vset = v_representation(MeasurementSet.from_strings(["ZZ", "XI"]))
-        assert sorted(v.coords for v in vset.vertices) == [
+        assert sorted(map(tuple, vset.vertices.tolist())) == [
             (-1, 0), (0, -1), (0, 1), (1, 0),
         ]
 
     def test_opposite_pair_segment(self):
         vset = v_representation(MeasurementSet.from_strings(["+Z", "-Z"]))
-        assert sorted(v.coords for v in vset.vertices) == [(-1, 1), (1, -1)]
+        assert sorted(map(tuple, vset.vertices.tolist())) == [(-1, 1), (1, -1)]
 
     def test_octahedron(self):
         vset = v_representation(MeasurementSet.from_strings(["X", "Y", "Z"]))
@@ -152,7 +137,7 @@ class TestVRepresentation:
             for axis in range(3)
             for s in (-1, 1)
         )
-        assert sorted(v.coords for v in vset.vertices) == expected
+        assert sorted(map(tuple, vset.vertices.tolist())) == expected
 
     @pytest.mark.parametrize("n,count", [(1, 6), (2, 36), (3, 216)])
     def test_marginal_counts(self, n, count):
@@ -163,7 +148,7 @@ class TestVRepresentation:
     @settings(max_examples=60, deadline=None)
     def test_vertices_distinct_and_within_bound(self, ms):
         vset = v_representation(ms)
-        assert len(set(vset.vertices)) == len(vset.vertices)
+        assert len(set(map(tuple, vset.vertices.tolist()))) == len(vset.vertices)
         assert len(vset.vertices) <= size_bound(ms.n, ms.m)
         assert len(vset.vertices) <= 2 ** min(ms.n, ms.m) * 3 ** (ms.m // 3 + 1)
 
@@ -173,14 +158,12 @@ class TestVRepresentation:
         base = v_representation(ms)
         padded = v_representation(ms.padded(ms.n + 2))
         assert base.to_txt() == padded.to_txt()
-        assert [c.set_indices for c in base.provenance] == [
-            c.set_indices for c in padded.provenance
-        ]
+        assert [s for s, _ in base.contexts()] == [s for s, _ in padded.contexts()]
 
     @given(measurement_sets(max_n=2, max_m=4))
     @settings(max_examples=25, deadline=None)
     def test_hull_matches_topdown_oracle(self, ms):
-        bottom = [v.coords for v in v_representation(ms).vertices]
+        bottom = v_representation(ms).vertices
         top = list(topdown_vertices(ms))
         assert hull_equal(bottom, top)
 
@@ -188,17 +171,56 @@ class TestVRepresentation:
         ms = MeasurementSet.from_strings(["XII", "IZI", "IIX"])
         vset = v_representation(ms)
         assert len(vset.vertices) == 8
-        assert {v.coords for v in vset.vertices} == {
+        assert set(map(tuple, vset.vertices.tolist())) == {
             (a, b, c) for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)
         }
 
     def test_vertex_extremality_small(self):
         for texts in (["X", "Y", "Z"], ["ZZ", "XI"], ["XI", "IX"]):
-            rows = [v.coords for v in v_representation(
-                MeasurementSet.from_strings(texts)).vertices]
+            rows = v_representation(MeasurementSet.from_strings(texts)).vertices.tolist()
             for i, row in enumerate(rows):
                 others = [r for j, r in enumerate(rows) if j != i]
                 assert not hull_contains([row], others)
+
+    def test_contexts_follow_sets_and_signs(self):
+        for ms in (
+            MeasurementSet.from_strings(["XX", "YY", "ZZ", "XI"]),
+            MeasurementSet.from_strings(["+Z", "-Z"]),
+            marginal_set(2),
+        ):
+            expected = [
+                (subset, f)
+                for subset in enumerate_maximal_independent_sets(build_frustration_graph(ms))
+                for f in admissible_signs(ms, subset)
+            ]
+            vset = v_representation(ms)
+            assert vset.contexts() == expected
+            assert not vset.vertices.flags.writeable
+
+    # sha256 of (to_json(), to_txt()): vertex files are an exchange format,
+    # so the bytes written for a measurement set must not change.
+    GOLDEN = {
+        ("XX", "YY", "ZZ", "XI"): (
+            "c33b5451e79a7d3b31ab17fdbeb6f41244b8e898fb883981f182a44a37fff805",
+            "a432685d05916f09f23267878eb8fee66e341f4362f31e8d13edb5c8adc89fd8",
+        ),
+        ("XI", "YI", "ZI", "IX", "IY", "IZ"): (
+            "a8e6638d261748c7bb6ec9b21d99ce4cbeafc39ba5a4d6d6df4c49427bc7f344",
+            "fa690e1d6f90c63543489b0a61cffdf89b5115a132470ee3cf00077e1f684644",
+        ),
+        ("+Z", "-Z"): (
+            "803600aab7fc4baa032b0e5ec37d79b6044df8564d578a8865655a4604cfe5e4",
+            "f48002e9abbe87a862af5dd8b8cd264ede43c31729e7bb5135eac96f76a0a96c",
+        ),
+    }
+
+    @pytest.mark.parametrize("texts", sorted(GOLDEN))
+    def test_golden_output(self, texts):
+        vset = v_representation(MeasurementSet.from_strings(texts))
+        digests = tuple(
+            hashlib.sha256(body.encode()).hexdigest() for body in (vset.to_json(), vset.to_txt())
+        )
+        assert digests == self.GOLDEN[texts]
 
     def test_deterministic_output(self):
         ms = MeasurementSet.from_strings(["XX", "YY", "ZZ", "XI"])
@@ -207,11 +229,26 @@ class TestVRepresentation:
 
 class TestSerialization:
     def test_json_roundtrip(self):
-        vset = v_representation(MeasurementSet.from_strings(["ZZ", "XI"]))
-        restored = vertex_set_from_json(vset.to_json())
-        assert restored.vertices == vset.vertices
-        assert restored.provenance == vset.provenance
-        assert restored.m == vset.m
+        for texts in (["ZZ", "XI"], ["XX", "YY", "ZZ", "XI"]):
+            vset = v_representation(MeasurementSet.from_strings(texts))
+            restored = vertex_set_from_json(vset.to_json())
+            assert np.array_equal(restored.vertices, vset.vertices)
+            assert restored.contexts() == vset.contexts()
+            assert restored.m == vset.m
+            assert restored.to_json() == vset.to_json()
+            assert not restored.vertices.flags.writeable
+
+    def test_json_rejects_row_of_wrong_width(self):
+        payload = json.loads(v_representation(MeasurementSet.from_strings(["ZZ", "XI"])).to_json())
+        payload["vertices"][1] = [0, 1, 0]
+        with pytest.raises(ValueError, match="m = 2"):
+            vertex_set_from_json(json.dumps(payload))
+
+    def test_json_rejects_entry_outside_signs(self):
+        payload = json.loads(v_representation(MeasurementSet.from_strings(["ZZ", "XI"])).to_json())
+        payload["vertices"][0] = [2, 0]
+        with pytest.raises(ValueError, match="-1, 0 or 1"):
+            vertex_set_from_json(json.dumps(payload))
 
     def test_json_fields(self):
         vset = v_representation(MeasurementSet.from_strings(["X", "Y", "Z"]))

@@ -70,7 +70,7 @@ class TestReducedRom:
         vset = v_representation(OCTAHEDRON)
         b = ExpectationVector.of(T_BLOCH)
         result = reduced_rom(vset, b)
-        vmat = np.asarray(vset.as_rows(), dtype=float)
+        vmat = vset.vertices
         assert abs(result.coefficients.sum() - 1.0) < 1e-8
         assert np.max(np.abs(vmat.T @ result.coefficients - b.values)) < 1e-8
         assert abs(np.abs(result.coefficients).sum() - result.rom) < 1e-8
@@ -125,7 +125,7 @@ class TestColumnGeneration:
             for ch in "XYZ":
                 texts.append("".join(ch if i == q else "I" for i in range(3)))
         vset = v_representation(MeasurementSet.from_strings(texts))
-        vmat = np.asarray(vset.as_rows(), dtype=float)
+        vmat = vset.vertices
         rng = np.random.default_rng(11)
         for _ in range(12):
             state = oracle.random_pure_state(3, rng)
