@@ -108,25 +108,25 @@ def _load_measurements(path: str) -> MeasurementSet:
 
 def _read_expectations(path: str, measurements: MeasurementSet) -> ExpectationVector:
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise CliError(str(exc), EXIT_USAGE) from None
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        payload = json.loads(text)
-        values = payload["expectations"]
-    else:
-        values = [float(line) for line in text.splitlines() if line.strip()]
-    if len(values) != len(measurements):
+    try:
+        text = data.decode("utf-8")
+        if text.lstrip().startswith("{"):
+            values = json.loads(text)["expectations"]
+        else:
+            values = [float(line) for line in text.splitlines() if line.strip()]
+        expectations = ExpectationVector.of(values)
+    except (KeyError, TypeError, ValueError) as exc:  # JSON and UTF-8 errors are ValueErrors
+        raise CliError(f"{path}: {type(exc).__name__}: {exc}", EXIT_PARSE) from None
+    if expectations.m != len(measurements):
         raise CliError(
-            f"{len(values)} expectations for {len(measurements)} measurements",
+            f"{expectations.m} expectations for {len(measurements)} measurements",
             EXIT_PARSE,
         )
-    try:
-        return ExpectationVector.of(values)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_PARSE) from None
+    return expectations
 
 
 def _cmd_polytope(args) -> int:
@@ -197,7 +197,6 @@ def _cmd_scan(args) -> int:
         measurements = hamiltonian_measurement_set(spec, args.measurements)
     else:
         measurements = _load_measurements(args.measurements)
-    vset = v_representation(measurements)
     param_names = sorted(grid[0].keys())
     columns = (
         ["model", "n", "boundary"]
@@ -210,13 +209,19 @@ def _cmd_scan(args) -> int:
     done = set()
     if args.resume and os.path.exists(args.out):
         with open(args.out, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is not None and reader.fieldnames != columns:
+                raise CliError(
+                    f"{args.out}: header does not match this scan's columns", EXIT_USAGE
+                )
+            for row in reader:
                 done.add(tuple(row[name] for name in param_names))
 
     def key(point: Dict[str, float]):
         return tuple(repr(point[name]) for name in param_names)
 
     pending = [p for p in grid if key(p) not in done]
+    vset = v_representation(measurements)
     records = sweep(
         spec, pending, measurements, vset, threads=args.threads, lp_tolerance=args.lp_tol
     )

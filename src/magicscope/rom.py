@@ -1,13 +1,12 @@
 """Linear programs over the reduced polytope: robustness, membership, witness.
 
 The reduced robustness minimizes the 1-norm of an affine pseudo-mixture
-of polytope vertices reproducing the observed expectations.  The LP is
-solved with the positive/negative split x = p - q, which keeps the
-problem dense, deterministic and well conditioned (vertex coordinates
-are all in {-1, 0, 1}).  Above a vertex-count cutoff the same LP is
-solved by dual cutting planes (column generation on the primal): the
-dual has only m+1 variables, and pricing over all vertices is a single
-matrix-vector product, so sweeps over large polytopes stay tractable.
+of polytope vertices reproducing the observed expectations.  It has one
+solver, at every vertex count: column generation on the primal, run as
+dual cutting planes.  The dual has only m+1 variables, pricing over all
+vertices is a single matrix-vector product, and the primal coefficients
+are the row marginals of the last dual solve, so sweeps over large
+polytopes stay tractable.  Membership is a separate, dense LP.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ __all__ = [
 LP_TOLERANCE = 1e-9
 DECISION_TOLERANCE = 1e-7
 INPUT_TOLERANCE = 1e-6
-COLUMN_GENERATION_CUTOFF = 20000  # vertices; above this the dense LP thrashes
 
 
 @dataclass(frozen=True)
@@ -45,6 +43,8 @@ class ExpectationVector:
 
     def __post_init__(self):
         for v in self.values:
+            if not math.isfinite(v):
+                raise ValueError(f"expectation {v} is not finite")
             if abs(v) > 1.0 + INPUT_TOLERANCE:
                 raise ValueError(f"expectation {v} outside [-1, 1]")
 
@@ -74,40 +74,20 @@ class RomResult:
         }
 
 
-def _solve_l1_dense(
-    vmat: np.ndarray, b_eq: np.ndarray, lp_tolerance: float = LP_TOLERANCE
-):
-    """Full p - q split LP; returns (fun, coefficients, status)."""
-    n_vert, m = vmat.shape
-    a_eq = np.empty((m + 1, 2 * n_vert))
-    a_eq[:m, :n_vert] = vmat.T
-    a_eq[:m, n_vert:] = -vmat.T
-    a_eq[m, :n_vert] = 1.0
-    a_eq[m, n_vert:] = -1.0
-    cost = np.ones(2 * n_vert)
-    res = linprog(
-        cost,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=(0, None),
-        method="highs",
-        options={"primal_feasibility_tolerance": lp_tolerance},
-    )
-    if res.status != 0:
-        return math.nan, None, res.status
-    return float(res.fun), res.x[:n_vert] - res.x[n_vert:], 0
-
-
 def _solve_l1_column_generation(
     vmat: np.ndarray, b_eq: np.ndarray, lp_tolerance: float = LP_TOLERANCE
 ):
-    """Dual cutting-plane solve of the same 1-norm LP.
+    """Solve the 1-norm LP by dual cutting planes; returns (fun, coefficients, status).
 
     The dual is max b_eq . y subject to |v_j . y[:m] + y[m]| <= 1 for
-    every vertex j.  Constraints are activated lazily: solve over the
-    active rows, price all vertices with one matvec, add the worst
-    violators, repeat.  The primal coefficients come from re-solving the
-    split LP restricted to the active columns.
+    every vertex j, inside the box |y| <= bound.  Constraints are
+    activated lazily: solve over the active rows, price all vertices with
+    one matvec, add the worst violators, repeat.  Once no vertex is
+    violated, the primal is read from the last solve's row marginals,
+    x = lambda_plus - lambda_minus over the active vertices.  If that x
+    reproduces b_eq the optimum is found; otherwise the box is binding,
+    so it is widened, and past 1e12 the primal is reported infeasible
+    (status 2).
     """
     n_vert, m = vmat.shape
     # Deterministic warm set: vertices most (anti)aligned with the target.
@@ -119,14 +99,15 @@ def _solve_l1_column_generation(
     batch = 8 * (m + 1)
     for _ in range(200):
         block = vmat[active]
-        a_ub = np.empty((2 * block.shape[0], m + 1))
-        a_ub[: block.shape[0], :m] = block
-        a_ub[: block.shape[0], m] = 1.0
-        a_ub[block.shape[0] :] = -a_ub[: block.shape[0]]
+        rows = block.shape[0]
+        a_ub = np.empty((2 * rows, m + 1))
+        a_ub[:rows, :m] = block
+        a_ub[:rows, m] = 1.0
+        a_ub[rows:] = -a_ub[:rows]
         res = linprog(
             -b_eq,
             A_ub=a_ub,
-            b_ub=np.ones(2 * block.shape[0]),
+            b_ub=np.ones(2 * rows),
             bounds=(-bound, bound),
             method="highs",
             options={"primal_feasibility_tolerance": lp_tolerance},
@@ -134,28 +115,25 @@ def _solve_l1_column_generation(
         if res.status != 0:
             return math.nan, None, res.status
         y = res.x
-        slack = vmat @ y[:m] + y[m]
-        violation = np.abs(slack) - 1.0
+        violation = np.abs(vmat @ y[:m] + y[m]) - 1.0
         violated = np.flatnonzero(violation > 1e-9)
-        if violated.size == 0:
-            if np.max(np.abs(y)) < bound * (1 - 1e-6):
-                break
-            # Dual ray hit the box: either genuinely unbounded
-            # (primal infeasible) or the box was too tight.
-            if bound > 1e12:
-                return math.inf, None, 2
-            bound *= 1e3
+        if violated.size:
+            worst = violated[np.argsort(violation[violated], kind="stable")[::-1][:batch]]
+            active = np.unique(np.concatenate([active, worst]))
             continue
-        worst = violated[np.argsort(violation[violated], kind="stable")[::-1][:batch]]
-        active = np.unique(np.concatenate([active, worst]))
-    else:
-        return math.nan, None, 1
-    fun, coeffs_active, status = _solve_l1_dense(vmat[active], b_eq, lp_tolerance)
-    if status != 0:
-        return math.nan, None, status
-    coeffs = np.zeros(n_vert)
-    coeffs[active] = coeffs_active
-    return fun, coeffs, 0
+        marginals = -res.ineqlin.marginals
+        x_active = marginals[:rows] - marginals[rows:]
+        reproduced = np.append(block.T @ x_active, x_active.sum())
+        if np.max(np.abs(reproduced - b_eq)) <= 1e-8:
+            coeffs = np.zeros(n_vert)
+            coeffs[active] = x_active
+            return -float(res.fun), coeffs, 0
+        # The box is binding: either the dual is unbounded (primal
+        # infeasible) or the box was too tight.
+        if bound > 1e12:
+            return math.inf, None, 2
+        bound *= 1e3
+    return math.nan, None, 1
 
 
 def reduced_rom(
@@ -166,17 +144,18 @@ def reduced_rom(
 ) -> RomResult:
     """min ||x||_1 s.t. sum_j x_j v_j = b, sum_j x_j = 1.
 
-    lp_tolerance is the LP solver's primal feasibility tolerance.
+    Solved by column generation at every vertex count.  It stops once no
+    vertex violates the dual and the last dual solve's marginals
+    reproduce b; those marginals, scattered over all vertices, are the
+    coefficients.  A binding dual box past 1e12 means b lies outside the
+    affine hull ("infeasible").  lp_tolerance is the LP solver's primal feasibility tolerance.
     """
     if vset.m != b.m:
         raise ValueError("dimension mismatch between vertex set and expectations")
     vmat = vset.vertices
     n_vert = vmat.shape[0]
     b_eq = np.concatenate([np.asarray(b.values, dtype=float), [1.0]])
-    if n_vert > COLUMN_GENERATION_CUTOFF:
-        fun, coeffs, status = _solve_l1_column_generation(vmat, b_eq, lp_tolerance)
-    else:
-        fun, coeffs, status = _solve_l1_dense(vmat, b_eq, lp_tolerance)
+    fun, coeffs, status = _solve_l1_column_generation(vmat, b_eq, lp_tolerance)
     if status == 2:
         return RomResult(math.inf, np.zeros(n_vert), math.inf, False, "infeasible")
     if status != 0:

@@ -104,6 +104,25 @@ class TestRom:
         b = write(tmp_path / "b.txt", "1.5\n0\n0\n")
         assert main(["rom", octahedron_file, b]) == EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "name, data",
+        [
+            ("b.txt", b"0.5\nhalf\n0\n"),
+            ("b.json", b'{"expectations": [0, 0,'),
+            ("b.json", b'{"values": [0, 0, 0]}'),
+            ("b.txt", b"nan\n0\n0\n"),
+            ("b.txt", b"\xff\xfe0\n0\n0\n"),
+        ],
+        ids=["non-numeric-line", "truncated-json", "no-expectations-key", "nan", "not-utf8"],
+    )
+    def test_malformed_expectations_are_parse_errors(
+        self, octahedron_file, tmp_path, capsys, name, data
+    ):
+        b = tmp_path / name
+        b.write_bytes(data)
+        assert main(["rom", octahedron_file, str(b)]) == EXIT_PARSE
+        assert capsys.readouterr().out == ""
+
     def test_infeasible_exit_code(self, tmp_path):
         ms = write(tmp_path / "m.txt", "+Z\n-Z\n")
         b = write(tmp_path / "b.txt", "1\n1\n")
@@ -144,6 +163,19 @@ class TestScan:
             resumed = list(csv.DictReader(fh))
         assert len(resumed) == 3
         assert [r["g"] for r in resumed] == [r["g"] for r in full]
+
+    @pytest.mark.parametrize(
+        "other",
+        [["--model", "annni", "--grid", "g=0:1:3"], ["--model", "tfim", "--grid", "h=0:1:3"]],
+        ids=["other-model", "other-parameter"],
+    )
+    def test_resume_rejects_other_header(self, tmp_path, other):
+        out = tmp_path / "scan.csv"
+        base = ["scan", "--n", "4", "--measurements", "first-cell", "--out", str(out)]
+        assert main(base + ["--model", "tfim", "--grid", "g=0:1:3"]) == EXIT_OK
+        before = out.read_bytes()
+        assert main(base + other + ["--resume"]) == EXIT_USAGE
+        assert out.read_bytes() == before
 
     def test_measurement_file_input(self, tmp_path):
         ms = write(tmp_path / "m.txt", "ZZIIII\nXIIIII\n")

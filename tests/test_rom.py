@@ -14,23 +14,37 @@ from magicscope.rom import (
     DECISION_TOLERANCE,
     ExpectationVector,
     _solve_l1_column_generation,
-    _solve_l1_dense,
     membership,
     reduced_rom,
     sample_complexity,
     witness,
 )
+from util import solve_l1_dense
 
 OCTAHEDRON = MeasurementSet.from_strings(["X", "Y", "Z"])
 DIAMOND = MeasurementSet.from_strings(["ZZ", "XI"])
 T_BLOCH = (1 / math.sqrt(3),) * 3
 H_BLOCH = (1 / math.sqrt(2), 0.0, 1 / math.sqrt(2))
+# sets holding both P and -P, so [V 1] is rank-deficient
+RANK_DEFICIENT = (["-XX", "+XX", "+ZI"], ["X", "-X", "Z"], ["XX", "YY", "ZZ", "-ZZ"])
+
+
+def marginal_texts(n):
+    """The 3n single-qubit Paulis on n qubits."""
+    return [
+        "".join(ch if i == q else "I" for i in range(n))
+        for q in range(n)
+        for ch in "XYZ"
+    ]
 
 
 class TestExpectationVector:
     def test_range_enforced(self):
         with pytest.raises(ValueError):
             ExpectationVector.of([1.1])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                ExpectationVector.of([0.0, bad])
         ExpectationVector.of([1.0000005])  # inside input tolerance
 
     def test_of_coerces(self):
@@ -119,27 +133,32 @@ class TestReducedRom:
 
 class TestColumnGeneration:
     def test_agrees_with_dense(self):
-        # n=3 marginal polytope (216 vertices) on a batch of random targets
-        texts = []
-        for q in range(3):
-            for ch in "XYZ":
-                texts.append("".join(ch if i == q else "I" for i in range(3)))
-        vset = v_representation(MeasurementSet.from_strings(texts))
-        vmat = vset.vertices
+        # n=3 (216 vertices) and n=4 (1296) marginal polytopes and the
+        # rank-deficient sets, on random-state expectations followed by
+        # random convex mixtures of vertices
         rng = np.random.default_rng(11)
-        for _ in range(12):
-            state = oracle.random_pure_state(3, rng)
-            table = oracle.full_pauli_table(state)
-            b = oracle.measurement_expectations(
-                table, MeasurementSet.from_strings(texts)
-            )
-            b_eq = np.concatenate([b, [1.0]])
-            f_dense, x_dense, s_dense = _solve_l1_dense(vmat, b_eq)
-            f_cg, x_cg, s_cg = _solve_l1_column_generation(vmat, b_eq)
-            assert s_dense == s_cg == 0
-            assert abs(f_dense - f_cg) < 1e-7
-            assert np.max(np.abs(vmat.T @ x_cg - b)) < 1e-8
-            assert abs(x_cg.sum() - 1.0) < 1e-8
+        cases = [(marginal_texts(3), 12)]
+        cases += [(texts, 6) for texts in RANK_DEFICIENT]
+        cases += [(marginal_texts(4), 4)]
+        for texts, states in cases:
+            ms = MeasurementSet.from_strings(texts)
+            vmat = v_representation(ms).vertices
+            targets = []
+            for _ in range(states):
+                table = oracle.full_pauli_table(oracle.random_pure_state(ms.n, rng))
+                targets.append(np.array(oracle.measurement_expectations(table, ms)))
+            for _ in range(3):
+                picked = rng.choice(len(vmat), size=min(50, len(vmat)), replace=False)
+                targets.append(rng.dirichlet(np.ones(picked.size)) @ vmat[picked])
+            for b in targets:
+                b_eq = np.concatenate([b, [1.0]])
+                f_dense, x_dense, s_dense = solve_l1_dense(vmat, b_eq)
+                f_cg, x_cg, s_cg = _solve_l1_column_generation(vmat, b_eq)
+                assert s_dense == s_cg == 0, texts
+                assert abs(f_dense - f_cg) < 1e-7, texts
+                assert np.max(np.abs(vmat.T @ x_cg - b)) < 1e-8, texts
+                assert abs(x_cg.sum() - 1.0) < 1e-8, texts
+                assert abs(np.abs(x_cg).sum() - f_cg) < 1e-8, texts
 
     def test_detects_infeasibility(self):
         vmat = np.array([[-1.0, 1.0], [1.0, -1.0]])

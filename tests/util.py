@@ -1,11 +1,14 @@
-"""Shared test helpers: dense matrices and hypothesis strategies.
+"""Shared test helpers: dense matrices, a dense LP and hypothesis strategies.
 
 The dense constructions here are deliberately independent of the
 package's own bit tricks so that tests compare two different codepaths.
 """
 
+import math
+
 import numpy as np
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from magicscope.pauli import PauliString
 
@@ -32,6 +35,31 @@ def pauli_matrix(p: PauliString) -> np.ndarray:
 def dense_hamiltonian(terms) -> np.ndarray:
     """Dense sum of weighted Pauli-term matrices built from Kronecker factors."""
     return sum(weight * pauli_matrix(p) for weight, p in terms)
+
+
+def solve_l1_dense(vmat: np.ndarray, b_eq: np.ndarray, lp_tolerance: float = 1e-9):
+    """Full p - q split LP over every vertex; returns (fun, coefficients, status).
+
+    The reference for the package's column-generation solver: one dense
+    LP with all 2N columns, the primal read straight from its solution.
+    """
+    n_vert, m = vmat.shape
+    a_eq = np.empty((m + 1, 2 * n_vert))
+    a_eq[:m, :n_vert] = vmat.T
+    a_eq[:m, n_vert:] = -vmat.T
+    a_eq[m, :n_vert] = 1.0
+    a_eq[m, n_vert:] = -1.0
+    res = linprog(
+        np.ones(2 * n_vert),
+        A_eq=a_eq,
+        b_eq=b_eq,
+        bounds=(0, None),
+        method="highs",
+        options={"primal_feasibility_tolerance": lp_tolerance},
+    )
+    if res.status != 0:
+        return math.nan, None, res.status
+    return float(res.fun), res.x[:n_vert] - res.x[n_vert:], 0
 
 
 def pauli_strings(max_n: int = 3, hermitian: bool = False):
