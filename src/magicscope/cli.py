@@ -102,8 +102,8 @@ def _load_measurements(path: str) -> MeasurementSet:
         return read_measurement_file(path)
     except OSError as exc:
         raise CliError(str(exc), EXIT_USAGE) from None
-    except PauliError as exc:
-        raise CliError(str(exc), EXIT_PARSE) from None
+    except (PauliError, UnicodeDecodeError) as exc:
+        raise CliError(f"{path}: {exc}", EXIT_PARSE) from None
 
 
 def _read_expectations(path: str, measurements: MeasurementSet) -> ExpectationVector:
@@ -206,6 +206,7 @@ def _cmd_scan(args) -> int:
         + ["rom", "degenerate_flag", "solver_status"]
     )
 
+    run = (args.model, str(args.n), args.boundary)
     done = set()
     if args.resume and os.path.exists(args.out):
         with open(args.out, newline="", encoding="utf-8") as fh:
@@ -215,6 +216,11 @@ def _cmd_scan(args) -> int:
                     f"{args.out}: header does not match this scan's columns", EXIT_USAGE
                 )
             for row in reader:
+                if (row["model"], row["n"], row["boundary"]) != run:
+                    raise CliError(
+                        f"{args.out}: line {reader.line_num} is from another model, n or boundary",
+                        EXIT_USAGE,
+                    )
                 done.add(tuple(row[name] for name in param_names))
 
     def key(point: Dict[str, float]):
@@ -293,7 +299,7 @@ def _cmd_oracle(args) -> int:
             full = oracle_mod.full_rom(table, args.n)
             vset = v_representation(measurements)
             b = ExpectationVector.of(oracle_mod.measurement_expectations(table, measurements))
-            reduced = reduced_rom(vset, b).rom
+            reduced = reduced_rom(vset, b, lp_tolerance=args.lp_tol).rom
             if reduced > full + 1e-6:
                 failures.append([format_pauli(p) for p in measurements])
     report = {

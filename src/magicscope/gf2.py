@@ -1,16 +1,17 @@
-"""Dense linear algebra over GF(2) with bit-packed rows.
+"""Reduced row echelon form over GF(2) with bit-packed rows.
 
 Rows are Python ints; bit ``j`` of a row is column ``j``.  Pivoting is
-deterministic (lowest column, first available row) so particular
-solutions and kernel bases are reproducible across runs.
+deterministic (lowest column, first available row), so the pivot
+columns are the lexicographically first independent columns and every
+other column is expressed in them by the RREF.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-__all__ = ["F2Matrix", "rref", "kernel_basis", "solve"]
+__all__ = ["F2Matrix", "rref"]
 
 
 @dataclass(frozen=True)
@@ -37,17 +38,6 @@ class F2Matrix:
     def to_lists(self) -> List[List[int]]:
         return [[(r >> j) & 1 for j in range(self.cols)] for r in self.rows]
 
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    def matvec(self, x: int) -> int:
-        """M @ x over GF(2); x packed with bit j = component j."""
-        out = 0
-        for i, r in enumerate(self.rows):
-            out |= ((r & x).bit_count() & 1) << i
-        return out
-
 
 def rref(m: F2Matrix) -> Tuple[F2Matrix, int, List[int]]:
     """Reduced row echelon form, rank and pivot columns."""
@@ -71,57 +61,3 @@ def rref(m: F2Matrix) -> Tuple[F2Matrix, int, List[int]]:
         if rank == len(work):
             break
     return F2Matrix(tuple(work), m.cols), rank, pivots
-
-
-def kernel_basis(m: F2Matrix) -> F2Matrix:
-    """Basis of {x : M x = 0}, one row per free column of the RREF."""
-    red, rank, pivots = rref(m)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for fc in free_cols:
-        vec = 1 << fc
-        for i, pc in enumerate(pivots):
-            if (red.rows[i] >> fc) & 1:
-                vec |= 1 << pc
-        basis.append(vec)
-    return F2Matrix(tuple(basis), m.cols)
-
-
-def solve(k: F2Matrix, sigma: int) -> Optional[int]:
-    """A particular x with K x = sigma, or None if inconsistent.
-
-    sigma is bit-packed with bit i = row i; free variables are set to 0.
-    """
-    if sigma & ~((1 << k.nrows) - 1):
-        raise ValueError("sigma longer than row count")
-    work = list(k.rows)
-    rhs = [(sigma >> i) & 1 for i in range(k.nrows)]
-    pivots: List[int] = []
-    rank = 0
-    for col in range(k.cols):
-        sel = None
-        for r in range(rank, len(work)):
-            if (work[r] >> col) & 1:
-                sel = r
-                break
-        if sel is None:
-            continue
-        work[rank], work[sel] = work[sel], work[rank]
-        rhs[rank], rhs[sel] = rhs[sel], rhs[rank]
-        for r in range(len(work)):
-            if r != rank and (work[r] >> col) & 1:
-                work[r] ^= work[rank]
-                rhs[r] ^= rhs[rank]
-        pivots.append(col)
-        rank += 1
-        if rank == len(work):
-            break
-    for r in range(rank, len(work)):
-        if rhs[r]:
-            return None
-    x = 0
-    for i, pc in enumerate(pivots):
-        if rhs[i]:
-            x |= 1 << pc
-    return x

@@ -2,11 +2,11 @@
 
 Each maximal commuting subset S of the measurement set, together with
 an admissible sign assignment f (no signed subset product equal to -1),
-contributes one vertex with entries f on S and 0 elsewhere.  Admissible
-assignments are found by a GF(2) coset solve: the kernel of the
-symplectic column matrix of S encodes the subset products proportional
-to the identity, and the sign vector of those products pins the parity
-constraints on f.
+contributes one vertex with entries f on S and 0 elsewhere.  The
+admissible assignments come from the RREF of the symplectic column
+matrix of S: its pivot columns are an independent subset of S whose
+2^rank signs are free, and every other member is +-1 times the product
+of the pivot members marked in its RREF column, which fixes its sign.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import gf2
 from .fgraph import build_frustration_graph, enumerate_maximal_independent_sets
-from .pauli import MeasurementSet, commutes, format_pauli, identity, identity_sign, multiply
+from .pauli import MeasurementSet, commutes, format_pauli, identity_sign, multiply
 
 __all__ = [
     "VertexSet",
@@ -84,46 +84,45 @@ def _symplectic_column_matrix(measurements: MeasurementSet, subset: Sequence[int
     return gf2.F2Matrix(tuple(rows), len(subset))
 
 
+def _sign_block(measurements: MeasurementSet, subset: Tuple[int, ...]) -> np.ndarray:
+    """Admissible signs of a sorted commuting subset: one int8 row each, in sorted order."""
+    red, rank, pivots = gf2.rref(_symplectic_column_matrix(measurements, subset))
+    # Row k gives pivot i the sign of bit rank-1-i of k (0 -> -1), so the pivot
+    # columns ascend lexicographically.  A dependent column is fixed by pivots
+    # to its left, so the whole rows are in sorted() order as well.
+    k = np.arange(1 << rank)[:, None]
+    block = np.empty((1 << rank, len(subset)), dtype=np.int8)
+    block[:, pivots] = 2 * ((k >> np.arange(rank - 1, -1, -1)) & 1) - 1
+    for c in set(range(len(subset))).difference(pivots):
+        marked = [p for i, p in enumerate(pivots) if (red.rows[i] >> c) & 1]
+        # P_c = lam * prod(P_marked), and the product is Hermitian, so P_c * prod = lam * 1
+        product = measurements[subset[c]]
+        for p in marked:
+            product = multiply(product, measurements[subset[p]])
+        block[:, c] = identity_sign(product) * np.prod(block[:, marked], axis=1)
+    return block
+
+
 def admissible_signs(
     measurements: MeasurementSet, subset: Sequence[int]
 ) -> List[Tuple[int, ...]]:
     """All sign assignments over the commuting subset with no -1 product.
 
     Returns tuples of +-1 aligned with ``subset`` (ascending index
-    order), sorted so that repeated runs emit identical lists.  The
-    parity constraints come from a kernel basis, which has full row
-    rank, so they always have a solution (``+Z, -Z`` gives the two
-    assignments (-1, 1) and (1, -1)); the empty list, returned if the
-    solve ever finds none, marks an inconsistent context.
+    order), in sorted order.  The RREF pivots of the subset's symplectic
+    column matrix are independent members whose 2^rank signs are free;
+    each other member P_c equals lam_c times the product of the pivot
+    members marked in its RREF column, and its sign is lam_c times
+    their signs.  The signed pivots generate a group without -1 that
+    holds every signed member, so there are always 2^rank assignments
+    (``+Z, -Z`` gives (-1, 1) and (1, -1)).
     """
     subset = tuple(sorted(subset))
     for a in range(len(subset)):
         for b in range(a):
             if not commutes(measurements[subset[a]], measurements[subset[b]]):
                 raise ValueError("subset contains an anticommuting pair")
-    m_s = _symplectic_column_matrix(measurements, subset)
-    kernel = gf2.kernel_basis(m_s)
-    sigma = 0
-    for i, c in enumerate(kernel.rows):
-        prod = identity(measurements.n)
-        for j in range(len(subset)):
-            if (c >> j) & 1:
-                prod = multiply(prod, measurements[subset[j]])
-        sign = identity_sign(prod)
-        assert sign is not None, "kernel row product must be proportional to identity"
-        if sign == -1:
-            sigma |= 1 << i
-    particular = gf2.solve(kernel, sigma)
-    if particular is None:
-        return []
-    coset_basis = gf2.kernel_basis(kernel).rows
-    xs = {particular}
-    for vec in coset_basis:
-        xs |= {x ^ vec for x in xs}
-    assignments = sorted(
-        tuple(-1 if (x >> j) & 1 else 1 for j in range(len(subset))) for x in xs
-    )
-    return assignments
+    return [tuple(row) for row in _sign_block(measurements, subset).tolist()]
 
 
 def v_representation(measurements: MeasurementSet) -> VertexSet:
@@ -131,9 +130,9 @@ def v_representation(measurements: MeasurementSet) -> VertexSet:
     m = len(measurements)
     blocks = []
     for subset in enumerate_maximal_independent_sets(build_frustration_graph(measurements)):
-        signs = np.array(admissible_signs(measurements, subset), dtype=np.int8)
+        signs = _sign_block(measurements, subset)
         block = np.zeros((len(signs), m), dtype=np.int8)
-        block[:, list(subset)] = signs.reshape(-1, len(subset))
+        block[:, list(subset)] = signs
         blocks.append(block)
     packed = np.concatenate(blocks)
     rows = packed.view(np.dtype((np.void, m))).ravel()

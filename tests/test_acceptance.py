@@ -278,6 +278,30 @@ def test_criterion_08_tfim_trajectory():
     report(8, "transverse-field Ising robustness peak near criticality", failures)
 
 
+def test_tfim_trajectory_peak_and_decay():
+    """What the TFIM trajectory does instead of criterion 08's g >= 2 checks.
+
+    On {Z1Z2, X1} the robustness peaks near the critical field g = 1 and
+    then decays towards 1 like 1/(2g) (README), so (rom - 1) * 2g -> 1.
+    """
+    failures = []
+    grid = [round(0.05 * i, 2) for i in range(41)]  # 0.0 .. 2.0
+    for n in (3, 6, 9):
+        spec = SpinChainSpec("tfim", n, {})
+        ms = hamiltonian_measurement_set(spec, "first-cell")
+        records = sweep(spec, [{"g": g} for g in grid + [20.0]], ms, v_representation(ms))
+        roms = [record.rom for record in records]
+        if abs(roms[0] - 1.0) > 1e-6:
+            failures.append(f"n={n}: rom(g=0) = {roms[0]} != 1")
+        g_star = grid[int(np.argmax(roms[:-1]))]
+        if not 0.9 <= g_star <= 1.1:
+            failures.append(f"n={n}: argmax g = {g_star} outside [0.9, 1.1]")
+        tail = (roms[-1] - 1.0) * 2 * 20.0
+        if abs(tail - 1.0) > 0.05:
+            failures.append(f"n={n}: (rom(g=20) - 1) * 2g = {tail} not within 0.05 of 1")
+    assert not failures, failures
+
+
 def test_criterion_09_annni_stabilizer_line():
     failures = []
     start = time.perf_counter()

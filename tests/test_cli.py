@@ -177,6 +177,19 @@ class TestScan:
         assert main(base + other + ["--resume"]) == EXIT_USAGE
         assert out.read_bytes() == before
 
+    @pytest.mark.parametrize(
+        "other", [["--model", "annni"], ["--boundary", "open"]], ids=["other-model", "other-boundary"]
+    )
+    def test_resume_rejects_rows_of_another_run(self, tmp_path, other):
+        # a measurement file gives every model the same columns, so only the rows tell
+        ms = write(tmp_path / "m.txt", "ZZII\nXIII\n")
+        out = tmp_path / "scan.csv"
+        base = ["scan", "--n", "4", "--grid", "g=0:1:3", "--measurements", ms, "--out", str(out)]
+        assert main(base + ["--model", "tfim"]) == EXIT_OK
+        before = out.read_bytes()
+        assert main(base + ["--model", "tfim"] + other + ["--resume"]) == EXIT_USAGE
+        assert out.read_bytes() == before
+
     def test_measurement_file_input(self, tmp_path):
         ms = write(tmp_path / "m.txt", "ZZIIII\nXIIIII\n")
         out = tmp_path / "scan.csv"
@@ -238,6 +251,21 @@ class TestGlobalFlags:
         monkeypatch.setenv("MAGICSCOPE_THREADS", "not-a-number")
         assert _default_threads() >= 1
 
+    def test_non_utf8_measurement_file_is_parse_error(self, tmp_path, capsys):
+        ms = tmp_path / "m.bin"
+        ms.write_bytes(b"\xff\xfeZZ\nXI\n")
+        b = write(tmp_path / "b.txt", "0\n0\n")
+        out = str(tmp_path / "scan.csv")
+        for argv in (
+            ["polytope", str(ms)],
+            ["rom", str(ms), b],
+            ["scan", "--model", "tfim", "--n", "4", "--grid", "g=0:1:2",
+             "--measurements", str(ms), "--out", out],
+        ):
+            assert main(argv) == EXIT_PARSE, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and "m.bin" in captured.err
+
     def test_missing_file_is_parse_error(self, tmp_path):
         missing = str(tmp_path / "nope.txt")
         assert main(["polytope", missing]) in (EXIT_PARSE, EXIT_USAGE)
@@ -269,3 +297,8 @@ class TestGlobalFlags:
             "--n", "4", "--grid", "g=0:1:2", "--out", str(out),
         ]) == EXIT_OK
         assert len(linprog_tolerances) >= 2 and set(linprog_tolerances) == {2e-7}
+
+    def test_lp_tol_reaches_oracle_solver(self, capsys, linprog_tolerances):
+        assert main(["--lp-tol", "4e-8", "--seed", "1", "oracle", "--check", "rom-bound",
+                     "--n", "2", "--trials", "3"]) == EXIT_OK
+        assert linprog_tolerances and set(linprog_tolerances) == {4e-8}

@@ -1,22 +1,10 @@
-"""Bit-packed GF(2) elimination, kernels, and coset solves."""
-
-import itertools
+"""Bit-packed GF(2) reduced row echelon form."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from magicscope.gf2 import F2Matrix, kernel_basis, rref, solve
+from magicscope.gf2 import F2Matrix, rref
 from magicscope.pauli import MeasurementSet
 from magicscope.polytope import _symplectic_column_matrix
-
-
-def small_matrices(max_rows=6, max_cols=6):
-    return st.integers(1, max_cols).flatmap(
-        lambda c: st.lists(
-            st.integers(0, (1 << c) - 1), min_size=0, max_size=max_rows
-        ).map(lambda rows: F2Matrix(tuple(rows), c))
-    )
 
 
 class TestRref:
@@ -32,11 +20,10 @@ class TestRref:
 
     def test_symplectic_matrix_of_xx_yy_zz(self):
         ms = MeasurementSet.from_strings(["XX", "YY", "ZZ"])
-        m_s = _symplectic_column_matrix(ms, (0, 1, 2))
-        _, rank, _ = rref(m_s)
-        assert rank == 2
-        kernel = kernel_basis(m_s)
-        assert kernel.to_lists() == [[1, 1, 1]]
+        red, rank, pivots = rref(_symplectic_column_matrix(ms, (0, 1, 2)))
+        assert rank == 2 and pivots == [0, 1]
+        # ZZ's column marks both pivot rows: ZZ is proportional to XX.YY
+        assert [row[2] for row in red.to_lists()[:rank]] == [1, 1]
 
     def test_row_too_wide_rejected(self):
         with pytest.raises(ValueError):
@@ -45,58 +32,3 @@ class TestRref:
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
             F2Matrix.from_lists([[1, 0], [1]])
-
-
-class TestKernel:
-    def test_identity_has_trivial_kernel(self):
-        m = F2Matrix.from_lists([[1, 0], [0, 1]])
-        assert kernel_basis(m).nrows == 0
-
-    def test_zero_matrix_has_full_kernel(self):
-        m = F2Matrix((0, 0), 3)
-        assert kernel_basis(m).nrows == 3
-
-    @given(small_matrices())
-    @settings(max_examples=200)
-    def test_rank_nullity_and_annihilation(self, m):
-        _, rank, _ = rref(m)
-        kernel = kernel_basis(m)
-        assert kernel.nrows + rank == m.cols
-        for row in kernel.rows:
-            assert m.matvec(row) == 0
-        # kernel rows are linearly independent
-        _, krank, _ = rref(kernel)
-        assert krank == kernel.nrows
-
-
-class TestSolve:
-    def test_identity_system(self):
-        k = F2Matrix.from_lists([[1, 0], [0, 1]])
-        assert solve(k, 0b01) == 0b01
-
-    def test_single_parity(self):
-        k = F2Matrix.from_lists([[1, 1]])
-        x = solve(k, 1)
-        assert x is not None and k.matvec(x) == 1
-
-    def test_inconsistent(self):
-        k = F2Matrix.from_lists([[1, 1], [1, 1]])
-        assert solve(k, 0b01) is None
-
-    def test_sigma_too_long(self):
-        with pytest.raises(ValueError):
-            solve(F2Matrix.from_lists([[1]]), 0b10)
-
-    @given(small_matrices(max_rows=4, max_cols=5), st.integers(0, 15))
-    @settings(max_examples=200)
-    def test_coset_enumerates_all_solutions(self, k, sigma_raw):
-        sigma = sigma_raw & ((1 << k.nrows) - 1)
-        brute = {x for x in range(1 << k.cols) if k.matvec(x) == sigma}
-        particular = solve(k, sigma)
-        if particular is None:
-            assert not brute
-            return
-        coset = {particular}
-        for vec in kernel_basis(k).rows:
-            coset |= {x ^ vec for x in coset}
-        assert coset == brute

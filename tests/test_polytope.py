@@ -1,6 +1,7 @@
 """V-representation of the reduced stabilizer polytope."""
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from magicscope import gf2
 from magicscope.fgraph import build_frustration_graph, enumerate_maximal_independent_sets
 from magicscope.oracle import hull_contains, hull_equal, topdown_vertices
-from magicscope.pauli import MeasurementSet, PauliString
+from magicscope.pauli import MeasurementSet, PauliString, identity, identity_sign, multiply
 from magicscope.polytope import (
     _symplectic_column_matrix,
     admissible_signs,
@@ -57,6 +58,30 @@ def marginal_set(n):
     return MeasurementSet.from_strings(texts)
 
 
+def brute_force_signs(ms, subset):
+    """Every f in {+-1}^|S|, in sorted order, with no signed subset product equal to -1."""
+    identity_products = []
+    for bits in range(1, 1 << len(subset)):
+        prod = identity(ms.n)
+        for j in range(len(subset)):
+            if (bits >> j) & 1:
+                prod = multiply(prod, ms[subset[j]])
+        value = identity_sign(prod)
+        if value is not None:
+            identity_products.append((bits, value))
+    admissible = []
+    for f in itertools.product((-1, 1), repeat=len(subset)):
+        signed = []
+        for bits, value in identity_products:
+            for j in range(len(subset)):
+                if (bits >> j) & 1:
+                    value *= f[j]
+            signed.append(value)
+        if -1 not in signed:
+            admissible.append(f)
+    return admissible
+
+
 class TestAdmissibleSigns:
     def test_free_commuting_pair(self):
         ms = MeasurementSet.from_strings(["ZI", "IZ"])
@@ -85,28 +110,14 @@ class TestAdmissibleSigns:
         for subset in enumerate_maximal_independent_sets(graph):
             m_s = _symplectic_column_matrix(ms, subset)
             _, rank, _ = gf2.rref(m_s)
-            signs = admissible_signs(ms, subset)
-            if signs:
-                assert len(signs) == 2**rank
+            assert len(admissible_signs(ms, subset)) == 2**rank
 
     @given(measurement_sets())
     @settings(max_examples=60, deadline=None)
     def test_no_signed_subset_product_is_minus_identity(self, ms):
-        from magicscope.pauli import identity, identity_sign, multiply
-
         graph = build_frustration_graph(ms)
         for subset in enumerate_maximal_independent_sets(graph):
-            for f in admissible_signs(ms, subset)[:4]:
-                for bits in range(1, 1 << len(subset)):
-                    prod = identity(ms.n)
-                    sign = 1
-                    for j in range(len(subset)):
-                        if (bits >> j) & 1:
-                            prod = multiply(prod, ms[subset[j]])
-                            sign *= f[j]
-                    value = identity_sign(prod)
-                    if value is not None:
-                        assert sign * value != -1
+            assert admissible_signs(ms, subset) == brute_force_signs(ms, subset)
 
 
 class TestVRepresentation:
