@@ -16,7 +16,6 @@ from .polytope import VertexSet, admissible_signs, size_bound, v_representation
 from .rom import (
     ExpectationVector,
     RomResult,
-    membership,
     reduced_rom,
     sample_complexity,
     witness,

@@ -191,12 +191,20 @@ def _parse_grid(spec: str) -> List[Dict[str, float]]:
 
 
 def _cmd_scan(args) -> int:
-    spec = SpinChainSpec(args.model, args.n, {}, args.boundary)
     grid = _parse_grid(args.grid)
+    try:
+        spec = SpinChainSpec(args.model, args.n, grid[0], args.boundary)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_USAGE) from None
     if args.measurements in ("first-cell", "all-terms"):
         measurements = hamiltonian_measurement_set(spec, args.measurements)
     else:
         measurements = _load_measurements(args.measurements)
+        if measurements.n != args.n:
+            raise CliError(
+                f"{args.measurements}: {measurements.n}-qubit measurements for --n {args.n}",
+                EXIT_USAGE,
+            )
     param_names = sorted(grid[0].keys())
     columns = (
         ["model", "n", "boundary"]

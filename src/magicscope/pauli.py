@@ -192,7 +192,7 @@ class MeasurementSet:
 
 def read_measurement_file(path) -> MeasurementSet:
     """One Pauli per line; '#' comments and blank lines are skipped."""
-    texts = []
+    paulis = []
     width = None
     seen = {}
     with open(path, encoding="utf-8") as fh:
@@ -207,7 +207,6 @@ def read_measurement_file(path) -> MeasurementSet:
                 raise PauliError(f"line {lineno}: width {len(body)} != {width}")
             try:
                 parsed = parse_pauli(line)
-                texts.append(line)
             except PauliError as exc:
                 raise PauliError(f"line {lineno}: {exc}") from None
             key = (parsed.phase_k, parsed.xbits, parsed.zbits)
@@ -217,9 +216,7 @@ def read_measurement_file(path) -> MeasurementSet:
                     f" (first seen on line {seen[key]})"
                 )
             seen[key] = lineno
-    if not texts:
+            paulis.append(parsed)
+    if not paulis:
         raise PauliError("no measurements in file")
-    try:
-        return MeasurementSet.from_strings(texts)
-    except PauliError as exc:
-        raise PauliError(str(exc)) from None
+    return MeasurementSet(tuple(paulis))

@@ -1,4 +1,4 @@
-"""Linear programs over the reduced polytope: robustness, membership, witness.
+"""Linear programs over the reduced polytope: robustness and witness.
 
 The reduced robustness minimizes the 1-norm of an affine pseudo-mixture
 of polytope vertices reproducing the observed expectations.  It has one
@@ -6,14 +6,15 @@ solver, at every vertex count: column generation on the primal, run as
 dual cutting planes.  The dual has only m+1 variables, pricing over all
 vertices is a single matrix-vector product, and the primal coefficients
 are the row marginals of the last dual solve, so sweeps over large
-polytopes stay tractable.  Membership is a separate, dense LP.
+polytopes stay tractable.  The expectations lie in the polytope exactly
+when rom <= 1, which ``RomResult.member`` reports.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -25,7 +26,6 @@ __all__ = [
     "ExpectationVector",
     "RomResult",
     "reduced_rom",
-    "membership",
     "witness",
     "sample_complexity",
     "LP_TOLERANCE",
@@ -162,46 +162,6 @@ def reduced_rom(
         return RomResult(math.nan, np.zeros(n_vert), math.nan, False, "numerically-degenerate")
     rom = float(fun)
     return RomResult(rom, coeffs, rom, rom <= 1.0 + decision_tolerance, "optimal")
-
-
-def membership(
-    vset: VertexSet,
-    b: ExpectationVector,
-    decision_tolerance: float = DECISION_TOLERANCE,
-) -> bool:
-    """True iff b is a convex combination of the vertices.
-
-    Solved as a minimum-deviation LP (smallest sup-norm slack over a
-    proper mixture); agrees with reduced_rom <= 1 + tolerance.
-    """
-    if vset.m != b.m:
-        raise ValueError("dimension mismatch between vertex set and expectations")
-    vmat = vset.vertices
-    n_vert = vmat.shape[0]
-    # variables: x (n_vert), t; minimize t s.t. |V^T x - b| <= t, sum x = 1
-    cost = np.zeros(n_vert + 1)
-    cost[-1] = 1.0
-    a_ub = np.zeros((2 * b.m, n_vert + 1))
-    a_ub[: b.m, :n_vert] = vmat.T
-    a_ub[b.m :, :n_vert] = -vmat.T
-    a_ub[:, -1] = -1.0
-    b_arr = np.asarray(b.values, dtype=float)
-    b_ub = np.concatenate([b_arr, -b_arr])
-    a_eq = np.zeros((1, n_vert + 1))
-    a_eq[0, :n_vert] = 1.0
-    res = linprog(
-        cost,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=[1.0],
-        bounds=(0, None),
-        method="highs",
-        options={"primal_feasibility_tolerance": LP_TOLERANCE},
-    )
-    if res.status != 0:
-        return False
-    return float(res.fun) <= decision_tolerance
 
 
 @dataclass(frozen=True)

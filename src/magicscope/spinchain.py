@@ -3,10 +3,9 @@
 Hamiltonians are kept as weighted Pauli-string term lists and turned
 into one sparse CSR matrix, real for all three chain models.  The ground
 state and the gap come from seeded Lanczos (``eigsh``) runs on that
-matrix, or from a dense real ``eigh`` of it at a few qubits, where that
-is faster.  The sweep driver reuses a single reduced-polytope
-V-representation across a parameter grid and reports one record per
-grid point.
+matrix at every chain size.  The sweep driver reuses a single
+reduced-polytope V-representation across a parameter grid and reports
+one record per grid point.
 """
 
 from __future__ import annotations
@@ -41,8 +40,7 @@ __all__ = [
 
 EIG_TOLERANCE = 1e-10
 DEGENERACY_THRESHOLD = 1e-8
-DENSE_CUTOFF = 7  # dense eigh up to 2^7 dimensions; Lanczos is faster from n = 8
-MODELS = ("tfim", "annni", "xxz")
+COUPLINGS = {"tfim": ("g",), "annni": ("k", "g"), "xxz": ("delta", "h")}
 
 TermList = List[Tuple[float, PauliString]]
 
@@ -55,13 +53,16 @@ class SpinChainSpec:
     boundary: str = "periodic"
 
     def __post_init__(self):
-        if self.model not in MODELS:
+        if self.model not in COUPLINGS:
             raise ValueError(f"unknown model {self.model!r}")
         if not 3 <= self.n <= 14:
             raise ValueError("qubit count must be in [3, 14]")
         if self.boundary not in ("periodic", "open"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
         for key, val in self.params.items():
+            if key not in COUPLINGS[self.model]:
+                allowed = ", ".join(COUPLINGS[self.model])
+                raise ValueError(f"{self.model} has no coupling {key!r} (takes {allowed})")
             if not math.isfinite(val):
                 raise ValueError(f"coupling {key}={val} is not finite")
 
@@ -104,8 +105,6 @@ def _structural_terms(spec: SpinChainSpec) -> TermList:
     if spec.model in ("tfim", "annni"):
         k = float(spec.params.get("k", 0.0))
         g = float(spec.params.get("g", 0.0))
-        if spec.model == "tfim" and "k" in spec.params:
-            raise ValueError("tfim takes no next-nearest coupling; use annni")
         for i in range(n if periodic else n - 1):
             terms.append((-1.0, _zz(n, i, (i + 1) % n)))
         if spec.model == "annni":
@@ -128,17 +127,12 @@ def _structural_terms(spec: SpinChainSpec) -> TermList:
 
 def build_hamiltonian(spec: SpinChainSpec) -> TermList:
     """Weighted term list; duplicate Paulis merged, zero weights dropped."""
-    merged: Dict[Tuple[int, int, int], float] = {}
-    order: List[Tuple[int, int, int]] = []
-    paulis: Dict[Tuple[int, int, int], PauliString] = {}
+    merged: Dict[Tuple[int, int, int], Tuple[float, PauliString]] = {}
     for weight, p in _structural_terms(spec):
         key = (p.phase_k, p.xbits, p.zbits)
-        if key not in merged:
-            merged[key] = 0.0
-            order.append(key)
-            paulis[key] = p
-        merged[key] += weight
-    return [(merged[k], paulis[k]) for k in order if merged[k] != 0.0]
+        total, _ = merged.get(key, (0.0, p))
+        merged[key] = (total + weight, p)
+    return [(w, p) for w, p in merged.values() if w != 0.0]
 
 
 def apply_pauli(p: PauliString, vec: np.ndarray) -> np.ndarray:
@@ -195,10 +189,10 @@ def ground_state(
 ) -> GroundStateResult:
     """Lowest eigenpair and gap estimate of a Pauli-term Hamiltonian.
 
-    Above DENSE_CUTOFF qubits both levels come from seeded Lanczos runs:
-    the ground state of H, then the ground state of the deflated
-    operator H + sigma |psi0><psi0|, which lifts psi0 above the spectrum
-    so that an exactly degenerate partner shows up as a zero gap.
+    Both levels come from seeded Lanczos runs at every chain size: the
+    ground state of H, then the ground state of the deflated operator
+    H + sigma |psi0><psi0|, which lifts psi0 above the spectrum so that
+    an exactly degenerate partner shows up as a zero gap.
     """
     if not terms:
         raise ValueError("empty term list")
@@ -206,24 +200,19 @@ def ground_state(
     if n > 14:
         raise ValueError("exact diagonalization capped at 14 qubits")
     h = hamiltonian_matrix(terms, n)
-    if n <= DENSE_CUTOFF:
-        evals, evecs = np.linalg.eigh(h.toarray())
-        e0, e1 = float(evals[0]), float(evals[1])
-        state = evecs[:, 0]
-    else:
-        rng = np.random.default_rng(seed)
-        e0, state = _lowest(h, rng.normal(size=h.shape[0]), tol)
-        # sigma exceeds the spectral width: E_max <= sum |w| and E0 >= -sum |w|
-        sigma = sum(abs(w) for w, _ in terms) - e0 + 1.0
+    rng = np.random.default_rng(seed)
+    e0, state = _lowest(h, rng.normal(size=h.shape[0]), tol)
+    # sigma exceeds the spectral width: E_max <= sum |w| and E0 >= -sum |w|
+    sigma = sum(abs(w) for w, _ in terms) - e0 + 1.0
 
-        def deflated(v):
-            v = np.ravel(v)
-            return h @ v + sigma * np.vdot(state, v) * state
+    def deflated(v):
+        v = np.ravel(v)
+        return h @ v + sigma * np.vdot(state, v) * state
 
-        op = spla.LinearOperator(h.shape, matvec=deflated, dtype=h.dtype)
-        # a fresh start: Lanczos from the first one only reaches psi0 inside
-        # the ground space, so it would miss a degenerate partner
-        e1, _ = _lowest(op, rng.normal(size=h.shape[0]), tol)
+    op = spla.LinearOperator(h.shape, matvec=deflated, dtype=h.dtype)
+    # a fresh start: Lanczos from the first one only reaches psi0 inside
+    # the ground space, so it would miss a degenerate partner
+    e1, _ = _lowest(op, rng.normal(size=h.shape[0]), tol)
     state = state / np.linalg.norm(state)
     gap = max(0.0, e1 - e0)
     return GroundStateResult(e0, state, gap, gap < DEGENERACY_THRESHOLD)

@@ -16,7 +16,7 @@ import pytest
 from magicscope import oracle
 from magicscope.pauli import MeasurementSet, PauliString, format_pauli
 from magicscope.polytope import size_bound, v_representation
-from magicscope.rom import ExpectationVector, membership, reduced_rom
+from magicscope.rom import ExpectationVector, reduced_rom
 from magicscope.spinchain import (
     SpinChainSpec,
     build_hamiltonian,
@@ -197,7 +197,7 @@ def test_criterion_07_resource_monotone_property_suite():
         full = oracle.full_rom(table, n)
         if result.rom > full + 1e-6:
             failures.append(f"trial {trial}: (b) reduced {result.rom} > full {full}")
-        member = membership(vset, b, decision_tolerance=1e-7)
+        member = oracle.hull_contains([b.values], vset.vertices, tolerance=1e-7)
         if member != (result.rom <= 1.0 + 1e-7):
             failures.append(f"trial {trial}: (c) membership/rom disagree")
         # (d) convexity against a second random state on the same set
@@ -367,7 +367,8 @@ def test_criterion_11_performance_envelope():
 
 def test_criterion_12_membership_decision_contract():
     # The hardness statement itself is not testable; its operational face
-    # is that the membership decision and the rom threshold agree.
+    # is that the membership decision (a dense LP over every vertex) and the
+    # rom threshold agree.
     failures = []
     rng = np.random.default_rng(55)
     for trial in range(20):
@@ -379,6 +380,7 @@ def test_criterion_12_membership_decision_contract():
             oracle.measurement_expectations(oracle.full_pauli_table(state), ms)
         )
         rom = reduced_rom(vset, b).rom
-        if membership(vset, b, decision_tolerance=1e-7) != (rom <= 1.0 + 1e-7):
+        member = oracle.hull_contains([b.values], vset.vertices, tolerance=1e-7)
+        if member != (rom <= 1.0 + 1e-7):
             failures.append(f"trial {trial}: decision mismatch at rom {rom}")
     report(12, "membership decision agrees with the rom threshold", failures)

@@ -202,6 +202,42 @@ class TestScan:
         assert main(["scan", "--model", "tfim", "--n", "6", "--grid",
                      "g=0;2;5", "--out", str(out)]) == EXIT_USAGE
 
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        import magicscope.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the scan started work it should have refused")
+
+        monkeypatch.setattr(cli, "v_representation", refuse)
+        monkeypatch.setattr(cli, "sweep", refuse)
+
+    @pytest.mark.parametrize("n", ["2", "15"])
+    def test_out_of_range_n_is_usage_error(self, tmp_path, capsys, no_work, n):
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--model", "tfim", "--n", n, "--grid", "g=0:1:2",
+                     "--out", str(out)]) == EXIT_USAGE
+        assert "qubit count" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_measurement_width_mismatch_is_usage_error(self, tmp_path, capsys, no_work):
+        ms = write(tmp_path / "m.txt", "ZZI\nXII\n")
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--model", "tfim", "--n", "4", "--grid", "g=0:1:2",
+                     "--measurements", ms, "--out", str(out)]) == EXIT_USAGE
+        assert "3-qubit" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model, grid", [
+        ("annni", "kk=0:1:3"), ("xxz", "g=0:1:2"), ("tfim", "g=0:1:2,k=0:1:2"),
+    ])
+    def test_unknown_coupling_is_usage_error(self, tmp_path, capsys, no_work, model, grid):
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--model", model, "--n", "3", "--grid", grid,
+                     "--out", str(out)]) == EXIT_USAGE
+        assert "no coupling" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_grid_parser(self):
         grid = _parse_grid("a=0:1:3,b=2:2:1")
         assert grid == [

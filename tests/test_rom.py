@@ -1,4 +1,4 @@
-"""Robustness LP, membership, witness, and resource-monotone properties."""
+"""Robustness LP, membership verdict, witness, and resource-monotone properties."""
 
 import math
 
@@ -14,7 +14,6 @@ from magicscope.rom import (
     DECISION_TOLERANCE,
     ExpectationVector,
     _solve_l1_column_generation,
-    membership,
     reduced_rom,
     sample_complexity,
     witness,
@@ -171,23 +170,25 @@ class TestColumnGeneration:
 class TestMembership:
     def test_vertex_is_member(self):
         vset = v_representation(DIAMOND)
-        assert membership(vset, ExpectationVector.of([1.0, 0.0]))
+        assert reduced_rom(vset, ExpectationVector.of([1.0, 0.0])).member
 
     def test_midpoint_is_member(self):
         vset = v_representation(DIAMOND)
-        assert membership(vset, ExpectationVector.of([0.5, 0.5]))
+        assert reduced_rom(vset, ExpectationVector.of([0.5, 0.5])).member
 
     def test_outside_point(self):
         vset = v_representation(DIAMOND)
-        assert not membership(vset, ExpectationVector.of([0.8, 0.8]))
+        assert not reduced_rom(vset, ExpectationVector.of([0.8, 0.8])).member
 
     @given(st.tuples(st.floats(-1, 1), st.floats(-1, 1)))
     @settings(max_examples=80, deadline=None)
     def test_agrees_with_rom_threshold(self, b):
+        # the dense min-deviation LP of the oracle against the rom threshold
         vset = v_representation(DIAMOND)
-        bv = ExpectationVector.of(b)
-        result = reduced_rom(vset, bv)
-        assert membership(vset, bv) == (result.rom <= 1.0 + DECISION_TOLERANCE)
+        result = reduced_rom(vset, ExpectationVector.of(b))
+        assert oracle.hull_contains([b], vset.vertices, tolerance=DECISION_TOLERANCE) == (
+            result.rom <= 1.0 + DECISION_TOLERANCE
+        )
 
 
 class TestWitness:

@@ -43,6 +43,15 @@ class TestSpec:
         with pytest.raises(ValueError):
             build_hamiltonian(SpinChainSpec("tfim", 4, {"k": 0.5, "g": 1.0}))
 
+    @pytest.mark.parametrize("model, params", [
+        ("tfim", {"h": 1.0}),
+        ("annni", {"kk": 0.5, "g": 1.0}),
+        ("xxz", {"g": 1.0}),
+    ])
+    def test_rejects_couplings_the_model_does_not_take(self, model, params):
+        with pytest.raises(ValueError, match="no coupling"):
+            SpinChainSpec(model, 4, params)
+
 
 class TestBuildHamiltonian:
     def test_tfim_periodic(self):
@@ -162,33 +171,28 @@ class TestGroundState:
         assert abs(np.linalg.norm(gs.state) - 1.0) < 1e-12
         assert gs.gap_estimate >= 0.0
 
-    def test_krylov_path_matches_dense(self, monkeypatch):
-        import magicscope.spinchain as sc
-
-        spec = SpinChainSpec("annni", 6, {"k": 0.4, "g": 0.9})
-        terms = build_hamiltonian(spec)
-        monkeypatch.setattr(sc, "DENSE_CUTOFF", 6)
-        dense = ground_state(terms)
-        monkeypatch.setattr(sc, "DENSE_CUTOFF", 0)
-        krylov = ground_state(terms)
-        assert krylov.energy == pytest.approx(dense.energy, abs=1e-8)
-        assert krylov.gap_estimate == pytest.approx(dense.gap_estimate, abs=1e-6)
-        for p in ("ZZIIII", "XIIIII"):
-            assert pauli_expectation(krylov.state, parse_pauli(p)) == pytest.approx(
-                pauli_expectation(dense.state, parse_pauli(p)), abs=1e-6
-            )
+    def test_krylov_path_matches_dense(self):
+        for n in range(3, 8):
+            terms = build_hamiltonian(SpinChainSpec("annni", n, {"k": 0.4, "g": 0.9}))
+            evals, evecs = np.linalg.eigh(dense_hamiltonian(terms))
+            assert evals[1] - evals[0] > 0.5  # non-degenerate, so the state is unique
+            krylov = ground_state(terms)
+            assert krylov.energy == pytest.approx(evals[0], abs=1e-8)
+            assert krylov.gap_estimate == pytest.approx(evals[1] - evals[0], abs=1e-6)
+            for p in ("ZZ" + "I" * (n - 2), "X" + "I" * (n - 1)):
+                assert pauli_expectation(krylov.state, parse_pauli(p)) == pytest.approx(
+                    pauli_expectation(evecs[:, 0], parse_pauli(p)), abs=1e-6
+                )
 
     @pytest.mark.parametrize("model, params", [
         ("xxz", {"delta": -1.1, "h": 0.0}),
         ("annni", {"k": 0.25, "g": 0.0}),
     ])
-    def test_sparse_path_flags_degeneracy(self, model, params, monkeypatch):
-        import magicscope.spinchain as sc
-
-        monkeypatch.setattr(sc, "DENSE_CUTOFF", 0)
-        gs = ground_state(build_hamiltonian(SpinChainSpec(model, 8, params)))
-        assert gs.degenerate_flag
-        assert gs.gap_estimate < 1e-8
+    def test_sparse_path_flags_degeneracy(self, model, params):
+        for n in (6, 8):  # ferromagnetic doublets
+            gs = ground_state(build_hamiltonian(SpinChainSpec(model, n, params)))
+            assert gs.degenerate_flag
+            assert gs.gap_estimate < 1e-8
 
     def test_empty_terms_rejected(self):
         with pytest.raises(ValueError):
@@ -296,13 +300,13 @@ class TestSweep:
         spec = SpinChainSpec("tfim", 6, {})
         ms = hamiltonian_measurement_set(spec, "first-cell")
         vset = v_representation(ms)
-        grid = [{"g": 1.0, "k": 0.5}]  # tfim rejects k at build time
+        grid = [{"g": 1.0, "k": 0.5}]  # tfim has no coupling k
         records = sweep(spec, grid, ms, vset)
         assert records[0].solver_status.startswith("error")
         assert records[0].rom is None
 
     def test_threaded_matches_serial(self):
-        for n in (5, 8):  # dense eigh, then concurrent Lanczos runs
+        for n in (5, 8):  # concurrent Lanczos runs on a small and a larger chain
             spec = SpinChainSpec("xxz", n, {})
             ms = hamiltonian_measurement_set(spec, "first-cell")
             vset = v_representation(ms)
