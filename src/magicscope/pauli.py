@@ -209,6 +209,8 @@ def read_measurement_file(path) -> MeasurementSet:
                 parsed = parse_pauli(line)
             except PauliError as exc:
                 raise PauliError(f"line {lineno}: {exc}") from None
+            if parsed.xbits == 0 and parsed.zbits == 0:
+                raise PauliError(f"line {lineno}: identity is not a valid measurement")
             key = (parsed.phase_k, parsed.xbits, parsed.zbits)
             if key in seen:
                 raise PauliError(

@@ -7,12 +7,19 @@ admissible assignments come from the RREF of the symplectic column
 matrix of S: its pivot columns are an independent subset of S whose
 2^rank signs are free, and every other member is +-1 times the product
 of the pivot members marked in its RREF column, which fixes its sign.
+
+The qubit cyclic shifts and reflections that map the signed measurement
+set onto itself permute the measurements and the vertices.  Their
+orbit-sum reduction (``VertexSet.symmetry``) is built lazily, at the
+first robustness query that asks for it, and cached on the vertex set.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,6 +30,8 @@ from .pauli import MeasurementSet, commutes, format_pauli, identity_sign, multip
 
 __all__ = [
     "VertexSet",
+    "OrbitReduction",
+    "qubit_symmetries",
     "admissible_signs",
     "v_representation",
     "size_bound",
@@ -66,6 +75,117 @@ class VertexSet:
     def to_txt(self) -> str:
         rows = self.vertices.astype(np.int8).tolist()
         return "\n".join(" ".join(str(c) for c in row) for row in rows) + "\n"
+
+    @cached_property
+    def symmetry(self) -> Optional["OrbitReduction"]:
+        """The orbit-sum reduction, or None without measurements or a non-trivial group.
+
+        Computed at the first access and cached; ``v_representation`` does
+        not touch it.
+        """
+        if self.measurements is None:
+            return None
+        return _orbit_reduction(self.measurements, self.vertices)
+
+
+def _move_qubits(bits: int, target: List[int]) -> int:
+    """Send bit q to bit target[q]."""
+    return sum(((bits >> q) & 1) << t for q, t in enumerate(target))
+
+
+def qubit_symmetries(measurements: MeasurementSet) -> np.ndarray:
+    """Measurement permutations of the qubit shifts and reflections that fix the signed set.
+
+    Of the 2n maps q -> q + k and q -> k - q (mod n), those that send
+    every signed measurement to a member of the set; row g holds the
+    index of g(P_i) for each i, the identity first, one row per distinct
+    permutation.  They form a group.
+    """
+    n = measurements.n
+    index = {(p.phase_k, p.xbits, p.zbits): i for i, p in enumerate(measurements)}
+    perms: List[List[int]] = []
+    for k in range(n):
+        for target in ([(q + k) % n for q in range(n)], [(k - q) % n for q in range(n)]):
+            images = [
+                index.get((p.phase_k, _move_qubits(p.xbits, target), _move_qubits(p.zbits, target)))
+                for p in measurements
+            ]
+            if None not in images and images not in perms:
+                perms.append(images)
+    return np.array(perms, dtype=np.intp)
+
+
+@dataclass(frozen=True, eq=False)
+class OrbitReduction:
+    """Distinct orbit-sum points of the vertices under a non-trivial qubit symmetry group.
+
+    ``orbits`` labels each measurement with its orbit; a vertex projects
+    to its orbit sums, and ``points`` holds each distinct projection
+    once, with ``representatives`` one vertex that projects to it.  The
+    row hashes (exact integer dot products with seeded weights) find the
+    images of a vertex under the group.
+    """
+
+    perms: np.ndarray
+    orbits: np.ndarray
+    points: np.ndarray
+    representatives: np.ndarray
+    hash_weights: np.ndarray
+    sorted_hashes: np.ndarray
+    hash_order: np.ndarray
+
+    def images(self, vertices: np.ndarray, rows: np.ndarray) -> Optional[np.ndarray]:
+        """Indices of g(v) for every row v of ``rows`` (axis 0) and g in the group (axis 1).
+
+        None if an image is not a row of ``vertices``.
+        """
+        moved = vertices[rows][:, self.perms]
+        hashes = moved @ self.hash_weights
+        lo = np.searchsorted(self.sorted_hashes, hashes, "left")
+        hi = np.searchsorted(self.sorted_hashes, hashes, "right")
+        found = np.empty(hashes.shape, dtype=np.intp)
+        for pos in np.ndindex(hashes.shape):
+            for j in self.hash_order[lo[pos]:hi[pos]]:
+                if np.array_equal(vertices[j], moved[pos]):
+                    found[pos] = j
+                    break
+            else:
+                return None
+        return found
+
+
+def _orbit_reduction(
+    measurements: MeasurementSet, vertices: np.ndarray
+) -> Optional[OrbitReduction]:
+    """Project the vertices onto orbit sums; None if the group is trivial.
+
+    One matvec with mixed-radix weights gives every vertex an exact
+    integer key (orbit c's sum lies in [-|o_c|, |o_c|], so it takes radix
+    2|o_c| + 1); None as well if the keys could exceed 2^53.
+    """
+    perms = qubit_symmetries(measurements)
+    if len(perms) == 1:
+        return None
+    m = len(measurements)
+    # a group orbit's smallest member labels it
+    _, orbits, sizes = np.unique(perms.min(axis=0), return_inverse=True, return_counts=True)
+    radices = 2 * sizes + 1
+    if math.prod(radices.tolist()) > 2**53:
+        return None
+    place = np.concatenate([[1], np.cumprod(radices[:-1])]).astype(float)
+    keys = vertices @ place[orbits]
+    _, representatives = np.unique(keys, return_index=True)
+    indicator = np.zeros((m, len(sizes)))
+    indicator[np.arange(m), orbits] = 1.0
+    points = vertices[representatives] @ indicator
+    # integer weights below 2^53 / m keep every row hash exact in any summation order
+    rng = np.random.default_rng(0)
+    hash_weights = rng.integers(1, 2**53 // m, size=m).astype(float)
+    hashes = vertices @ hash_weights
+    hash_order = np.argsort(hashes, kind="stable")
+    return OrbitReduction(
+        perms, orbits, points, representatives, hash_weights, hashes[hash_order], hash_order
+    )
 
 
 def _symplectic_column_matrix(measurements: MeasurementSet, subset: Sequence[int]) -> gf2.F2Matrix:

@@ -8,6 +8,17 @@ vertices is a single matrix-vector product, and the primal coefficients
 are the row marginals of the last dual solve, so sweeps over large
 polytopes stay tractable.  The expectations lie in the polytope exactly
 when rom <= 1, which ``RomResult.member`` reports.
+
+When the measurement set has a non-trivial qubit symmetry group (cyclic
+shifts and reflections that map the signed set onto itself) and b is
+constant on its measurement orbits to SYMMETRY_TOLERANCE, the same
+solver runs over the distinct orbit-sum points of the vertices instead
+(Heinrich & Gross, Quantum 3, 132, 2019): the LP is convex, so an
+optimal dual can be taken constant on the orbits, and a vertex then
+enters only through its orbit sums.  Each point's weight is spread
+evenly over the group images of one vertex projecting to it, which
+reproduces an invariant b.  If b is not invariant, the reduced LP
+fails, or the lifted coefficients do not reproduce b, the full LP runs.
 """
 
 from __future__ import annotations
@@ -30,11 +41,15 @@ __all__ = [
     "sample_complexity",
     "LP_TOLERANCE",
     "DECISION_TOLERANCE",
+    "SYMMETRY_TOLERANCE",
 ]
 
 LP_TOLERANCE = 1e-9
 DECISION_TOLERANCE = 1e-7
 INPUT_TOLERANCE = 1e-6
+# largest orbit spread of b that still takes the symmetric path; the same
+# 1e-8 that the lifted coefficients must reproduce b to
+SYMMETRY_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -64,6 +79,7 @@ class RomResult:
     negativity: float
     member: bool
     status: str
+    path: str  # "symmetric" (orbit-sum LP) or "full"
 
     def to_json_dict(self) -> dict:
         return {
@@ -71,6 +87,7 @@ class RomResult:
             "member": self.member,
             "status": self.status,
             "negativity": self.negativity,
+            "path": self.path,
         }
 
 
@@ -136,6 +153,40 @@ def _solve_l1_column_generation(
     return math.nan, None, 1
 
 
+def _solve_symmetric(vset: VertexSet, b_eq: np.ndarray, lp_tolerance: float):
+    """The 1-norm LP over the orbit-sum points, lifted to the vertices.
+
+    Returns (fun, coefficients, 0) like ``_solve_l1_column_generation``,
+    or None when the group is trivial, b_eq is not constant on every
+    orbit to SYMMETRY_TOLERANCE, the reduced LP fails, or the lift does
+    not reproduce b_eq to 1e-8.
+    """
+    reduction = vset.symmetry
+    if reduction is None:
+        return None
+    values = b_eq[:-1]
+    if np.ptp(values[reduction.perms], axis=0).max() > SYMMETRY_TOLERANCE:
+        return None
+    sums = np.bincount(reduction.orbits, weights=values, minlength=reduction.points.shape[1])
+    fun, weights, status = _solve_l1_column_generation(
+        reduction.points, np.append(sums, 1.0), lp_tolerance
+    )
+    if status != 0:
+        return None
+    support = np.flatnonzero(weights)
+    images = reduction.images(vset.vertices, reduction.representatives[support])
+    if images is None:
+        return None
+    coeffs = np.zeros(len(vset.vertices))
+    # every image of a point projects to that point, so no two points share one
+    np.add.at(coeffs, images, weights[support, None] / len(reduction.perms))
+    used = np.unique(images)
+    reproduced = np.append(vset.vertices[used].T @ coeffs[used], coeffs[used].sum())
+    if np.max(np.abs(reproduced - b_eq)) > 1e-8:
+        return None
+    return fun, coeffs, 0
+
+
 def reduced_rom(
     vset: VertexSet,
     b: ExpectationVector,
@@ -149,19 +200,32 @@ def reduced_rom(
     reproduce b; those marginals, scattered over all vertices, are the
     coefficients.  A binding dual box past 1e12 means b lies outside the
     affine hull ("infeasible").  lp_tolerance is the LP solver's primal feasibility tolerance.
+
+    If the set has a non-trivial qubit symmetry group and every orbit
+    spread of b is at most SYMMETRY_TOLERANCE (1e-8), the LP runs over
+    the distinct orbit-sum points and the weights are lifted to group
+    images of representative vertices (``path == "symmetric"``).  A
+    larger spread, a failed reduced LP or a lift that does not reproduce
+    b to 1e-8 falls back to the full LP (``path == "full"``).
     """
     if vset.m != b.m:
         raise ValueError("dimension mismatch between vertex set and expectations")
-    vmat = vset.vertices
-    n_vert = vmat.shape[0]
+    n_vert = len(vset.vertices)
     b_eq = np.concatenate([np.asarray(b.values, dtype=float), [1.0]])
-    fun, coeffs, status = _solve_l1_column_generation(vmat, b_eq, lp_tolerance)
+    solved = _solve_symmetric(vset, b_eq, lp_tolerance)
+    path = "symmetric"
+    if solved is None:
+        solved = _solve_l1_column_generation(vset.vertices, b_eq, lp_tolerance)
+        path = "full"
+    fun, coeffs, status = solved
     if status == 2:
-        return RomResult(math.inf, np.zeros(n_vert), math.inf, False, "infeasible")
+        return RomResult(math.inf, np.zeros(n_vert), math.inf, False, "infeasible", path)
     if status != 0:
-        return RomResult(math.nan, np.zeros(n_vert), math.nan, False, "numerically-degenerate")
+        return RomResult(
+            math.nan, np.zeros(n_vert), math.nan, False, "numerically-degenerate", path
+        )
     rom = float(fun)
-    return RomResult(rom, coeffs, rom, rom <= 1.0 + decision_tolerance, "optimal")
+    return RomResult(rom, coeffs, rom, rom <= 1.0 + decision_tolerance, "optimal", path)
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,11 @@ class SpinChainSpec:
                 raise ValueError(f"{self.model} has no coupling {key!r} (takes {allowed})")
             if not math.isfinite(val):
                 raise ValueError(f"coupling {key}={val} is not finite")
+        if self.model == "annni" and self.boundary == "periodic" and self.n == 3:
+            raise ValueError(
+                "periodic annni needs n >= 4: at n = 3 the next-nearest bonds"
+                " coincide with the nearest ones"
+            )
 
     def with_params(self, params: Dict[str, float]) -> "SpinChainSpec":
         return SpinChainSpec(self.model, self.n, dict(params), self.boundary)

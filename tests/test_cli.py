@@ -91,6 +91,13 @@ class TestRom:
         payload = json.loads(capsys.readouterr().out)
         assert payload["rom"] == pytest.approx(1.6, abs=1e-9)
 
+    def test_reports_lp_path(self, tmp_path, capsys):
+        ms = write(tmp_path / "m.txt", "XII\nIXI\nIIX\n")  # every shift fixes the set
+        for values, path in (("0.6\n0.6\n0.6\n", "symmetric"), ("0.6\n0.5\n0.6\n", "full")):
+            b = write(tmp_path / "b.txt", values)
+            assert main(["rom", ms, b]) == EXIT_OK
+            assert json.loads(capsys.readouterr().out)["path"] == path
+
     def test_json_expectations(self, octahedron_file, tmp_path, capsys):
         b = write(tmp_path / "b.json", json.dumps({"expectations": [0, 0, 0]}))
         assert main(["rom", octahedron_file, b]) == EXIT_OK
@@ -236,6 +243,13 @@ class TestScan:
         assert main(["scan", "--model", model, "--n", "3", "--grid", grid,
                      "--out", str(out)]) == EXIT_USAGE
         assert "no coupling" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_periodic_annni_at_three_qubits_is_usage_error(self, tmp_path, capsys, no_work):
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--model", "annni", "--n", "3", "--grid", "k=1:1:1,g=0:0:1",
+                     "--out", str(out)]) == EXIT_USAGE
+        assert "next-nearest bonds coincide" in capsys.readouterr().err
         assert not out.exists()
 
     def test_grid_parser(self):

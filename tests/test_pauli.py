@@ -191,6 +191,12 @@ class TestMeasurementFile:
         with pytest.raises(PauliError, match="line 3"):
             read_measurement_file(path)
 
+    def test_identity_names_line(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("XX\nII\n")
+        with pytest.raises(PauliError, match="line 2: identity is not a valid measurement"):
+            read_measurement_file(path)
+
     def test_bad_char_names_line(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("XX\nXQ\n")

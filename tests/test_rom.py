@@ -1,6 +1,7 @@
 """Robustness LP, membership verdict, witness, and resource-monotone properties."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,17 +9,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magicscope import oracle
-from magicscope.pauli import MeasurementSet, PauliString
-from magicscope.polytope import v_representation
+from magicscope.pauli import MeasurementSet, PauliString, read_measurement_file
+from magicscope.polytope import qubit_symmetries, v_representation
 from magicscope.rom import (
     DECISION_TOLERANCE,
+    SYMMETRY_TOLERANCE,
     ExpectationVector,
     _solve_l1_column_generation,
     reduced_rom,
     sample_complexity,
     witness,
 )
+from magicscope.spinchain import (
+    SpinChainSpec,
+    build_hamiltonian,
+    ground_state,
+    hamiltonian_measurement_set,
+    pauli_expectation,
+)
 from util import solve_l1_dense
+
+XXZ12_WINDOW = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "xxz12_window.txt"
 
 OCTAHEDRON = MeasurementSet.from_strings(["X", "Y", "Z"])
 DIAMOND = MeasurementSet.from_strings(["ZZ", "XI"])
@@ -165,6 +176,103 @@ class TestColumnGeneration:
             vmat, np.array([1.0, 1.0, 1.0])
         )
         assert status == 2 and coeffs is None
+
+
+def all_terms_ground_state(model, n, params):
+    """The all-terms measurement set of a periodic chain and its ground-state expectations."""
+    spec = SpinChainSpec(model, n, params)
+    ms = hamiltonian_measurement_set(spec, "all-terms")
+    gs = ground_state(build_hamiltonian(spec))
+    return ms, ExpectationVector.of([pauli_expectation(gs.state, p) for p in ms]), gs
+
+
+class TestSymmetricPath:
+    def assert_agrees_with_full(self, vset, b):
+        result = reduced_rom(vset, b)
+        assert result.path == "symmetric" and result.status == "optimal"
+        fun, _, status = _solve_l1_column_generation(vset.vertices, np.append(b.values, 1.0))
+        assert status == 0
+        assert abs(result.rom - fun) < 1e-7
+        x = result.coefficients
+        assert np.max(np.abs(vset.vertices.T @ x - np.array(b.values))) < 1e-8
+        assert abs(x.sum() - 1.0) < 1e-8
+        assert abs(np.abs(x).sum() - result.rom) < 1e-8
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_annni_ground_states(self, n):
+        for k, g in ((0.3, 0.9), (0.7, 0.4), (0.5, 1.5)):
+            ms, b, gs = all_terms_ground_state("annni", n, {"k": k, "g": g})
+            assert not gs.degenerate_flag
+            self.assert_agrees_with_full(v_representation(ms), b)
+
+    def test_orbit_averaged_random_b(self):
+        vset = v_representation(MeasurementSet.from_strings(marginal_texts(3)))
+        perms = vset.symmetry.perms
+        assert len(perms) == 6  # the dihedral group of the triangle
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            table = oracle.full_pauli_table(oracle.random_pure_state(3, rng))
+            b = np.array(oracle.measurement_expectations(table, vset.measurements))
+            # the mean over g of b o g is constant on orbits and still a valid point
+            self.assert_agrees_with_full(vset, ExpectationVector.of(b[perms].mean(axis=0)))
+
+    def test_broken_symmetry_falls_back(self):
+        # a degenerate ground state: Lanczos returns a vector that breaks the shift
+        ms, b, gs = all_terms_ground_state("xxz", 9, {"delta": 0.0, "h": 0.0})
+        vset = v_representation(ms)
+        values = np.array(b.values)
+        assert gs.degenerate_flag
+        assert np.ptp(values[vset.symmetry.perms], axis=0).max() > SYMMETRY_TOLERANCE
+        result = reduced_rom(vset, b)
+        assert result.path == "full" and result.status == "optimal"
+        assert np.max(np.abs(vset.vertices.T @ result.coefficients - values)) < 1e-8
+
+    def test_asymmetric_sets_take_the_full_path(self):
+        octahedron = v_representation(OCTAHEDRON)
+        assert reduced_rom(octahedron, ExpectationVector.of(T_BLOCH)).path == "full"
+        vset = v_representation(MeasurementSet.from_strings(marginal_texts(3)))
+        b = ExpectationVector.of([0.5, 0.0, 0.0, 0.2] + [0.0] * 5)
+        assert reduced_rom(vset, b).path == "full"
+
+    def test_reduction_is_lazy(self):
+        vset = v_representation(MeasurementSet.from_strings(marginal_texts(3)))
+        assert "symmetry" not in vars(vset)
+        reduced_rom(vset, ExpectationVector.of([0.0] * 9))
+        assert "symmetry" in vars(vset)
+
+
+class TestQubitSymmetries:
+    def test_annni10_all_terms(self):
+        ms = hamiltonian_measurement_set(SpinChainSpec("annni", 10, {}), "all-terms")
+        vset = v_representation(ms)
+        reduction = vset.symmetry
+        assert len(reduction.perms) == 20
+        assert reduction.points.shape == (964, 3)
+        # each representative projects to its own point
+        indicator = np.eye(3)[reduction.orbits]
+        projected = vset.vertices[reduction.representatives] @ indicator
+        assert np.array_equal(projected, reduction.points)
+
+    def test_xxz12_window_reflection(self):
+        ms = read_measurement_file(XXZ12_WINDOW)
+        assert len(qubit_symmetries(ms)) == 2  # the identity and the reflection about the centre
+        assert v_representation(ms).symmetry.points.shape == (3505, 13)
+
+    def test_sign_flip_is_excluded(self):
+        assert len(qubit_symmetries(MeasurementSet.from_strings(["+ZI", "+IZ"]))) == 2
+        # the swap maps +ZI to +IZ, which is not in the set (only -IZ is)
+        assert len(qubit_symmetries(MeasurementSet.from_strings(["+ZI", "-IZ"]))) == 1
+        # of the six maps of three qubits only the swap of qubits 1 and 2 fixes -IIZ
+        assert len(qubit_symmetries(MeasurementSet.from_strings(["+ZII", "+IZI", "-IIZ"]))) == 2
+        assert v_representation(MeasurementSet.from_strings(["+ZI", "-IZ"])).symmetry is None
+
+    def test_group_maps_vertices_to_vertices(self):
+        vset = v_representation(MeasurementSet.from_strings(["XX", "YY", "ZZ", "XI", "IX"]))
+        reduction = vset.symmetry
+        images = reduction.images(vset.vertices, np.arange(len(vset.vertices)))
+        assert images is not None
+        for g, perm in enumerate(reduction.perms):
+            assert np.array_equal(vset.vertices[images[:, g]], vset.vertices[:, perm])
 
 
 class TestMembership:

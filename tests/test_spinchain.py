@@ -52,6 +52,11 @@ class TestSpec:
         with pytest.raises(ValueError, match="no coupling"):
             SpinChainSpec(model, 4, params)
 
+    def test_rejects_periodic_annni_at_three_qubits(self):
+        with pytest.raises(ValueError, match="next-nearest bonds coincide"):
+            SpinChainSpec("annni", 3, {"k": 1.0, "g": 0.0})
+        SpinChainSpec("annni", 3, {"k": 1.0, "g": 0.0}, boundary="open")
+
 
 class TestBuildHamiltonian:
     def test_tfim_periodic(self):
@@ -173,7 +178,8 @@ class TestGroundState:
 
     def test_krylov_path_matches_dense(self):
         for n in range(3, 8):
-            terms = build_hamiltonian(SpinChainSpec("annni", n, {"k": 0.4, "g": 0.9}))
+            boundary = "open" if n == 3 else "periodic"  # periodic annni starts at n = 4
+            terms = build_hamiltonian(SpinChainSpec("annni", n, {"k": 0.4, "g": 0.9}, boundary))
             evals, evecs = np.linalg.eigh(dense_hamiltonian(terms))
             assert evals[1] - evals[0] > 0.5  # non-degenerate, so the state is unique
             krylov = ground_state(terms)
@@ -306,13 +312,16 @@ class TestSweep:
         assert records[0].rom is None
 
     def test_threaded_matches_serial(self):
-        for n in (5, 8):  # concurrent Lanczos runs on a small and a larger chain
-            spec = SpinChainSpec("xxz", n, {})
-            ms = hamiltonian_measurement_set(spec, "first-cell")
-            vset = v_representation(ms)
-            grid = [{"delta": d, "h": 0.3} for d in (-1.5, 0.0, 1.5)]
-            serial = sweep(spec, grid, ms, vset, threads=1)
-            threaded = sweep(spec, grid, ms, vset, threads=3)
+        # concurrent Lanczos runs on a small and a larger chain
+        xxz_grid = [{"delta": d, "h": 0.3} for d in (-1.5, 0.0, 1.5)]
+        cases = [(SpinChainSpec("xxz", n, {}), "first-cell", xxz_grid) for n in (5, 8)]
+        # all-terms annni: concurrent first queries fill the lazy symmetry reduction
+        annni_grid = [{"k": k, "g": g} for k in (0.3, 0.7) for g in (0.5, 1.2)]
+        cases.append((SpinChainSpec("annni", 6, {}), "all-terms", annni_grid))
+        for spec, scope, grid in cases:
+            ms = hamiltonian_measurement_set(spec, scope)
+            serial = sweep(spec, grid, ms, v_representation(ms), threads=1)
+            threaded = sweep(spec, grid, ms, v_representation(ms), threads=3)
             assert [r.params for r in serial] == [r.params for r in threaded]
             for a, b in zip(serial, threaded):
                 assert b.solver_status == "optimal"
