@@ -13,19 +13,20 @@ data, 4 solver failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import os
 import sys
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, TextIO
 
 import numpy as np
 
 from . import oracle as oracle_mod
 from .pauli import MeasurementSet, PauliError, format_pauli, read_measurement_file
-from .polytope import v_representation
+from .polytope import context_starts, v_representation
 from .rom import (
     DECISION_TOLERANCE,
     LP_TOLERANCE,
@@ -129,24 +130,28 @@ def _read_expectations(path: str, measurements: MeasurementSet) -> ExpectationVe
     return expectations
 
 
+def _open_output(path: str, mode: str = "w", newline: Optional[str] = None) -> TextIO:
+    try:
+        return open(path, mode, newline=newline, encoding="utf-8")
+    except OSError as exc:
+        raise CliError(str(exc), EXIT_USAGE) from None
+
+
 def _cmd_polytope(args) -> int:
     measurements = _load_measurements(args.measurements)
-    start = time.perf_counter()
-    vset = v_representation(measurements)
-    elapsed = time.perf_counter() - start
-    # each maximal commuting subset's rows are contiguous and share one support
-    support = vset.vertices != 0
-    independent_sets = 1 + int(np.any(support[1:] != support[:-1], axis=1).sum())
-    body = vset.to_json() if args.format == "json" else vset.to_txt()
-    if args.out == "-":
-        sys.stdout.write(body)
-        if not body.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(body)
+    out = contextlib.nullcontext(sys.stdout) if args.out == "-" else _open_output(args.out)
+    with out as fh:
+        start = time.perf_counter()
+        vset = v_representation(measurements)
+        elapsed = time.perf_counter() - start
+        if args.format == "txt":
+            vset.write_txt(fh)
+        else:
+            vset.write_json(fh)
+            if args.out == "-":
+                fh.write("\n")
     print(
-        f"|stab(M)| = {len(vset.vertices)}  |I_max| = {independent_sets}  "
+        f"|stab(M)| = {len(vset.vertices)}  |I_max| = {len(context_starts(vset.vertices))}  "
         f"elapsed = {elapsed:.3f}s",
         file=sys.stderr,
     )
@@ -235,14 +240,13 @@ def _cmd_scan(args) -> int:
         return tuple(repr(point[name]) for name in param_names)
 
     pending = [p for p in grid if key(p) not in done]
-    vset = v_representation(measurements)
-    records = sweep(
-        spec, pending, measurements, vset, threads=args.threads, lp_tolerance=args.lp_tol
-    )
-
     mode = "a" if (args.resume and done) else "w"
     failed = 0
-    with open(args.out, mode, newline="", encoding="utf-8") as fh:
+    with _open_output(args.out, mode, newline="") as fh:
+        vset = v_representation(measurements)
+        records = sweep(
+            spec, pending, measurements, vset, threads=args.threads, lp_tolerance=args.lp_tol
+        )
         writer = csv.writer(fh)
         if mode == "w":
             writer.writerow(columns)
@@ -331,6 +335,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if tol <= 0:
             print("tolerances must be positive", file=sys.stderr)
             return EXIT_USAGE
+    if args.threads < 1:
+        print("--threads must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
     handlers = {
         "polytope": _cmd_polytope,
         "rom": _cmd_rom,

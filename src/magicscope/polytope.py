@@ -16,11 +16,12 @@ first robustness query that asks for it, and cached on the vertex set.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -31,11 +32,56 @@ from .pauli import MeasurementSet, commutes, format_pauli, identity_sign, multip
 __all__ = [
     "VertexSet",
     "OrbitReduction",
+    "context_starts",
     "qubit_symmetries",
     "admissible_signs",
     "v_representation",
     "size_bound",
 ]
+
+
+# Rows per block the writers format and write at once.
+_BLOCK_ROWS = 4096
+
+
+def context_starts(vertices: np.ndarray) -> np.ndarray:
+    """Row index where each maximal commuting subset's block starts: where the support changes."""
+    support = vertices != 0
+    changes = np.flatnonzero(np.any(support[1:] != support[:-1], axis=1)) + 1
+    return np.concatenate([[0], changes]) if len(vertices) else changes
+
+
+def _json_list(items: Sequence[str], depth: int) -> str:
+    """The JSON list of encoded items as ``json.dumps(indent=1)`` lays it out at this depth."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * depth + "]"
+
+
+def _token_rows(
+    block: np.ndarray, heads: Tuple[str, str], entry: str, last: str, empty: str
+) -> str:
+    """The text of a block of int8 rows with entries -1, 0 and 1, joined from a token table.
+
+    A row is its head (``heads[0]`` for the block's first row, ``heads[1]``
+    for the others), then ``entry % v`` for each of its entries but the
+    last and ``last % v`` for the last, or ``empty`` if it has no entries.
+    """
+    rows, width = block.shape
+    if width == 0:
+        return heads[0] + empty + (heads[1] + empty) * (rows - 1)
+    values = (-1, 0, 1)
+    table = np.array(
+        [entry % v for v in values] + [last % v for v in values] + list(heads), dtype=object
+    )
+    codes = np.empty((rows, width + 1), dtype=np.intp)
+    codes[:, 0] = 7
+    codes[:1, 0] = 6
+    codes[:, 1:] = block
+    codes[:, 1:] += 1
+    codes[:, -1] += 3
+    return "".join(table[codes].ravel().tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,36 +91,82 @@ class VertexSet:
     Rows come in context order: one maximal commuting subset after
     another, each with its admissible sign assignments in sorted order.
     A row's support is its context and its non-zero entries its signs.
+
+    ``write_json`` and ``write_txt`` stream the vertex file to an open
+    text file, byte for byte the text of ``json.dumps(indent=1)`` of
+    {m, measurements, vertices, contexts} and of one space-separated
+    line per row.  They format the rows a block of a few thousand at a
+    time: each entry becomes a code (its value, whether it ends its row,
+    and a head for the first row and one for later rows) that indexes a
+    small table of tokens, and the joined block goes to the file.  The
+    contexts come one maximal commuting subset at a time, with its
+    ``"set"`` text formatted once; only the sign tokens change from row
+    to row.  So the whole text and the nested lists never exist at once.
     """
 
     m: int
     vertices: np.ndarray
     measurements: Optional[MeasurementSet] = None
 
+    def _blocks(self):
+        """(first row, end row, support) of each maximal commuting subset's block."""
+        starts = context_starts(self.vertices).tolist()
+        for a, b in zip(starts, starts[1:] + [len(self.vertices)]):
+            yield a, b, np.flatnonzero(self.vertices[a])
+
     def contexts(self) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
         """(support, signs on the support) of every row, in row order."""
-        rows, cols = np.nonzero(self.vertices)
-        signs = self.vertices[rows, cols].astype(np.int8).tolist()
-        bounds = np.searchsorted(rows, np.arange(len(self.vertices) + 1)).tolist()
-        cols = cols.tolist()
-        return [
-            (tuple(cols[a:b]), tuple(signs[a:b])) for a, b in zip(bounds[:-1], bounds[1:])
-        ]
+        found = []
+        for a, b, support in self._blocks():
+            s = tuple(support.tolist())
+            signs = self.vertices[a:b, support].astype(np.int8).tolist()
+            found.extend((s, tuple(f)) for f in signs)
+        return found
+
+    def write_json(self, fh: TextIO) -> None:
+        """Write the JSON vertex file (see the class docstring) to ``fh``."""
+        measurements = (
+            _json_list([json.dumps(format_pauli(p)) for p in self.measurements], 1)
+            if self.measurements is not None
+            else "null"
+        )
+        fh.write(f'{{\n "m": {self.m},\n "measurements": {measurements},\n "vertices": ')
+        if not len(self.vertices):
+            fh.write('[],\n "contexts": []\n}')
+            return
+        fh.write("[")
+        for a in range(0, len(self.vertices), _BLOCK_ROWS):
+            block = self.vertices[a:a + _BLOCK_ROWS].astype(np.int8)
+            heads = ("\n  [" if a == 0 else ",\n  [", ",\n  [")
+            fh.write(_token_rows(block, heads, "\n   %d,", "\n   %d\n  ]", "]"))
+        fh.write('\n ],\n "contexts": [')
+        for a, b, support in self._blocks():
+            s = _json_list([str(c) for c in support.tolist()], 3)
+            head = f'\n  {{\n   "set": {s},\n   "signs": ['
+            heads = (head if a == 0 else "," + head, "," + head)
+            signs = self.vertices[a:b, support].astype(np.int8)
+            fh.write(_token_rows(signs, heads, "\n    %d,", "\n    %d\n   ]\n  }", "]\n  }"))
+        fh.write("\n ]\n}")
+
+    def write_txt(self, fh: TextIO) -> None:
+        """Write one line of space-separated entries per row to ``fh``."""
+        if not len(self.vertices):
+            fh.write("\n")
+        for a in range(0, len(self.vertices), _BLOCK_ROWS):
+            block = self.vertices[a:a + _BLOCK_ROWS].astype(np.int8)
+            fh.write(_token_rows(block, ("", ""), "%d ", "%d\n", "\n"))
 
     def to_json(self) -> str:
-        payload = {
-            "m": self.m,
-            "measurements": [format_pauli(p) for p in self.measurements]
-            if self.measurements is not None
-            else None,
-            "vertices": self.vertices.astype(np.int8).tolist(),
-            "contexts": [{"set": s, "signs": f} for s, f in self.contexts()],
-        }
-        return json.dumps(payload, indent=1)
+        """The JSON vertex file as one string."""
+        out = io.StringIO()
+        self.write_json(out)
+        return out.getvalue()
 
     def to_txt(self) -> str:
-        rows = self.vertices.astype(np.int8).tolist()
-        return "\n".join(" ".join(str(c) for c in row) for row in rows) + "\n"
+        """The txt vertex file as one string."""
+        out = io.StringIO()
+        self.write_txt(out)
+        return out.getvalue()
 
     @cached_property
     def symmetry(self) -> Optional["OrbitReduction"]:

@@ -127,7 +127,12 @@ def _solve_l1_column_generation(
             b_ub=np.ones(2 * rows),
             bounds=(-bound, bound),
             method="highs",
-            options={"primal_feasibility_tolerance": lp_tolerance},
+            # the dual objective is the reported rom, so it must be optimal to
+            # lp_tolerance as well (HiGHS's default dual tolerance is 1e-7)
+            options={
+                "primal_feasibility_tolerance": lp_tolerance,
+                "dual_feasibility_tolerance": lp_tolerance,
+            },
         )
         if res.status != 0:
             return math.nan, None, res.status
@@ -199,7 +204,8 @@ def reduced_rom(
     vertex violates the dual and the last dual solve's marginals
     reproduce b; those marginals, scattered over all vertices, are the
     coefficients.  A binding dual box past 1e12 means b lies outside the
-    affine hull ("infeasible").  lp_tolerance is the LP solver's primal feasibility tolerance.
+    affine hull ("infeasible").  lp_tolerance is the LP solver's primal and
+    dual feasibility tolerance.
 
     If the set has a non-trivial qubit symmetry group and every orbit
     spread of b is at most SYMMETRY_TOLERANCE (1e-8), the LP runs over

@@ -67,6 +67,27 @@ class TestPolytope:
         main(["polytope", octahedron_file])
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("fmt, added", [("json", "\n"), ("txt", "")])
+    def test_stdout_matches_out_file(self, tmp_path, capsys, fmt, added):
+        ms = write(tmp_path / "m.txt", "XX\nYY\nZZ\nXI\n")
+        out = tmp_path / f"v.{fmt}"
+        assert main(["polytope", ms, "--format", fmt, "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["polytope", ms, "--format", fmt, "--out", "-"]) == EXIT_OK
+        assert capsys.readouterr().out == out.read_bytes().decode() + added
+
+    def test_unwritable_out_is_usage_error(self, octahedron_file, tmp_path, capsys,
+                                           monkeypatch):
+        import magicscope.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the build started before the output was opened")
+
+        monkeypatch.setattr(cli, "v_representation", refuse)
+        out = str(tmp_path / "no" / "such" / "v.json")
+        assert main(["polytope", octahedron_file, "--out", out]) == EXIT_USAGE
+        assert out in capsys.readouterr().err
+
 
 class TestRom:
     def test_t_state_witnessed(self, octahedron_file, tmp_path, capsys):
@@ -252,6 +273,12 @@ class TestScan:
         assert "next-nearest bonds coincide" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys, no_work):
+        out = str(tmp_path / "no" / "such" / "scan.csv")
+        assert main(["scan", "--model", "tfim", "--n", "4", "--grid", "g=0:1:2",
+                     "--out", out]) == EXIT_USAGE
+        assert out in capsys.readouterr().err
+
     def test_grid_parser(self):
         grid = _parse_grid("a=0:1:3,b=2:2:1")
         assert grid == [
@@ -294,6 +321,12 @@ class TestGlobalFlags:
 
     def test_negative_tolerance_rejected(self, octahedron_file, capsys):
         assert main(["--lp-tol", "-1", "polytope", octahedron_file]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("threads", ["0", "-5"])
+    def test_threads_below_one_rejected(self, octahedron_file, capsys, threads):
+        assert main(["--threads", threads, "polytope", octahedron_file]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--threads" in captured.err
 
     def test_threads_env_override(self, monkeypatch):
         monkeypatch.setenv("MAGICSCOPE_THREADS", "7")

@@ -9,17 +9,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magicscope import gf2
+from magicscope import gf2, polytope
 from magicscope.fgraph import build_frustration_graph, enumerate_maximal_independent_sets
 from magicscope.oracle import hull_contains, hull_equal, topdown_vertices
 from magicscope.pauli import MeasurementSet, PauliString, identity, identity_sign, multiply
 from magicscope.polytope import (
+    VertexSet,
     _symplectic_column_matrix,
     admissible_signs,
+    context_starts,
     size_bound,
     v_representation,
     vertex_set_from_json,
 )
+from magicscope.spinchain import SpinChainSpec, hamiltonian_measurement_set
+from util import vertex_json, vertex_txt
 
 
 def measurement_sets(max_n=3, max_m=6):
@@ -273,6 +277,60 @@ class TestSerialization:
         lines = vset.to_txt().strip().splitlines()
         assert len(lines) == 4
         assert all(len(line.split()) == 2 for line in lines)
+
+
+def _writer_case(name):
+    if name == "xxz5-all-terms":
+        spec = SpinChainSpec("xxz", 5, {"delta": 0.5, "h": 0.0}, "periodic")
+        return v_representation(hamiltonian_measurement_set(spec, "all-terms"))
+    if name == "no-measurements":
+        vset = v_representation(MeasurementSet.from_strings(["XX", "YY", "ZZ", "XI"]))
+        return VertexSet(vset.m, vset.vertices)
+    if name == "zero-rows":
+        return VertexSet(3, np.zeros((0, 3)))
+    if name == "all-zero-row":
+        return vertex_set_from_json('{"m": 3, "vertices": [[0, 1, -1], [0, 0, 0], [0, 0, 0]]}')
+    if name == "zero-width-rows":
+        return vertex_set_from_json('{"m": 0, "vertices": [[], []]}')
+    return v_representation(MeasurementSet.from_strings(name.split(",")))
+
+
+class TestWriters:
+    """The streaming writers against one ``json.dumps`` of nested lists (tests/util.py)."""
+
+    CASES = [
+        "X,Y,Z",
+        "-XX,+XX,+ZI",
+        "xxz5-all-terms",
+        "no-measurements",
+        "zero-rows",
+        "all-zero-row",
+        "zero-width-rows",
+    ]
+
+    @pytest.mark.parametrize("block_rows", [polytope._BLOCK_ROWS, 3])
+    @pytest.mark.parametrize("name", CASES)
+    def test_bytes_match_reference(self, name, block_rows, monkeypatch):
+        monkeypatch.setattr(polytope, "_BLOCK_ROWS", block_rows)
+        vset = _writer_case(name)
+        assert vset.to_json() == vertex_json(vset)
+        assert vset.to_txt() == vertex_txt(vset)
+
+    def test_reference_edge_cases(self):
+        assert '"measurements": null' in vertex_json(_writer_case("no-measurements"))
+        empty = json.loads(vertex_json(_writer_case("zero-rows")))
+        assert empty["vertices"] == [] and empty["contexts"] == []
+
+    def test_context_starts(self):
+        vset = _writer_case("xxz5-all-terms")
+        sizes = [
+            len(admissible_signs(vset.measurements, subset))
+            for subset in enumerate_maximal_independent_sets(
+                build_frustration_graph(vset.measurements)
+            )
+        ]
+        assert context_starts(vset.vertices).tolist() == np.cumsum([0] + sizes[:-1]).tolist()
+        assert context_starts(np.zeros((0, 3))).tolist() == []
 
 
 class TestSizeBound:

@@ -90,6 +90,14 @@ class TestReducedRom:
         result = reduced_rom(vset, ExpectationVector.of(T_BLOCH))
         assert result.negativity == result.rom
 
+    def test_rom_is_optimal_near_a_vertex(self):
+        # the dual objective is rom: at HiGHS's default 1e-7 dual tolerance it read
+        # 0.99999994 here, with coefficients of 1-norm 1.00000012
+        b = (0.0, 1.0, -5.960464477539063e-08)
+        result = reduced_rom(v_representation(OCTAHEDRON), ExpectationVector.of(b))
+        assert abs(result.rom - (1.0 + 5.960464477539063e-08)) < 1e-9
+        assert abs(np.abs(result.coefficients).sum() - result.rom) < 1e-9
+
     def test_decomposition_reproduces_input(self):
         vset = v_representation(OCTAHEDRON)
         b = ExpectationVector.of(T_BLOCH)

@@ -4,13 +4,14 @@ The dense constructions here are deliberately independent of the
 package's own bit tricks so that tests compare two different codepaths.
 """
 
+import json
 import math
 
 import numpy as np
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from magicscope.pauli import PauliString
+from magicscope.pauli import PauliString, format_pauli
 
 _SINGLE = {
     (0, 0): np.eye(2, dtype=complex),
@@ -60,6 +61,33 @@ def solve_l1_dense(vmat: np.ndarray, b_eq: np.ndarray, lp_tolerance: float = 1e-
     if res.status != 0:
         return math.nan, None, res.status
     return float(res.fun), res.x[:n_vert] - res.x[n_vert:], 0
+
+
+def vertex_json(vset) -> str:
+    """The JSON vertex file from nested lists and one ``json.dumps`` call.
+
+    The reference for ``VertexSet.write_json``: each row's context is read
+    off the row itself (its non-zero columns and their values).
+    """
+    rows = vset.vertices.astype(np.int8).tolist()
+    payload = {
+        "m": vset.m,
+        "measurements": [format_pauli(p) for p in vset.measurements]
+        if vset.measurements is not None
+        else None,
+        "vertices": rows,
+        "contexts": [
+            {"set": [j for j, v in enumerate(row) if v], "signs": [v for v in row if v]}
+            for row in rows
+        ],
+    }
+    return json.dumps(payload, indent=1)
+
+
+def vertex_txt(vset) -> str:
+    """The txt vertex file from nested lists: the reference for ``VertexSet.write_txt``."""
+    rows = vset.vertices.astype(np.int8).tolist()
+    return "\n".join(" ".join(str(c) for c in row) for row in rows) + "\n"
 
 
 def pauli_strings(max_n: int = 3, hermitian: bool = False):
