@@ -53,19 +53,9 @@ class CliError(Exception):
         self.code = code
 
 
-def _default_threads() -> int:
-    env = os.environ.get("MAGICSCOPE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="magicscope")
-    parser.add_argument("--threads", type=int, default=_default_threads())
+    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     parser.add_argument("--lp-tol", type=float, default=LP_TOLERANCE)
     parser.add_argument("--decision-tol", type=float, default=DECISION_TOLERANCE)
     parser.add_argument("--seed", type=int, default=0)
@@ -188,7 +178,10 @@ def _parse_grid(spec: str) -> List[Dict[str, float]]:
             values = np.linspace(float(start), float(stop), count)
         except ValueError:
             raise CliError(f"bad grid axis {part!r}", EXIT_USAGE) from None
-        axes.append((name.strip(), values))
+        name = name.strip()
+        if name in dict(axes):
+            raise CliError(f"grid axis {name!r} given twice", EXIT_USAGE)
+        axes.append((name, values))
     grid: List[Dict[str, float]] = [{}]
     for name, values in axes:
         grid = [{**point, name: float(v)} for point in grid for v in values]

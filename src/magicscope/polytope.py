@@ -10,15 +10,16 @@ of the pivot members marked in its RREF column, which fixes its sign.
 
 The qubit cyclic shifts and reflections that map the signed measurement
 set onto itself permute the measurements and the vertices.  Their
-orbit-sum reduction (``VertexSet.symmetry``) is built lazily, at the
-first robustness query that asks for it, and cached on the vertex set.
+orbit-sum reduction (``VertexSet.symmetry``) sorts the vertices into
+fibres, one per distinct vector of orbit sums.  It is built lazily, at
+the first robustness query that asks for it, and cached on the vertex
+set.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence, TextIO, Tuple
@@ -44,11 +45,15 @@ __all__ = [
 _BLOCK_ROWS = 4096
 
 
+def _run_starts(rows: np.ndarray) -> np.ndarray:
+    """Index of every row that differs from the row before it, the first row included."""
+    changes = np.flatnonzero(np.any(rows[1:] != rows[:-1], axis=1)) + 1
+    return np.concatenate([[0], changes]) if len(rows) else changes
+
+
 def context_starts(vertices: np.ndarray) -> np.ndarray:
     """Row index where each maximal commuting subset's block starts: where the support changes."""
-    support = vertices != 0
-    changes = np.flatnonzero(np.any(support[1:] != support[:-1], axis=1)) + 1
-    return np.concatenate([[0], changes]) if len(vertices) else changes
+    return _run_starts(vertices != 0)
 
 
 def _json_list(items: Sequence[str], depth: int) -> str:
@@ -213,71 +218,38 @@ class OrbitReduction:
 
     ``orbits`` labels each measurement with its orbit; a vertex projects
     to its orbit sums, and ``points`` holds each distinct projection
-    once, with ``representatives`` one vertex that projects to it.  The
-    row hashes (exact integer dot products with seeded weights) find the
-    images of a vertex under the group.
+    once, in lexicographic order with the last orbit the primary key.
+    ``order`` sorts the vertices stably by their projections, so the
+    fibre of point p (every vertex that projects to it) is the run
+    ``order[starts[p]:starts[p + 1]]``.  The group maps each fibre onto
+    itself.
     """
 
     perms: np.ndarray
     orbits: np.ndarray
     points: np.ndarray
-    representatives: np.ndarray
-    hash_weights: np.ndarray
-    sorted_hashes: np.ndarray
-    hash_order: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray
 
-    def images(self, vertices: np.ndarray, rows: np.ndarray) -> Optional[np.ndarray]:
-        """Indices of g(v) for every row v of ``rows`` (axis 0) and g in the group (axis 1).
-
-        None if an image is not a row of ``vertices``.
-        """
-        moved = vertices[rows][:, self.perms]
-        hashes = moved @ self.hash_weights
-        lo = np.searchsorted(self.sorted_hashes, hashes, "left")
-        hi = np.searchsorted(self.sorted_hashes, hashes, "right")
-        found = np.empty(hashes.shape, dtype=np.intp)
-        for pos in np.ndindex(hashes.shape):
-            for j in self.hash_order[lo[pos]:hi[pos]]:
-                if np.array_equal(vertices[j], moved[pos]):
-                    found[pos] = j
-                    break
-            else:
-                return None
-        return found
+    def fibre(self, p: int) -> np.ndarray:
+        """Row indices of the vertices that project to ``points[p]``."""
+        return self.order[self.starts[p]:self.starts[p + 1]]
 
 
 def _orbit_reduction(
     measurements: MeasurementSet, vertices: np.ndarray
 ) -> Optional[OrbitReduction]:
-    """Project the vertices onto orbit sums; None if the group is trivial.
-
-    One matvec with mixed-radix weights gives every vertex an exact
-    integer key (orbit c's sum lies in [-|o_c|, |o_c|], so it takes radix
-    2|o_c| + 1); None as well if the keys could exceed 2^53.
-    """
+    """Sort the vertices into fibres by their orbit sums; None if the group is trivial."""
     perms = qubit_symmetries(measurements)
     if len(perms) == 1:
         return None
-    m = len(measurements)
     # a group orbit's smallest member labels it
-    _, orbits, sizes = np.unique(perms.min(axis=0), return_inverse=True, return_counts=True)
-    radices = 2 * sizes + 1
-    if math.prod(radices.tolist()) > 2**53:
-        return None
-    place = np.concatenate([[1], np.cumprod(radices[:-1])]).astype(float)
-    keys = vertices @ place[orbits]
-    _, representatives = np.unique(keys, return_index=True)
-    indicator = np.zeros((m, len(sizes)))
-    indicator[np.arange(m), orbits] = 1.0
-    points = vertices[representatives] @ indicator
-    # integer weights below 2^53 / m keep every row hash exact in any summation order
-    rng = np.random.default_rng(0)
-    hash_weights = rng.integers(1, 2**53 // m, size=m).astype(float)
-    hashes = vertices @ hash_weights
-    hash_order = np.argsort(hashes, kind="stable")
-    return OrbitReduction(
-        perms, orbits, points, representatives, hash_weights, hashes[hash_order], hash_order
-    )
+    _, orbits = np.unique(perms.min(axis=0), return_inverse=True)
+    sums = vertices @ np.eye(orbits.max() + 1)[orbits]
+    order = np.lexsort(sums.T)
+    ordered = sums[order]
+    starts = np.append(_run_starts(ordered), len(vertices))
+    return OrbitReduction(perms, orbits, ordered[starts[:-1]], order, starts)
 
 
 def _symplectic_column_matrix(measurements: MeasurementSet, subset: Sequence[int]) -> gf2.F2Matrix:

@@ -16,9 +16,11 @@ solver runs over the distinct orbit-sum points of the vertices instead
 (Heinrich & Gross, Quantum 3, 132, 2019): the LP is convex, so an
 optimal dual can be taken constant on the orbits, and a vertex then
 enters only through its orbit sums.  Each point's weight is spread
-evenly over the group images of one vertex projecting to it, which
-reproduces an invariant b.  If b is not invariant, the reduced LP
-fails, or the lifted coefficients do not reproduce b, the full LP runs.
+evenly over its fibre, every vertex projecting to it: the group maps
+the fibre onto itself, so its mean is constant on the orbits, and the
+spread reproduces an invariant b with the same sum and 1-norm.  If b
+is not invariant, the reduced LP fails, or the lifted coefficients do
+not reproduce b, the full LP runs.
 """
 
 from __future__ import annotations
@@ -178,14 +180,11 @@ def _solve_symmetric(vset: VertexSet, b_eq: np.ndarray, lp_tolerance: float):
     )
     if status != 0:
         return None
-    support = np.flatnonzero(weights)
-    images = reduction.images(vset.vertices, reduction.representatives[support])
-    if images is None:
-        return None
+    fibres = {p: reduction.fibre(p) for p in np.flatnonzero(weights)}
     coeffs = np.zeros(len(vset.vertices))
-    # every image of a point projects to that point, so no two points share one
-    np.add.at(coeffs, images, weights[support, None] / len(reduction.perms))
-    used = np.unique(images)
+    for p, fibre in fibres.items():
+        coeffs[fibre] = weights[p] / len(fibre)
+    used = np.concatenate(list(fibres.values()))
     reproduced = np.append(vset.vertices[used].T @ coeffs[used], coeffs[used].sum())
     if np.max(np.abs(reproduced - b_eq)) > 1e-8:
         return None
@@ -209,8 +208,8 @@ def reduced_rom(
 
     If the set has a non-trivial qubit symmetry group and every orbit
     spread of b is at most SYMMETRY_TOLERANCE (1e-8), the LP runs over
-    the distinct orbit-sum points and the weights are lifted to group
-    images of representative vertices (``path == "symmetric"``).  A
+    the distinct orbit-sum points and each point's weight is spread
+    evenly over its fibre of vertices (``path == "symmetric"``).  A
     larger spread, a failed reduced LP or a lift that does not reproduce
     b to 1e-8 falls back to the full LP (``path == "full"``).
     """

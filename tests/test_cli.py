@@ -11,7 +11,6 @@ from magicscope.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_USAGE,
-    _default_threads,
     _parse_grid,
     main,
 )
@@ -266,6 +265,13 @@ class TestScan:
         assert "no coupling" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_grid_axis_is_usage_error(self, tmp_path, capsys, no_work):
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--model", "tfim", "--n", "4", "--grid", "g=0:1:2,g=0:1:3",
+                     "--out", str(out)]) == EXIT_USAGE
+        assert "'g' given twice" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_periodic_annni_at_three_qubits_is_usage_error(self, tmp_path, capsys, no_work):
         out = tmp_path / "scan.csv"
         assert main(["scan", "--model", "annni", "--n", "3", "--grid", "k=1:1:1,g=0:0:1",
@@ -327,12 +333,6 @@ class TestGlobalFlags:
         assert main(["--threads", threads, "polytope", octahedron_file]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == "" and "--threads" in captured.err
-
-    def test_threads_env_override(self, monkeypatch):
-        monkeypatch.setenv("MAGICSCOPE_THREADS", "7")
-        assert _default_threads() == 7
-        monkeypatch.setenv("MAGICSCOPE_THREADS", "not-a-number")
-        assert _default_threads() >= 1
 
     def test_non_utf8_measurement_file_is_parse_error(self, tmp_path, capsys):
         ms = tmp_path / "m.bin"

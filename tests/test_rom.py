@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from magicscope import oracle
 from magicscope.pauli import MeasurementSet, PauliString, read_measurement_file
-from magicscope.polytope import qubit_symmetries, v_representation
+from magicscope.polytope import qubit_symmetries, v_representation, vertex_set_from_json
 from magicscope.rom import (
     DECISION_TOLERANCE,
     SYMMETRY_TOLERANCE,
@@ -242,6 +242,31 @@ class TestSymmetricPath:
         b = ExpectationVector.of([0.5, 0.0, 0.0, 0.2] + [0.0] * 5)
         assert reduced_rom(vset, b).path == "full"
 
+    def test_orbit_sums_beyond_two_to_the_53(self):
+        # 23 mirror pairs of Z-strings: each orbit sum takes 5 values, so the
+        # orbit-sum vectors range over 5^23 > 2^53 values
+        n = 12
+        shapes = [(0, 2), (0, 4), (0, 6), (0, 8), (0, 1, 3)]
+        supports = {tuple(q + s for s in shape) for shape in shapes for q in range(n - shape[-1])}
+        supports |= {tuple(sorted(n - 1 - q for q in s)) for s in supports}
+        texts = ["".join("Z" if q in s else "I" for q in range(n)) for s in sorted(supports)]
+        vset = v_representation(MeasurementSet.from_strings(texts))
+        reduction = vset.symmetry
+        assert len(reduction.perms) == 2 and reduction.points.shape[1] == 23
+        rng = np.random.default_rng(1)
+        b = vset.vertices.T @ rng.dirichlet(np.full(len(vset.vertices), 0.05))
+        b = b[reduction.perms].mean(axis=0)
+        # scaled towards a face: outside the polytope, so rom > 1
+        b *= 0.9 / np.abs(b).max()
+        self.assert_agrees_with_full(vset, ExpectationVector.of(b))
+        assert reduced_rom(vset, ExpectationVector.of(b)).rom > 1.0
+
+    def test_zero_rows_are_infeasible(self):
+        vset = vertex_set_from_json('{"m": 2, "measurements": ["+ZI", "+IZ"], "vertices": []}')
+        assert len(vset.symmetry.perms) == 2
+        assert vset.symmetry.points.shape == (0, 1)
+        assert reduced_rom(vset, ExpectationVector.of([0.0, 0.0])).status == "infeasible"
+
     def test_reduction_is_lazy(self):
         vset = v_representation(MeasurementSet.from_strings(marginal_texts(3)))
         assert "symmetry" not in vars(vset)
@@ -256,10 +281,12 @@ class TestQubitSymmetries:
         reduction = vset.symmetry
         assert len(reduction.perms) == 20
         assert reduction.points.shape == (964, 3)
-        # each representative projects to its own point
+        # the fibres partition the rows, and every vertex of a fibre projects to its point
+        fibres = [reduction.fibre(p) for p in range(len(reduction.points))]
+        assert np.array_equal(np.sort(np.concatenate(fibres)), np.arange(len(vset.vertices)))
         indicator = np.eye(3)[reduction.orbits]
-        projected = vset.vertices[reduction.representatives] @ indicator
-        assert np.array_equal(projected, reduction.points)
+        for p, fibre in enumerate(fibres):
+            assert np.all(vset.vertices[fibre] @ indicator == reduction.points[p])
 
     def test_xxz12_window_reflection(self):
         ms = read_measurement_file(XXZ12_WINDOW)
@@ -276,11 +303,9 @@ class TestQubitSymmetries:
 
     def test_group_maps_vertices_to_vertices(self):
         vset = v_representation(MeasurementSet.from_strings(["XX", "YY", "ZZ", "XI", "IX"]))
-        reduction = vset.symmetry
-        images = reduction.images(vset.vertices, np.arange(len(vset.vertices)))
-        assert images is not None
-        for g, perm in enumerate(reduction.perms):
-            assert np.array_equal(vset.vertices[images[:, g]], vset.vertices[:, perm])
+        rows = {tuple(v) for v in vset.vertices.tolist()}
+        for perm in vset.symmetry.perms:
+            assert {tuple(v) for v in vset.vertices[:, perm].tolist()} == rows
 
 
 class TestMembership:
