@@ -1,10 +1,14 @@
 """Command-line front end.
 
-Subcommands:
-  polytope   measurement file -> vertex file (json or txt)
-  rom        measurement file + expectations -> robustness verdict
-  scan       spin-chain parameter sweep -> CSV
-  oracle     brute-force cross-checks at small qubit counts
+Subcommands and the flags that each reads; a value out of its range
+exits 1 before any file is read:
+  polytope   measurement file -> vertex file (json or txt): --out, --format
+  rom        measurement file + expectations -> robustness verdict:
+             --lp-tol in [1e-10, 1), --decision-tol finite and > 0
+  scan       spin-chain parameter sweep -> CSV: --model, --n, --grid,
+             --measurements, --boundary, --out, --resume, --lp-tol, --threads >= 1
+  oracle     brute-force cross-checks at small qubit counts: --check,
+             --n in 1-4 (counts) or 1-3 (others), --trials >= 1, --seed >= 0, --lp-tol
 
 Exit codes: 0 success, 1 usage, 2 parse, 3 infeasible/inconsistent
 data, 4 solver failure.
@@ -25,11 +29,12 @@ from typing import Dict, List, Optional, Sequence, TextIO
 import numpy as np
 
 from . import oracle as oracle_mod
-from .pauli import MeasurementSet, PauliError, format_pauli, read_measurement_file
+from .pauli import MeasurementSet, PauliError, PauliString, format_pauli, read_measurement_file
 from .polytope import context_starts, v_representation
 from .rom import (
     DECISION_TOLERANCE,
     LP_TOLERANCE,
+    LP_TOLERANCE_RANGE,
     ExpectationVector,
     reduced_rom,
     sample_complexity,
@@ -53,12 +58,22 @@ class CliError(Exception):
         self.code = code
 
 
+def _in_range(convert, low, high, expected: str):
+    """An argparse type: ``convert`` the text and refuse a value outside [low, high)."""
+
+    def parse(text: str):
+        value = convert(text)  # argparse reports a ValueError as an invalid value
+        if not low <= value < high:  # False for NaN as well
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # named in "invalid float value: 'abc'"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="magicscope")
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    parser.add_argument("--lp-tol", type=float, default=LP_TOLERANCE)
-    parser.add_argument("--decision-tol", type=float, default=DECISION_TOLERANCE)
-    parser.add_argument("--seed", type=int, default=0)
+    at_least_one = _in_range(int, 1, math.inf, "an integer >= 1")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_poly = sub.add_parser("polytope", help="vertex file from a measurement file")
@@ -69,6 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rom = sub.add_parser("rom", help="robustness verdict from expectations")
     p_rom.add_argument("measurements")
     p_rom.add_argument("expectations")
+    # the least positive float is where "> 0" starts
+    p_rom.add_argument("--decision-tol", default=DECISION_TOLERANCE,
+                       type=_in_range(float, math.ulp(0.0), math.inf, "a finite number > 0"))
 
     p_scan = sub.add_parser("scan", help="spin-chain parameter sweep")
     p_scan.add_argument("--model", required=True, choices=("tfim", "annni", "xxz"))
@@ -79,12 +97,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--boundary", choices=("periodic", "open"), default="periodic")
     p_scan.add_argument("--out", required=True)
     p_scan.add_argument("--resume", action="store_true")
+    p_scan.add_argument("--threads", type=at_least_one, default=os.cpu_count() or 1)
 
     p_oracle = sub.add_parser("oracle", help="brute-force cross checks")
     p_oracle.add_argument("--check", required=True,
                           choices=("hulls", "counts", "rom-bound", "lemma1"))
-    p_oracle.add_argument("--n", type=int, default=2)
-    p_oracle.add_argument("--trials", type=int, default=20)
+    p_oracle.add_argument("--n", type=at_least_one, default=2,
+                          help="qubits: 1-4 for counts, 1-3 for the others")
+    p_oracle.add_argument("--trials", type=at_least_one, default=20)
+    p_oracle.add_argument("--seed", type=_in_range(int, 0, math.inf, "an integer >= 0"),
+                          default=0)
+
+    lp_range = "a number in [{:g}, {:g})".format(*LP_TOLERANCE_RANGE)
+    for p in (p_rom, p_scan, p_oracle):
+        p.add_argument("--lp-tol", type=_in_range(float, *LP_TOLERANCE_RANGE, lp_range),
+                       default=LP_TOLERANCE)
     return parser
 
 
@@ -259,8 +286,6 @@ def _cmd_scan(args) -> int:
 
 
 def _random_measurement_set(n: int, m: int, rng: np.random.Generator) -> MeasurementSet:
-    from .pauli import PauliString
-
     chosen = {}
     while len(chosen) < m:
         x = int(rng.integers(0, 1 << n))
@@ -274,6 +299,9 @@ def _random_measurement_set(n: int, m: int, rng: np.random.Generator) -> Measure
 
 
 def _cmd_oracle(args) -> int:
+    cap = oracle_mod.ORACLE_MAX_QUBITS if args.check == "counts" else 3
+    if args.n > cap:
+        raise CliError(f"oracle --check {args.check} takes --n in 1-{cap}", EXIT_USAGE)
     rng = np.random.default_rng(args.seed)
     failures = []
     if args.check == "counts":
@@ -283,8 +311,6 @@ def _cmd_oracle(args) -> int:
         print(json.dumps({"check": "counts", "n": args.n, "expected": expected,
                           "actual": actual, "pass": ok}))
         return EXIT_OK if ok else EXIT_INFEASIBLE
-    if args.n > 3:
-        raise CliError("oracle checks capped at n <= 3", EXIT_USAGE)
     for trial in range(args.trials):
         m = int(rng.integers(2, 7))
         measurements = _random_measurement_set(args.n, m, rng)
@@ -324,13 +350,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    for tol in (args.lp_tol, args.decision_tol):
-        if tol <= 0:
-            print("tolerances must be positive", file=sys.stderr)
-            return EXIT_USAGE
-    if args.threads < 1:
-        print("--threads must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
     handlers = {
         "polytope": _cmd_polytope,
         "rom": _cmd_rom,

@@ -252,7 +252,8 @@ def _orbit_reduction(
     return OrbitReduction(perms, orbits, ordered[starts[:-1]], order, starts)
 
 
-def _symplectic_column_matrix(measurements: MeasurementSet, subset: Sequence[int]) -> gf2.F2Matrix:
+def _symplectic_column_matrix(measurements: MeasurementSet, subset: Sequence[int]) -> List[int]:
+    """Bit-packed rows (x bits of each qubit, then z bits) with column j for subset[j]."""
     n = measurements.n
     rows = []
     for i in range(n):
@@ -265,12 +266,12 @@ def _symplectic_column_matrix(measurements: MeasurementSet, subset: Sequence[int
         for j, idx in enumerate(subset):
             row |= ((measurements[idx].zbits >> i) & 1) << j
         rows.append(row)
-    return gf2.F2Matrix(tuple(rows), len(subset))
+    return rows
 
 
 def _sign_block(measurements: MeasurementSet, subset: Tuple[int, ...]) -> np.ndarray:
     """Admissible signs of a sorted commuting subset: one int8 row each, in sorted order."""
-    red, rank, pivots = gf2.rref(_symplectic_column_matrix(measurements, subset))
+    red, rank, pivots = gf2.rref(_symplectic_column_matrix(measurements, subset), len(subset))
     # Row k gives pivot i the sign of bit rank-1-i of k (0 -> -1), so the pivot
     # columns ascend lexicographically.  A dependent column is fixed by pivots
     # to its left, so the whole rows are in sorted() order as well.
@@ -278,7 +279,7 @@ def _sign_block(measurements: MeasurementSet, subset: Tuple[int, ...]) -> np.nda
     block = np.empty((1 << rank, len(subset)), dtype=np.int8)
     block[:, pivots] = 2 * ((k >> np.arange(rank - 1, -1, -1)) & 1) - 1
     for c in set(range(len(subset))).difference(pivots):
-        marked = [p for i, p in enumerate(pivots) if (red.rows[i] >> c) & 1]
+        marked = [p for i, p in enumerate(pivots) if (red[i] >> c) & 1]
         # P_c = lam * prod(P_marked), and the product is Hermitian, so P_c * prod = lam * 1
         product = measurements[subset[c]]
         for p in marked:

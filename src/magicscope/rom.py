@@ -42,11 +42,14 @@ __all__ = [
     "witness",
     "sample_complexity",
     "LP_TOLERANCE",
+    "LP_TOLERANCE_RANGE",
     "DECISION_TOLERANCE",
     "SYMMETRY_TOLERANCE",
 ]
 
 LP_TOLERANCE = 1e-9
+# [low, high) of the tolerances HiGHS takes: it drops a lower one, and fails at 1
+LP_TOLERANCE_RANGE = (1e-10, 1.0)
 DECISION_TOLERANCE = 1e-7
 INPUT_TOLERANCE = 1e-6
 # largest orbit spread of b that still takes the symmetric path; the same

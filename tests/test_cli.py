@@ -302,37 +302,65 @@ class TestOracleCommand:
         assert payload["pass"] is True
 
     def test_hulls(self, capsys):
-        assert main(["--seed", "7", "oracle", "--check", "hulls", "--n", "2",
+        assert main(["oracle", "--seed", "7", "--check", "hulls", "--n", "2",
                      "--trials", "10"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["pass"] is True and payload["failures"] == []
 
     def test_lemma1(self, capsys):
-        assert main(["--seed", "3", "oracle", "--check", "lemma1", "--n", "2",
+        assert main(["oracle", "--seed", "3", "--check", "lemma1", "--n", "2",
                      "--trials", "10"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["pass"] is True
 
     def test_rom_bound(self, capsys):
-        assert main(["--seed", "1", "oracle", "--check", "rom-bound", "--n", "2",
+        assert main(["oracle", "--seed", "1", "--check", "rom-bound", "--n", "2",
                      "--trials", "10"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["pass"] is True
 
-    def test_n_cap(self, capsys):
-        assert main(["oracle", "--check", "hulls", "--n", "4"]) == EXIT_USAGE
+    def test_n_cap(self, capsys, monkeypatch):
+        import magicscope.cli as cli
+        import magicscope.oracle as oracle
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle started work it should have refused")
+
+        # a random set of 0-qubit Paulis is never drawn, so n=0 would loop forever
+        monkeypatch.setattr(cli, "_random_measurement_set", refuse)
+        monkeypatch.setattr(oracle, "enumerate_stabilizer_groups", refuse)
+        for argv in (
+            ["--check", "hulls", "--n", "4"],
+            ["--check", "hulls", "--n", "0"],
+            ["--check", "rom-bound", "--n", "-1"],
+            ["--check", "counts", "--n", "5"],
+            ["--check", "counts", "--n", "0"],
+            ["--check", "lemma1", "--trials", "0"],
+            ["--check", "hulls", "--trials", "-3"],
+        ):
+            assert main(["oracle"] + argv) == EXIT_USAGE, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and argv[2] in captured.err, argv
 
 
 class TestGlobalFlags:
+    """Flags on the subcommands that read them, and the errors every command shares."""
+
     def test_usage_exit_code(self):
         assert main(["no-such-command"]) == EXIT_USAGE
 
-    def test_negative_tolerance_rejected(self, octahedron_file, capsys):
-        assert main(["--lp-tol", "-1", "polytope", octahedron_file]) == EXIT_USAGE
+    def test_negative_tolerance_rejected(self, octahedron_file, tmp_path, capsys):
+        b = write(tmp_path / "b.txt", "0\n0\n0\n")
+        assert main(["rom", octahedron_file, b, "--lp-tol", "-1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--lp-tol" in captured.err
 
     @pytest.mark.parametrize("threads", ["0", "-5"])
-    def test_threads_below_one_rejected(self, octahedron_file, capsys, threads):
-        assert main(["--threads", threads, "polytope", octahedron_file]) == EXIT_USAGE
+    def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--model", "tfim", "--n", "4", "--grid", "g=0:1:2",
+                     "--out", str(out), "--threads", threads]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == "" and "--threads" in captured.err
+        assert not out.exists()
 
     def test_non_utf8_measurement_file_is_parse_error(self, tmp_path, capsys):
         ms = tmp_path / "m.bin"
@@ -367,21 +395,86 @@ class TestGlobalFlags:
         monkeypatch.setattr(rom, "linprog", recording)
         return seen
 
-    def test_lp_tol_reaches_rom_solver(self, octahedron_file, tmp_path, capsys,
-                                       linprog_tolerances):
+    @pytest.fixture
+    def argv_of(self, octahedron_file, tmp_path):
         b = write(tmp_path / "b.txt", "0.5\n0.5\n0.5\n")
-        assert main(["--lp-tol", "3e-8", "rom", octahedron_file, b]) == EXIT_OK
+        commands = {
+            "rom": ["rom", octahedron_file, b],
+            "scan": ["scan", "--model", "tfim", "--n", "4", "--grid", "g=0:1:2",
+                     "--out", str(tmp_path / "scan.csv")],
+            "oracle": ["oracle", "--check", "rom-bound", "--n", "2", "--trials", "3"],
+        }
+        return lambda command, *flags: commands[command] + list(flags)
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [(c, "--lp-tol", v) for c in ("rom", "scan", "oracle")
+         for v in ("nan", "inf", "-1", "0", "1e-12", "1")]
+        + [("rom", "--decision-tol", v) for v in ("nan", "inf", "0", "-1")]
+        + [("scan", "--threads", v) for v in ("0", "-5")]
+        + [("oracle", "--seed", "-1")],
+    )
+    def test_out_of_range_value_is_refused_before_any_work(
+        self, tmp_path, capsys, monkeypatch, linprog_tolerances, argv_of, command, flag, value
+    ):
+        import magicscope.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a file was read before the flags were checked")
+
+        monkeypatch.setattr(cli, "read_measurement_file", refuse)
+        assert main(argv_of(command, flag, value)) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"argument {flag}:" in captured.err
+        assert not (tmp_path / "scan.csv").exists()
+        assert linprog_tolerances == []
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("polytope", "--threads"), ("polytope", "--lp-tol"), ("polytope", "--decision-tol"),
+            ("polytope", "--seed"), ("rom", "--threads"), ("rom", "--seed"),
+            ("scan", "--decision-tol"), ("scan", "--seed"),
+            ("oracle", "--decision-tol"), ("oracle", "--threads"),
+        ],
+    )
+    @pytest.mark.parametrize("place", ["global", "subcommand"])
+    def test_flag_off_its_subcommand_is_refused(
+        self, octahedron_file, capsys, linprog_tolerances, argv_of, place, command, flag
+    ):
+        argv = ["polytope", octahedron_file] if command == "polytope" else argv_of(command)
+        value = "1e-6" if flag == "--decision-tol" else "2"
+        argv = [flag, value] + argv if place == "global" else argv + [flag, value]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+        assert linprog_tolerances == []
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("rom", "--lp-tol"), ("rom", "--decision-tol"), ("scan", "--threads"), ("oracle", "--seed")],
+    )
+    def test_flag_before_its_subcommand_is_refused(self, capsys, argv_of, command, flag):
+        value = "1e-6" if "tol" in flag else "2"
+        assert main([flag, value] + argv_of(command)) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+    def test_lp_tol_reaches_rom_solver(self, argv_of, capsys, linprog_tolerances):
+        assert main(argv_of("rom", "--lp-tol", "3e-8")) == EXIT_OK
         assert linprog_tolerances and set(linprog_tolerances) == {3e-8}
 
-    def test_lp_tol_reaches_scan_solver(self, tmp_path, linprog_tolerances):
-        out = tmp_path / "scan.csv"
-        assert main([
-            "--lp-tol", "2e-7", "--threads", "1", "scan", "--model", "tfim",
-            "--n", "4", "--grid", "g=0:1:2", "--out", str(out),
-        ]) == EXIT_OK
+    def test_lp_tol_reaches_scan_solver(self, argv_of, linprog_tolerances):
+        assert main(argv_of("scan", "--lp-tol", "2e-7", "--threads", "1")) == EXIT_OK
         assert len(linprog_tolerances) >= 2 and set(linprog_tolerances) == {2e-7}
 
-    def test_lp_tol_reaches_oracle_solver(self, capsys, linprog_tolerances):
-        assert main(["--lp-tol", "4e-8", "--seed", "1", "oracle", "--check", "rom-bound",
-                     "--n", "2", "--trials", "3"]) == EXIT_OK
+    def test_lp_tol_reaches_oracle_solver(self, argv_of, capsys, linprog_tolerances):
+        assert main(argv_of("oracle", "--lp-tol", "4e-8", "--seed", "1")) == EXIT_OK
         assert linprog_tolerances and set(linprog_tolerances) == {4e-8}
+
+    def test_decision_tol_reaches_the_verdict(self, octahedron_file, tmp_path, capsys):
+        # rom 1 + 5e-4 on the octahedron: witnessed at the default, a member at 1e-2
+        b = write(tmp_path / "b.txt", "0.5005\n0.5\n0\n")
+        verdicts = []
+        for extra in ([], ["--decision-tol", "1e-2"]):
+            assert main(["rom", octahedron_file, b] + extra) == EXIT_OK
+            verdicts.append(json.loads(capsys.readouterr().out)["witnessed"])
+        assert verdicts == [True, False]

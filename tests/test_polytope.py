@@ -113,7 +113,7 @@ class TestAdmissibleSigns:
         graph = build_frustration_graph(ms)
         for subset in enumerate_maximal_independent_sets(graph):
             m_s = _symplectic_column_matrix(ms, subset)
-            _, rank, _ = gf2.rref(m_s)
+            _, rank, _ = gf2.rref(m_s, len(subset))
             assert len(admissible_signs(ms, subset)) == 2**rank
 
     @given(measurement_sets())

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from magicscope import oracle
@@ -322,14 +322,27 @@ class TestMembership:
         assert not reduced_rom(vset, ExpectationVector.of([0.8, 0.8])).member
 
     @given(st.tuples(st.floats(-1, 1), st.floats(-1, 1)))
+    @example((1.0, 1.192092896e-07))  # excess 1.19e-7 over 1, inf-norm deviation 6e-8
+    @example((1.0, 5e-8))  # a member only by the decision tolerance
     @settings(max_examples=80, deadline=None)
     def test_agrees_with_rom_threshold(self, b):
-        # the dense min-deviation LP of the oracle against the rom threshold
+        # The diamond is the 1-norm ball, so rom = max(1, 1 + excess) with
+        # excess = |b1| + |b2| - 1.  The oracle's least inf-norm deviation d from
+        # it obeys excess / 2 <= d <= excess: moving each coordinate by d lowers
+        # the 1-norm by at most 2d and by at least d.  So the verdicts agree
+        # unless excess / 2 <= 1e-7 < excess; inside that band they differ by
+        # definition, and only the rom's closed form is asserted there.
         vset = v_representation(DIAMOND)
         result = reduced_rom(vset, ExpectationVector.of(b))
-        assert oracle.hull_contains([b], vset.vertices, tolerance=DECISION_TOLERANCE) == (
-            result.rom <= 1.0 + DECISION_TOLERANCE
-        )
+        excess = abs(b[0]) + abs(b[1]) - 1.0
+        assert result.rom == pytest.approx(max(1.0, 1.0 + excess), abs=1e-9)
+        margin = 1e-9  # the LP tolerance: closer to a threshold, a verdict may go either way
+        if abs(excess - DECISION_TOLERANCE) > margin:
+            assert result.member == (excess <= DECISION_TOLERANCE)
+        if excess < DECISION_TOLERANCE - margin or excess / 2 > DECISION_TOLERANCE + margin:
+            assert oracle.hull_contains(
+                [b], vset.vertices, tolerance=DECISION_TOLERANCE
+            ) == result.member
 
 
 class TestWitness:
