@@ -185,7 +185,7 @@ def _cmd_rom(args) -> int:
     if result.status == "infeasible":
         raise CliError("expectations lie outside the affine hull", EXIT_INFEASIBLE)
     if result.status != "optimal":
-        raise CliError("LP solver failed", EXIT_SOLVER)
+        raise CliError(f"LP solver failed: {result.cause}", EXIT_SOLVER)
     payload = result.to_json_dict()
     payload["witnessed"] = not result.member
     payload["sample_bound"] = sample_complexity(max(1.0, result.rom), 0.1, 0.05)

@@ -85,6 +85,7 @@ class RomResult:
     member: bool
     status: str
     path: str  # "symmetric" (orbit-sum LP) or "full"
+    cause: str = ""  # why the solver failed; empty unless status is "numerically-degenerate"
 
     def to_json_dict(self) -> dict:
         return {
@@ -99,7 +100,7 @@ class RomResult:
 def _solve_l1_column_generation(
     vmat: np.ndarray, b_eq: np.ndarray, lp_tolerance: float = LP_TOLERANCE
 ):
-    """Solve the 1-norm LP by dual cutting planes; returns (fun, coefficients, status).
+    """Solve the 1-norm LP by dual cutting planes; returns (fun, coefficients, status, cause).
 
     The dual is max b_eq . y subject to |v_j . y[:m] + y[m]| <= 1 for
     every vertex j, inside the box |y| <= bound.  Constraints are
@@ -107,9 +108,12 @@ def _solve_l1_column_generation(
     one matvec, add the worst violators, repeat.  Once no vertex is
     violated, the primal is read from the last solve's row marginals,
     x = lambda_plus - lambda_minus over the active vertices.  If that x
-    reproduces b_eq the optimum is found; otherwise the box is binding,
-    so it is widened, and past 1e12 the primal is reported infeasible
-    (status 2).
+    reproduces b_eq and its 1-norm equals the dual objective to
+    DECISION_TOLERANCE, the optimum is found; a larger duality gap, as a
+    loose lp_tolerance leaves, is a solver failure (status 4).  If x does
+    not reproduce b_eq the box is binding, so it is widened, and past
+    1e12 the primal is reported infeasible (status 2).  cause says why a
+    status other than 0 or 2 was returned.
     """
     n_vert, m = vmat.shape
     # Deterministic warm set: vertices most (anti)aligned with the target.
@@ -140,7 +144,7 @@ def _solve_l1_column_generation(
             },
         )
         if res.status != 0:
-            return math.nan, None, res.status
+            return math.nan, None, res.status, f"HiGHS: {res.message}"
         y = res.x
         violation = np.abs(vmat @ y[:m] + y[m]) - 1.0
         violated = np.flatnonzero(violation > 1e-9)
@@ -152,21 +156,25 @@ def _solve_l1_column_generation(
         x_active = marginals[:rows] - marginals[rows:]
         reproduced = np.append(block.T @ x_active, x_active.sum())
         if np.max(np.abs(reproduced - b_eq)) <= 1e-8:
+            fun = -float(res.fun)
+            gap = abs(float(np.abs(x_active).sum()) - fun)
+            if gap > DECISION_TOLERANCE:
+                return math.nan, None, 4, f"duality gap {gap:.3g} with dual objective {fun!r}"
             coeffs = np.zeros(n_vert)
             coeffs[active] = x_active
-            return -float(res.fun), coeffs, 0
+            return fun, coeffs, 0, ""
         # The box is binding: either the dual is unbounded (primal
         # infeasible) or the box was too tight.
         if bound > 1e12:
-            return math.inf, None, 2
+            return math.inf, None, 2, ""
         bound *= 1e3
-    return math.nan, None, 1
+    return math.nan, None, 1, "no optimum after 200 column-generation rounds"
 
 
 def _solve_symmetric(vset: VertexSet, b_eq: np.ndarray, lp_tolerance: float):
     """The 1-norm LP over the orbit-sum points, lifted to the vertices.
 
-    Returns (fun, coefficients, 0) like ``_solve_l1_column_generation``,
+    Returns (fun, coefficients, 0, "") like ``_solve_l1_column_generation``,
     or None when the group is trivial, b_eq is not constant on every
     orbit to SYMMETRY_TOLERANCE, the reduced LP fails, or the lift does
     not reproduce b_eq to 1e-8.
@@ -178,7 +186,7 @@ def _solve_symmetric(vset: VertexSet, b_eq: np.ndarray, lp_tolerance: float):
     if np.ptp(values[reduction.perms], axis=0).max() > SYMMETRY_TOLERANCE:
         return None
     sums = np.bincount(reduction.orbits, weights=values, minlength=reduction.points.shape[1])
-    fun, weights, status = _solve_l1_column_generation(
+    fun, weights, status, _ = _solve_l1_column_generation(
         reduction.points, np.append(sums, 1.0), lp_tolerance
     )
     if status != 0:
@@ -191,7 +199,7 @@ def _solve_symmetric(vset: VertexSet, b_eq: np.ndarray, lp_tolerance: float):
     reproduced = np.append(vset.vertices[used].T @ coeffs[used], coeffs[used].sum())
     if np.max(np.abs(reproduced - b_eq)) > 1e-8:
         return None
-    return fun, coeffs, 0
+    return fun, coeffs, 0, ""
 
 
 def reduced_rom(
@@ -207,7 +215,9 @@ def reduced_rom(
     reproduce b; those marginals, scattered over all vertices, are the
     coefficients.  A binding dual box past 1e12 means b lies outside the
     affine hull ("infeasible").  lp_tolerance is the LP solver's primal and
-    dual feasibility tolerance.
+    dual feasibility tolerance; a solve whose coefficients' 1-norm and dual
+    objective differ by more than DECISION_TOLERANCE is a solver failure
+    ("numerically-degenerate", with the gap in ``cause``), not an optimum.
 
     If the set has a non-trivial qubit symmetry group and every orbit
     spread of b is at most SYMMETRY_TOLERANCE (1e-8), the LP runs over
@@ -225,12 +235,12 @@ def reduced_rom(
     if solved is None:
         solved = _solve_l1_column_generation(vset.vertices, b_eq, lp_tolerance)
         path = "full"
-    fun, coeffs, status = solved
+    fun, coeffs, status, cause = solved
     if status == 2:
         return RomResult(math.inf, np.zeros(n_vert), math.inf, False, "infeasible", path)
     if status != 0:
         return RomResult(
-            math.nan, np.zeros(n_vert), math.nan, False, "numerically-degenerate", path
+            math.nan, np.zeros(n_vert), math.nan, False, "numerically-degenerate", path, cause
         )
     rom = float(fun)
     return RomResult(rom, coeffs, rom, rom <= 1.0 + decision_tolerance, "optimal", path)

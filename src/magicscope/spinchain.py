@@ -3,9 +3,16 @@
 Hamiltonians are kept as weighted Pauli-string term lists and turned
 into one sparse CSR matrix, real for all three chain models.  The ground
 state and the gap come from seeded Lanczos (``eigsh``) runs on that
-matrix at every chain size.  The sweep driver reuses a single
-reduced-polytope V-representation across a parameter grid and reports
-one record per grid point.
+matrix at every chain size, except for a diagonal H (every term a
+Z-string), whose ground space is read off its diagonal.
+
+At a degenerate point (a gap below DEGENERACY_THRESHOLD) the
+expectations are those of the T -> 0 Gibbs state, tr(P Pi)/d over the
+d-dimensional ground space: unlike any one eigenvector it does not
+depend on the Lanczos seed, and it commutes with every qubit symmetry
+of H.  The sweep driver reuses a single reduced-polytope
+V-representation across a parameter grid and reports one record per
+grid point.
 """
 
 from __future__ import annotations
@@ -36,10 +43,15 @@ __all__ = [
     "sweep",
     "EIG_TOLERANCE",
     "DEGENERACY_THRESHOLD",
+    "GROUND_SPACE_CAP",
 ]
 
 EIG_TOLERANCE = 1e-10
 DEGENERACY_THRESHOLD = 1e-8
+# the largest ground space a non-diagonal H deflates out, one Lanczos solve
+# per level: it holds the XXZ ferromagnetic multiplet at delta = -1, h = 0,
+# d = n + 1 = 15 at n = 14 (1.6 s); the test and benchmark grids reach d = 4
+GROUND_SPACE_CAP = 16
 COUPLINGS = {"tfim": ("g",), "annni": ("k", "g"), "xxz": ("delta", "h")}
 
 TermList = List[Tuple[float, PauliString]]
@@ -77,10 +89,38 @@ class SpinChainSpec:
 
 @dataclass(frozen=True)
 class GroundStateResult:
+    """The lowest level of H.
+
+    ``state`` is one unit eigenvector.  ``ground_space`` is set only when
+    ``degenerate_flag`` is: orthonormal columns spanning the ground space,
+    or, for a diagonal H, the indices of its basis states.
+    """
+
     energy: float
     state: np.ndarray
     gap_estimate: float
     degenerate_flag: bool
+    ground_space: Optional[np.ndarray] = None
+
+    @property
+    def dimension(self) -> int:
+        """d, the dimension of the ground space."""
+        space = self.ground_space
+        return 1 if space is None else space.shape[-1]
+
+    def expectation(self, p: PauliString) -> float:
+        """tr(P Pi)/d over the ground space; ``pauli_expectation(state, p)`` at d = 1."""
+        space = self.ground_space
+        if space is None:
+            return pauli_expectation(self.state, p)
+        if space.ndim == 2:
+            return float(np.mean([pauli_expectation(v, p) for v in space.T]))
+        if not p.is_hermitian:
+            raise ValueError("expectation requires a Hermitian Pauli")
+        if p.xbits:  # maps every basis state off the ground space
+            return 0.0
+        signs = 1.0 - 2.0 * (np.bitwise_count(space & np.int64(p.zbits)) & 1)
+        return float((1j**p.phase_k).real * signs.mean())
 
 
 def _zz(n: int, i: int, j: int) -> PauliString:
@@ -189,13 +229,51 @@ def _lowest(op, v0: np.ndarray) -> Tuple[float, np.ndarray]:
     return float(evals[0]), evecs[:, 0]
 
 
-def ground_state(terms: TermList, seed: int = 1234) -> GroundStateResult:
-    """Lowest eigenpair and gap estimate of a Pauli-term Hamiltonian.
+def _diagonal_ground_state(diagonal: np.ndarray) -> GroundStateResult:
+    """Ground space of a diagonal H: basis states within DEGENERACY_THRESHOLD of its minimum."""
+    e0 = float(diagonal.min())
+    lowest = np.flatnonzero(diagonal < e0 + DEGENERACY_THRESHOLD)
+    state = np.zeros(diagonal.size)
+    state[np.argmin(diagonal)] = 1.0
+    gap = float(np.partition(diagonal, 1)[1]) - e0
+    degenerate = lowest.size > 1
+    return GroundStateResult(e0, state, gap, degenerate, lowest if degenerate else None)
 
-    Both levels come from seeded Lanczos runs at every chain size: the
-    ground state of H, then the ground state of the deflated operator
-    H + sigma |psi0><psi0|, which lifts psi0 above the spectrum so that
-    an exactly degenerate partner shows up as a zero gap.
+
+def _ground_space(h, sigma: float, e0: float, found: List[np.ndarray], rng) -> np.ndarray:
+    """Orthonormal columns spanning every level within DEGENERACY_THRESHOLD of e0.
+
+    Each round lifts the span of ``found`` by sigma and runs one more
+    Lanczos solve; the first level that clears the threshold ends it.
+    """
+    while len(found) <= GROUND_SPACE_CAP:
+        block = np.linalg.qr(np.column_stack(found))[0]
+
+        def deflated(v, block=block):
+            v = np.ravel(v)
+            return h @ v + sigma * (block @ (block.conj().T @ v))
+
+        op = spla.LinearOperator(h.shape, matvec=deflated, dtype=h.dtype)
+        level, vec = _lowest(op, rng.normal(size=h.shape[0]))
+        if level - e0 >= DEGENERACY_THRESHOLD:
+            return block
+        found.append(vec)
+    raise ValueError(f"ground space of dimension d >= {len(found)} exceeds {GROUND_SPACE_CAP}")
+
+
+def ground_state(terms: TermList, seed: int = 1234) -> GroundStateResult:
+    """Lowest level, gap estimate and, if degenerate, ground space of a Pauli-term H.
+
+    A diagonal H (every term a Z-string) takes its ground space exactly,
+    as the basis states whose diagonal entry lies within
+    DEGENERACY_THRESHOLD of the minimum, with no eigensolver.  Any other
+    H takes seeded Lanczos runs at every chain size: the ground state of
+    H, then the ground state of the deflated operator H + sigma
+    |psi0><psi0|, which lifts psi0 above the spectrum so that an exactly
+    degenerate partner shows up as a zero gap.  At such a flagged point
+    the deflation goes on, one solve per level, until the next level
+    clears the threshold; a ground space larger than GROUND_SPACE_CAP
+    raises a ValueError that names d.
     """
     if not terms:
         raise ValueError("empty term list")
@@ -203,6 +281,8 @@ def ground_state(terms: TermList, seed: int = 1234) -> GroundStateResult:
     if n > 14:
         raise ValueError("exact diagonalization capped at 14 qubits")
     h = hamiltonian_matrix(terms, n)
+    if all(p.xbits == 0 for _, p in terms):
+        return _diagonal_ground_state(h.diagonal())
     rng = np.random.default_rng(seed)
     e0, state = _lowest(h, rng.normal(size=h.shape[0]))
     # sigma exceeds the spectral width: E_max <= sum |w| and E0 >= -sum |w|
@@ -215,10 +295,13 @@ def ground_state(terms: TermList, seed: int = 1234) -> GroundStateResult:
     op = spla.LinearOperator(h.shape, matvec=deflated, dtype=h.dtype)
     # a fresh start: Lanczos from the first one only reaches psi0 inside
     # the ground space, so it would miss a degenerate partner
-    e1, _ = _lowest(op, rng.normal(size=h.shape[0]))
+    e1, partner = _lowest(op, rng.normal(size=h.shape[0]))
     state = state / np.linalg.norm(state)
     gap = max(0.0, e1 - e0)
-    return GroundStateResult(e0, state, gap, gap < DEGENERACY_THRESHOLD)
+    if gap >= DEGENERACY_THRESHOLD:
+        return GroundStateResult(e0, state, gap, False)
+    space = _ground_space(h, sigma, e0, [state, partner], rng)
+    return GroundStateResult(e0, state, gap, True, space)
 
 
 def hamiltonian_measurement_set(spec: SpinChainSpec, scope: str = "all-terms") -> MeasurementSet:
@@ -274,13 +357,19 @@ def sweep(
     threads: int = 1,
     lp_tolerance: float = LP_TOLERANCE,
 ) -> List[SweepRecord]:
-    """One record per grid point; eigensolver failures are recorded, not raised."""
+    """One record per grid point; eigensolver failures are recorded, not raised.
+
+    Each expectation is ``GroundStateResult.expectation``: the ground
+    state's at a non-degenerate point, the ground-space average tr(P Pi)/d
+    at a flagged one.  A ground space above GROUND_SPACE_CAP gives an
+    error record.
+    """
 
     def run(point: Dict[str, float]) -> SweepRecord:
         try:
             terms = build_hamiltonian(spec.with_params(point))
             gs = ground_state(terms)
-            expectations = tuple(pauli_expectation(gs.state, p) for p in measurements)
+            expectations = tuple(gs.expectation(p) for p in measurements)
             result = reduced_rom(
                 vset, ExpectationVector.of(expectations), lp_tolerance=lp_tolerance
             )

@@ -10,6 +10,7 @@ from magicscope.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_SOLVER,
     EXIT_USAGE,
     _parse_grid,
     main,
@@ -154,6 +155,17 @@ class TestRom:
         ms = write(tmp_path / "m.txt", "+Z\n-Z\n")
         b = write(tmp_path / "b.txt", "1\n1\n")
         assert main(["rom", ms, b]) == EXIT_INFEASIBLE
+
+    def test_duality_gap_at_loose_tolerance_is_solver_failure(
+        self, octahedron_file, tmp_path, capsys
+    ):
+        # rom 1.5; at --lp-tol 0.9 the dual objective reads 1.0, a false membership
+        b = write(tmp_path / "b.txt", "0.5\n0.5\n0.5\n")
+        assert main(["rom", octahedron_file, b, "--lp-tol", "0.9"]) == EXIT_SOLVER
+        captured = capsys.readouterr()
+        assert captured.out == "" and "duality gap 0.5" in captured.err
+        assert main(["rom", octahedron_file, b, "--lp-tol", "0.5"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["rom"] == pytest.approx(1.5, abs=1e-9)
 
 
 class TestScan:

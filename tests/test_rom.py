@@ -171,16 +171,29 @@ class TestColumnGeneration:
             for b in targets:
                 b_eq = np.concatenate([b, [1.0]])
                 f_dense, x_dense, s_dense = solve_l1_dense(vmat, b_eq)
-                f_cg, x_cg, s_cg = _solve_l1_column_generation(vmat, b_eq)
+                f_cg, x_cg, s_cg, _ = _solve_l1_column_generation(vmat, b_eq)
                 assert s_dense == s_cg == 0, texts
                 assert abs(f_dense - f_cg) < 1e-7, texts
                 assert np.max(np.abs(vmat.T @ x_cg - b)) < 1e-8, texts
                 assert abs(x_cg.sum() - 1.0) < 1e-8, texts
                 assert abs(np.abs(x_cg).sum() - f_cg) < 1e-8, texts
 
+    def test_duality_gap_is_a_failure(self):
+        # at lp_tolerance 0.9 the last dual solve reads 1.0 while its marginals,
+        # which reproduce b, have the true rom 1.5 as their 1-norm
+        vset = v_representation(OCTAHEDRON)
+        b = ExpectationVector.of([0.5, 0.5, 0.5])
+        result = reduced_rom(vset, b, lp_tolerance=0.9)
+        assert result.status == "numerically-degenerate" and not result.member
+        assert result.cause.startswith("duality gap 0.5")
+        for tol in (1e-9, 1e-4, 0.5):
+            result = reduced_rom(vset, b, lp_tolerance=tol)
+            assert result.status == "optimal" and result.cause == ""
+            assert abs(result.rom - 1.5) < 1e-9
+
     def test_detects_infeasibility(self):
         vmat = np.array([[-1.0, 1.0], [1.0, -1.0]])
-        fun, coeffs, status = _solve_l1_column_generation(
+        fun, coeffs, status, _ = _solve_l1_column_generation(
             vmat, np.array([1.0, 1.0, 1.0])
         )
         assert status == 2 and coeffs is None
@@ -198,7 +211,7 @@ class TestSymmetricPath:
     def assert_agrees_with_full(self, vset, b):
         result = reduced_rom(vset, b)
         assert result.path == "symmetric" and result.status == "optimal"
-        fun, _, status = _solve_l1_column_generation(vset.vertices, np.append(b.values, 1.0))
+        fun, _, status, _ = _solve_l1_column_generation(vset.vertices, np.append(b.values, 1.0))
         assert status == 0
         assert abs(result.rom - fun) < 1e-7
         x = result.coefficients
@@ -225,7 +238,8 @@ class TestSymmetricPath:
             self.assert_agrees_with_full(vset, ExpectationVector.of(b[perms].mean(axis=0)))
 
     def test_broken_symmetry_falls_back(self):
-        # a degenerate ground state: Lanczos returns a vector that breaks the shift
+        # one vector of a degenerate ground space (d = 4): the Lanczos vector
+        # gs.state breaks the shift
         ms, b, gs = all_terms_ground_state("xxz", 9, {"delta": 0.0, "h": 0.0})
         vset = v_representation(ms)
         values = np.array(b.values)
@@ -234,6 +248,17 @@ class TestSymmetricPath:
         result = reduced_rom(vset, b)
         assert result.path == "full" and result.status == "optimal"
         assert np.max(np.abs(vset.vertices.T @ result.coefficients - values)) < 1e-8
+
+    def test_ground_space_average_keeps_the_symmetry(self):
+        # the same point through the ground-space average tr(P Pi)/d
+        ms, _, gs = all_terms_ground_state("xxz", 9, {"delta": 0.0, "h": 0.0})
+        vset = v_representation(ms)
+        assert gs.degenerate_flag and gs.dimension == 4
+        values = np.array([gs.expectation(p) for p in ms])
+        assert np.ptp(values[vset.symmetry.perms], axis=0).max() <= SYMMETRY_TOLERANCE
+        b = ExpectationVector.of(values)
+        self.assert_agrees_with_full(vset, b)
+        assert reduced_rom(vset, b).rom == pytest.approx(1.3321, abs=1e-4)
 
     def test_asymmetric_sets_take_the_full_path(self):
         octahedron = v_representation(OCTAHEDRON)

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from magicscope import oracle
+from magicscope import oracle, spinchain
 from magicscope.pauli import MeasurementSet, PauliString, format_pauli, parse_pauli
 from magicscope.polytope import v_representation
+from magicscope.rom import ExpectationVector, reduced_rom
 from magicscope.spinchain import (
+    DEGENERACY_THRESHOLD,
     GroundStateResult,
     SpinChainSpec,
     apply_pauli,
@@ -203,6 +205,92 @@ class TestGroundState:
     def test_empty_terms_rejected(self):
         with pytest.raises(ValueError):
             ground_state([])
+
+
+class TestGroundSpace:
+    @pytest.mark.parametrize("model, n, params, d", [
+        ("annni", 6, {"k": 0.75, "g": 0.0}, 18),  # diagonal: basis states
+        ("tfim", 5, {"g": 0.0}, 2),
+        ("xxz", 7, {"delta": 0.0, "h": 0.0}, 4),  # Lanczos: orthonormal columns
+        ("xxz", 6, {"delta": -1.0, "h": 0.0}, 7),  # the ferromagnetic multiplet
+    ])
+    def test_matches_dense_projector(self, model, n, params, d):
+        spec = SpinChainSpec(model, n, params)
+        terms = build_hamiltonian(spec)
+        evals, evecs = np.linalg.eigh(dense_hamiltonian(terms))
+        space = evecs[:, evals < evals[0] + DEGENERACY_THRESHOLD]
+        assert space.shape[1] == d
+        gs = ground_state(terms)
+        assert gs.degenerate_flag and gs.dimension == d
+        assert gs.energy == pytest.approx(evals[0], abs=1e-10)
+        assert np.linalg.norm(dense_hamiltonian(terms) @ gs.state - gs.energy * gs.state) < 1e-8
+        for p in hamiltonian_measurement_set(spec, "all-terms"):
+            exact = np.trace(space.conj().T @ pauli_matrix(p) @ space).real / d
+            assert gs.expectation(p) == pytest.approx(exact, abs=1e-9)
+
+    def test_non_degenerate_expectation_is_the_state_s(self):
+        spec = SpinChainSpec("annni", 8, {"k": 0.3, "g": 0.9})
+        ms = hamiltonian_measurement_set(spec, "all-terms")
+        gs = ground_state(build_hamiltonian(spec))
+        assert not gs.degenerate_flag and gs.ground_space is None and gs.dimension == 1
+        (record,) = sweep(spec, [{"k": 0.3, "g": 0.9}], ms, v_representation(ms))
+        assert record.expectations == tuple(pauli_expectation(gs.state, p) for p in ms)
+
+    def test_seed_independent(self):
+        terms = build_hamiltonian(SpinChainSpec("xxz", 9, {"delta": 0.0, "h": 0.0}))
+        ms = hamiltonian_measurement_set(SpinChainSpec("xxz", 9, {}), "all-terms")
+        values = []
+        for seed in (1234, 1, 2):
+            gs = ground_state(terms, seed)
+            assert gs.dimension == 4
+            values.append([gs.expectation(p) for p in ms])
+        assert np.ptp(values, axis=0).max() < 1e-9
+
+    def test_ground_space_above_cap_is_an_error_row(self, monkeypatch):
+        spec = SpinChainSpec("xxz", 6, {})
+        ms = hamiltonian_measurement_set(spec, "first-cell")
+        grid = [{"delta": -1.1, "h": 0.0}]  # the ferromagnetic doublet, d = 2
+        monkeypatch.setattr(spinchain, "GROUND_SPACE_CAP", 1)
+        (record,) = sweep(spec, grid, ms, v_representation(ms))
+        assert record.solver_status.startswith("error") and "d >= 2" in record.solver_status
+        assert record.rom is None and record.expectations is None
+
+
+class TestZeroFieldAnnni:
+    """The g = 0 ANNNI line is diagonal: its ground space is a set of
+    basis states, stabilizer states all, so rom is 1 whatever the seed."""
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_rom_one_for_every_seed(self, n):
+        spec = SpinChainSpec("annni", n, {})
+        ms = hamiltonian_measurement_set(spec, "all-terms")
+        vset = v_representation(ms)
+        for k in (0.0, 0.25, 0.5, 0.75, 1.0):
+            terms = build_hamiltonian(spec.with_params({"k": k, "g": 0.0}))
+            for seed in (1234, 1, 2):
+                gs = ground_state(terms, seed)
+                b = ExpectationVector.of([gs.expectation(p) for p in ms])
+                result = reduced_rom(vset, b)
+                assert result.path == "symmetric", (k, seed)
+                assert abs(result.rom - 1.0) <= 1e-6, (k, seed, result.rom)
+
+    def test_flagged_grid_points_take_the_symmetric_path(self):
+        # the two lowest-field columns of the 20x20 n = 10 grid, which hold
+        # all its flagged points
+        spec = SpinChainSpec("annni", 10, {})
+        ms = hamiltonian_measurement_set(spec, "all-terms")
+        grid = [{"k": float(k), "g": float(g)}
+                for k in np.linspace(0.0, 1.0, 20) for g in np.linspace(0.0, 2.0, 20)[:2]]
+        vset = v_representation(ms)
+        flagged = 0
+        for point in grid:
+            gs = ground_state(build_hamiltonian(spec.with_params(point)))
+            if gs.degenerate_flag:
+                flagged += 1
+                b = ExpectationVector.of([gs.expectation(p) for p in ms])
+                result = reduced_rom(vset, b)
+                assert result.path == "symmetric" and result.status == "optimal", point
+        assert flagged == 26
 
 
 class TestPhysicalInvariants:
