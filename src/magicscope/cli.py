@@ -271,8 +271,11 @@ def _cmd_scan(args) -> int:
         if mode == "w":
             writer.writerow(columns)
         for record in records:
-            if record.solver_status.startswith("error"):
+            if record.solver_status != "optimal":
                 failed += 1
+                where = " ".join(f"{name}={record.params[name]!r}" for name in param_names)
+                why = f": {record.cause}" if record.cause else ""
+                print(f"{where}: {record.solver_status}{why}", file=sys.stderr)
             row = [args.model, args.n, args.boundary]
             row += [repr(record.params[name]) for name in param_names]
             row += [record.energy, record.gap_estimate]

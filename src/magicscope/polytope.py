@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-# Rows per block the writers format and write at once.
+# Rows per block that the writers format and write, and the LP prices, at once.
 _BLOCK_ROWS = 4096
 
 
@@ -91,7 +91,7 @@ def _token_rows(
 
 @dataclass(frozen=True, eq=False)
 class VertexSet:
-    """The vertices as rows of one read-only N x m float array (entries -1, 0, 1).
+    """The vertices as rows of one read-only N x m int8 array (entries -1, 0, 1).
 
     Rows come in context order: one maximal commuting subset after
     another, each with its admissible sign assignments in sorted order.
@@ -124,7 +124,7 @@ class VertexSet:
         found = []
         for a, b, support in self._blocks():
             s = tuple(support.tolist())
-            signs = self.vertices[a:b, support].astype(np.int8).tolist()
+            signs = self.vertices[a:b, support].tolist()
             found.extend((s, tuple(f)) for f in signs)
         return found
 
@@ -141,7 +141,7 @@ class VertexSet:
             return
         fh.write("[")
         for a in range(0, len(self.vertices), _BLOCK_ROWS):
-            block = self.vertices[a:a + _BLOCK_ROWS].astype(np.int8)
+            block = self.vertices[a:a + _BLOCK_ROWS]
             heads = ("\n  [" if a == 0 else ",\n  [", ",\n  [")
             fh.write(_token_rows(block, heads, "\n   %d,", "\n   %d\n  ]", "]"))
         fh.write('\n ],\n "contexts": [')
@@ -149,7 +149,7 @@ class VertexSet:
             s = _json_list([str(c) for c in support.tolist()], 3)
             head = f'\n  {{\n   "set": {s},\n   "signs": ['
             heads = (head if a == 0 else "," + head, "," + head)
-            signs = self.vertices[a:b, support].astype(np.int8)
+            signs = self.vertices[a:b, support]
             fh.write(_token_rows(signs, heads, "\n    %d,", "\n    %d\n   ]\n  }", "]\n  }"))
         fh.write("\n ]\n}")
 
@@ -158,7 +158,7 @@ class VertexSet:
         if not len(self.vertices):
             fh.write("\n")
         for a in range(0, len(self.vertices), _BLOCK_ROWS):
-            block = self.vertices[a:a + _BLOCK_ROWS].astype(np.int8)
+            block = self.vertices[a:a + _BLOCK_ROWS]
             fh.write(_token_rows(block, ("", ""), "%d ", "%d\n", "\n"))
 
     def to_json(self) -> str:
@@ -245,11 +245,15 @@ def _orbit_reduction(
         return None
     # a group orbit's smallest member labels it
     _, orbits = np.unique(perms.min(axis=0), return_inverse=True)
-    sums = vertices @ np.eye(orbits.max() + 1)[orbits]
+    # exact: an orbit sum is at most m in magnitude
+    sums = np.stack(
+        [vertices[:, orbits == o].sum(axis=1, dtype=np.int16) for o in range(orbits.max() + 1)],
+        axis=1,
+    )
     order = np.lexsort(sums.T)
     ordered = sums[order]
     starts = np.append(_run_starts(ordered), len(vertices))
-    return OrbitReduction(perms, orbits, ordered[starts[:-1]], order, starts)
+    return OrbitReduction(perms, orbits, ordered[starts[:-1]].astype(float), order, starts)
 
 
 def _symplectic_column_matrix(measurements: MeasurementSet, subset: Sequence[int]) -> List[int]:
@@ -320,11 +324,11 @@ def v_representation(measurements: MeasurementSet) -> VertexSet:
         block[:, list(subset)] = signs
         blocks.append(block)
     packed = np.concatenate(blocks)
-    rows = packed.view(np.dtype((np.void, m))).ravel()
-    assert len(np.unique(rows)) == len(rows), "duplicate vertices from distinct contexts"
-    vertices = packed.astype(float)
-    vertices.setflags(write=False)
-    return VertexSet(m, vertices, measurements)
+    del blocks  # so the duplicate check's sorted copy does not coexist with them
+    rows = np.sort(packed.view(np.dtype((np.void, m))).ravel())
+    assert not np.any(rows[1:] == rows[:-1]), "duplicate vertices from distinct contexts"
+    packed.setflags(write=False)
+    return VertexSet(m, packed, measurements)
 
 
 def _isotropic_subspace_count(n: int) -> int:
@@ -353,9 +357,10 @@ def vertex_set_from_json(text: str) -> VertexSet:
     rows = payload["vertices"]
     if any(not isinstance(row, list) or len(row) != m for row in rows):
         raise ValueError(f"vertex rows must have m = {m} entries")
-    vertices = np.array(rows, dtype=float).reshape(len(rows), m)
-    if not np.isin(vertices, (-1.0, 0.0, 1.0)).all():
+    parsed = np.array(rows, dtype=float).reshape(len(rows), m)
+    if not np.isin(parsed, (-1.0, 0.0, 1.0)).all():
         raise ValueError("vertex entries must be -1, 0 or 1")
+    vertices = parsed.astype(np.int8)  # only after the check: 256 would wrap to 0
     vertices.setflags(write=False)
     measurements = None
     if payload.get("measurements"):

@@ -4,9 +4,10 @@ The reduced robustness minimizes the 1-norm of an affine pseudo-mixture
 of polytope vertices reproducing the observed expectations.  It has one
 solver, at every vertex count: column generation on the primal, run as
 dual cutting planes.  The dual has only m+1 variables, pricing over all
-vertices is a single matrix-vector product, and the primal coefficients
-are the row marginals of the last dual solve, so sweeps over large
-polytopes stay tractable.  The expectations lie in the polytope exactly
+vertices is one matrix-vector product over the int8 vertex rows, taken
+in float64 a block at a time, and the primal coefficients are the row
+marginals of the last dual solve, so sweeps over large polytopes stay
+tractable.  The expectations lie in the polytope exactly
 when rom <= 1, which ``RomResult.member`` reports.
 
 When the measurement set has a non-trivial qubit symmetry group (cyclic
@@ -33,7 +34,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .pauli import MeasurementSet
-from .polytope import VertexSet, v_representation
+from .polytope import _BLOCK_ROWS, VertexSet, v_representation
 
 __all__ = [
     "ExpectationVector",
@@ -97,6 +98,20 @@ class RomResult:
         }
 
 
+def _row_products(rows: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """rows @ vector in float64, _BLOCK_ROWS rows at a time.
+
+    numpy casts a whole int8 operand to float64 before a matmul, which
+    for the vertex array would be an N x m float copy; a block's copy
+    is a few hundred kilobytes.  Float rows (the orbit-sum points) are
+    not copied.
+    """
+    out = np.empty(len(rows))
+    for a in range(0, len(rows), _BLOCK_ROWS):
+        out[a:a + _BLOCK_ROWS] = np.asarray(rows[a:a + _BLOCK_ROWS], dtype=float) @ vector
+    return out
+
+
 def _solve_l1_column_generation(
     vmat: np.ndarray, b_eq: np.ndarray, lp_tolerance: float = LP_TOLERANCE
 ):
@@ -117,7 +132,7 @@ def _solve_l1_column_generation(
     """
     n_vert, m = vmat.shape
     # Deterministic warm set: vertices most (anti)aligned with the target.
-    scores = vmat @ b_eq[:m]
+    scores = _row_products(vmat, b_eq[:m])
     order = np.argsort(scores, kind="stable")
     seed = 2 * (m + 1)
     active = np.unique(np.concatenate([order[:seed], order[-seed:]]))
@@ -146,7 +161,7 @@ def _solve_l1_column_generation(
         if res.status != 0:
             return math.nan, None, res.status, f"HiGHS: {res.message}"
         y = res.x
-        violation = np.abs(vmat @ y[:m] + y[m]) - 1.0
+        violation = np.abs(_row_products(vmat, y[:m]) + y[m]) - 1.0
         violated = np.flatnonzero(violation > 1e-9)
         if violated.size:
             worst = violated[np.argsort(violation[violated], kind="stable")[::-1][:batch]]

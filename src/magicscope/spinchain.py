@@ -347,6 +347,7 @@ class SweepRecord:
     rom: Optional[float]
     degenerate_flag: Optional[bool]
     solver_status: str
+    cause: str = ""  # why the LP solver failed (RomResult.cause); not a CSV column
 
 
 def sweep(
@@ -381,6 +382,7 @@ def sweep(
                 result.rom,
                 gs.degenerate_flag,
                 result.status,
+                result.cause,
             )
         except Exception as exc:  # per-point failures must not kill the sweep
             return SweepRecord(dict(point), None, None, None, None, None, f"error: {exc}")

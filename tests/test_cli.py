@@ -186,6 +186,21 @@ class TestScan:
         assert float(rows[0]["rom"]) == pytest.approx(1.0, abs=1e-6)
         assert all(r["solver_status"] == "optimal" for r in rows)
 
+    def test_failed_lps_exit_4_with_their_cause(self, tmp_path, capsys):
+        # at --lp-tol 0.9 every LP but the g = 0 one leaves a duality gap
+        out = tmp_path / "scan.csv"
+        code = main(["scan", "--model", "tfim", "--n", "4", "--grid", "g=0:2:5",
+                     "--lp-tol", "0.9", "--out", str(out)])
+        assert code == EXIT_SOLVER
+        err = capsys.readouterr().err
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["solver_status"] for r in rows] == ["optimal"] + ["numerically-degenerate"] * 4
+        for r in rows[1:]:
+            assert f"g={r['g']}: numerically-degenerate: duality gap" in err
+        assert "g=0.0:" not in err
+        assert "4 grid points failed" in err
+
     def test_resume_skips_done_rows(self, tmp_path):
         out = tmp_path / "scan.csv"
         args = ["scan", "--model", "tfim", "--n", "4", "--grid", "g=0:1:3",

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,6 +242,30 @@ class TestVRepresentation:
         ms = MeasurementSet.from_strings(["XX", "YY", "ZZ", "XI"])
         assert v_representation(ms).to_json() == v_representation(ms).to_json()
 
+    def test_vertices_are_one_read_only_int8_array(self):
+        ms = hamiltonian_measurement_set(SpinChainSpec("annni", 8, {}), "all-terms")
+        vertices = v_representation(ms).vertices
+        rows, m = vertices.shape
+        assert (rows, m) == (25984, 24)
+        assert vertices.dtype == np.int8
+        assert not vertices.flags.writeable
+        assert vertices.nbytes == rows * m
+
+    def test_build_peak_memory_is_near_the_vertex_array(self):
+        # N x m bytes is the int8 array.  The per-subset blocks and their
+        # concatenation coexist once, as do the array and the duplicate check's
+        # sorted copy: 2x.  A float64 copy of the array alone would be 8x.
+        ms = hamiltonian_measurement_set(SpinChainSpec("annni", 10, {}), "all-terms")
+        tracemalloc.start()
+        try:
+            vset = v_representation(ms)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows, m = vset.vertices.shape
+        assert (rows, m) == (362240, 30)
+        assert peak <= 2.5 * rows * m
+
 
 class TestSerialization:
     def test_json_roundtrip(self):
@@ -251,6 +276,7 @@ class TestSerialization:
             assert restored.contexts() == vset.contexts()
             assert restored.m == vset.m
             assert restored.to_json() == vset.to_json()
+            assert restored.vertices.dtype == np.int8
             assert not restored.vertices.flags.writeable
 
     def test_json_rejects_row_of_wrong_width(self):
@@ -264,6 +290,13 @@ class TestSerialization:
         payload["vertices"][0] = [2, 0]
         with pytest.raises(ValueError, match="-1, 0 or 1"):
             vertex_set_from_json(json.dumps(payload))
+
+    # as int8, 0.5 and 256 would read 0 and -129 would read 127: the check
+    # must run on the parsed floats, before the cast
+    @pytest.mark.parametrize("bad", ["0.5", "2", "256", "-129", "NaN"])
+    def test_json_rejects_entry_the_int8_cast_would_change(self, bad):
+        with pytest.raises(ValueError, match="-1, 0 or 1"):
+            vertex_set_from_json(f'{{"m": 2, "vertices": [[1, 0], [{bad}, 0]]}}')
 
     def test_json_fields(self):
         vset = v_representation(MeasurementSet.from_strings(["X", "Y", "Z"]))

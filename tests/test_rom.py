@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from magicscope import oracle
 from magicscope.pauli import MeasurementSet, PauliString, read_measurement_file
-from magicscope.polytope import qubit_symmetries, v_representation, vertex_set_from_json
+from magicscope.polytope import (
+    _BLOCK_ROWS,
+    VertexSet,
+    qubit_symmetries,
+    v_representation,
+    vertex_set_from_json,
+)
 from magicscope.rom import (
     DECISION_TOLERANCE,
     SYMMETRY_TOLERANCE,
@@ -190,6 +196,23 @@ class TestColumnGeneration:
             result = reduced_rom(vset, b, lp_tolerance=tol)
             assert result.status == "optimal" and result.cause == ""
             assert abs(result.rom - 1.5) < 1e-9
+
+    def test_int8_vertices_give_the_float_result(self):
+        # the full LP priced block by block over more rows than one block
+        ms, b, _ = all_terms_ground_state("annni", 8, {"k": 0.3, "g": 0.8})
+        vset = v_representation(ms)
+        assert len(vset.vertices) > _BLOCK_ROWS
+        wide = VertexSet(vset.m, vset.vertices.astype(float), vset.measurements)
+        rng = np.random.default_rng(4)
+        for _ in range(2):
+            # off the orbit averages, so the symmetric path is refused
+            values = np.clip(np.array(b.values) + 1e-3 * rng.standard_normal(vset.m), -1, 1)
+            compact = reduced_rom(vset, ExpectationVector.of(values))
+            reference = reduced_rom(wide, ExpectationVector.of(values))
+            assert compact.path == reference.path == "full"
+            assert compact.status == reference.status == "optimal"
+            assert compact.rom == reference.rom
+            assert np.max(np.abs(compact.coefficients - reference.coefficients)) <= 1e-12
 
     def test_detects_infeasibility(self):
         vmat = np.array([[-1.0, 1.0], [1.0, -1.0]])

@@ -69,7 +69,7 @@ def vertex_json(vset) -> str:
     The reference for ``VertexSet.write_json``: each row's context is read
     off the row itself (its non-zero columns and their values).
     """
-    rows = vset.vertices.astype(np.int8).tolist()
+    rows = vset.vertices.tolist()
     payload = {
         "m": vset.m,
         "measurements": [format_pauli(p) for p in vset.measurements]
@@ -86,7 +86,7 @@ def vertex_json(vset) -> str:
 
 def vertex_txt(vset) -> str:
     """The txt vertex file from nested lists: the reference for ``VertexSet.write_txt``."""
-    rows = vset.vertices.astype(np.int8).tolist()
+    rows = vset.vertices.tolist()
     return "\n".join(" ".join(str(c) for c in row) for row in rows) + "\n"
 
 
