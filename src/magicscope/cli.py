@@ -30,7 +30,7 @@ import numpy as np
 
 from . import oracle as oracle_mod
 from .pauli import MeasurementSet, PauliError, PauliString, format_pauli, read_measurement_file
-from .polytope import context_starts, v_representation
+from .polytope import v_representation
 from .rom import (
     DECISION_TOLERANCE,
     LP_TOLERANCE,
@@ -168,7 +168,7 @@ def _cmd_polytope(args) -> int:
             if args.out == "-":
                 fh.write("\n")
     print(
-        f"|stab(M)| = {len(vset.vertices)}  |I_max| = {len(context_starts(vset.vertices))}  "
+        f"|stab(M)| = {len(vset.vertices)}  |I_max| = {len(vset.starts)}  "
         f"elapsed = {elapsed:.3f}s",
         file=sys.stderr,
     )
@@ -199,10 +199,12 @@ def _parse_grid(spec: str) -> List[Dict[str, float]]:
         try:
             name, rng = part.split("=")
             start, stop, steps = rng.split(":")
+            a, b = float(start), float(stop)
             count = int(steps)
-            if count < 1:
+            # linspace turns an infinite end, or a span past the float range, into NaN
+            if count < 1 or not math.isfinite(b - a):
                 raise ValueError
-            values = np.linspace(float(start), float(stop), count)
+            values = np.linspace(a, b, count)
         except ValueError:
             raise CliError(f"bad grid axis {part!r}", EXIT_USAGE) from None
         name = name.strip()
@@ -320,7 +322,7 @@ def _cmd_oracle(args) -> int:
         if args.check == "hulls":
             bottom = v_representation(measurements).vertices
             top = list(oracle_mod.topdown_vertices(measurements))
-            if not oracle_mod.hull_equal(bottom, top):
+            if not oracle_mod.hull_equal(bottom, top, lp_tolerance=args.lp_tol):
                 failures.append([format_pauli(p) for p in measurements])
         elif args.check == "lemma1":
             base = v_representation(measurements).to_txt()
@@ -330,7 +332,7 @@ def _cmd_oracle(args) -> int:
         else:  # rom-bound
             state = oracle_mod.random_pure_state(args.n, rng)
             table = oracle_mod.full_pauli_table(state)
-            full = oracle_mod.full_rom(table, args.n)
+            full = oracle_mod.full_rom(table, args.n, lp_tolerance=args.lp_tol)
             vset = v_representation(measurements)
             b = ExpectationVector.of(oracle_mod.measurement_expectations(table, measurements))
             reduced = reduced_rom(vset, b, lp_tolerance=args.lp_tol).rom

@@ -52,9 +52,6 @@ class StabilizerGroup:
     def _lookup(self) -> Dict[Tuple[int, int], int]:
         return {(p.xbits, p.zbits): p.phase_k for p in self.elements}
 
-    def contains(self, p: PauliString) -> bool:
-        return self._lookup.get((p.xbits, p.zbits)) == p.phase_k
-
 
 def _symplectic_product(e1: int, e2: int, n: int) -> int:
     mask = (1 << n) - 1
@@ -189,7 +186,7 @@ def _full_lp_matrix(n: int) -> np.ndarray:
     return a
 
 
-def full_rom(pauli_table: Sequence[float], n: int) -> float:
+def full_rom(pauli_table: Sequence[float], n: int, lp_tolerance: float = LP_TOLERANCE) -> float:
     """Robustness over the complete stabilizer polytope (Eq.-4-style LP)."""
     if n > 3:
         raise ValueError("full robustness oracle capped at n <= 3")
@@ -206,7 +203,7 @@ def full_rom(pauli_table: Sequence[float], n: int) -> float:
         b_eq=b,
         bounds=(0, None),
         method="highs",
-        options={"primal_feasibility_tolerance": LP_TOLERANCE},
+        options={"primal_feasibility_tolerance": lp_tolerance},
     )
     if res.status == 2:
         raise ValueError("expectation table is not consistent with any state")
@@ -219,6 +216,7 @@ def hull_contains(
     points: Iterable[Sequence[float]],
     hull_points: Sequence[Sequence[float]],
     tolerance: float = HULL_TOLERANCE,
+    lp_tolerance: float = LP_TOLERANCE,
 ) -> bool:
     """Every point expressible as a convex combination of hull_points."""
     hull = np.asarray(list(hull_points), dtype=float)
@@ -241,6 +239,7 @@ def hull_contains(
             b_eq=[1.0],
             bounds=(0, None),
             method="highs",
+            options={"primal_feasibility_tolerance": lp_tolerance},
         )
         if res.status != 0 or float(res.fun) > tolerance:
             return False
@@ -251,10 +250,13 @@ def hull_equal(
     a: Iterable[Sequence[float]],
     b: Iterable[Sequence[float]],
     tolerance: float = HULL_TOLERANCE,
+    lp_tolerance: float = LP_TOLERANCE,
 ) -> bool:
     a = [tuple(p) for p in a]
     b = [tuple(p) for p in b]
-    return hull_contains(a, b, tolerance) and hull_contains(b, a, tolerance)
+    return hull_contains(a, b, tolerance, lp_tolerance) and hull_contains(
+        b, a, tolerance, lp_tolerance
+    )
 
 
 def measurement_expectations(

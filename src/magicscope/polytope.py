@@ -113,9 +113,14 @@ class VertexSet:
     vertices: np.ndarray
     measurements: Optional[MeasurementSet] = None
 
+    @cached_property
+    def starts(self) -> List[int]:
+        """``context_starts`` of the vertices, computed at the first access and cached."""
+        return context_starts(self.vertices).tolist()
+
     def _blocks(self):
         """(first row, end row, support) of each maximal commuting subset's block."""
-        starts = context_starts(self.vertices).tolist()
+        starts = self.starts
         for a, b in zip(starts, starts[1:] + [len(self.vertices)]):
             yield a, b, np.flatnonzero(self.vertices[a])
 

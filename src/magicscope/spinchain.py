@@ -1,18 +1,18 @@
 """Spin-chain Hamiltonians, ground states, and parameter sweeps.
 
 Hamiltonians are kept as weighted Pauli-string term lists and turned
-into one sparse CSR matrix, real for all three chain models.  The ground
-state and the gap come from seeded Lanczos (``eigsh``) runs on that
-matrix at every chain size, except for a diagonal H (every term a
-Z-string), whose ground space is read off its diagonal.
+into one sparse CSR matrix, real for all three chain models.  Seeded
+Lanczos (``eigsh``) runs on that matrix give the ground state at every
+chain size, then one deflation loop gives the gap and the ground space;
+a diagonal H (every term a Z-string) has its ground space read off its
+diagonal.
 
-At a degenerate point (a gap below DEGENERACY_THRESHOLD) the
-expectations are those of the T -> 0 Gibbs state, tr(P Pi)/d over the
-d-dimensional ground space: unlike any one eigenvector it does not
-depend on the Lanczos seed, and it commutes with every qubit symmetry
-of H.  The sweep driver reuses a single reduced-polytope
-V-representation across a parameter grid and reports one record per
-grid point.
+The expectations are those of the T -> 0 Gibbs state, tr(P Pi)/d over
+the d-dimensional ground space: the ground state's own at d = 1, and at
+a degenerate point an average that, unlike any one eigenvector, does not
+depend on the Lanczos seed and commutes with every qubit symmetry of H.
+The sweep driver reuses a single reduced-polytope V-representation
+across a parameter grid and reports one record per grid point.
 """
 
 from __future__ import annotations
@@ -89,32 +89,34 @@ class SpinChainSpec:
 
 @dataclass(frozen=True)
 class GroundStateResult:
-    """The lowest level of H.
+    """The lowest level of H and its ground space.
 
-    ``state`` is one unit eigenvector.  ``ground_space`` is set only when
-    ``degenerate_flag`` is: orthonormal columns spanning the ground space,
-    or, for a diagonal H, the indices of its basis states.
+    ``state`` is one unit eigenvector.  ``ground_space`` spans every level
+    within DEGENERACY_THRESHOLD of ``energy``: orthonormal columns
+    (``state[:, None]`` when d = 1) or, for a diagonal H, the indices of
+    its basis states.
     """
 
     energy: float
     state: np.ndarray
     gap_estimate: float
-    degenerate_flag: bool
-    ground_space: Optional[np.ndarray] = None
+    ground_space: np.ndarray
 
     @property
     def dimension(self) -> int:
         """d, the dimension of the ground space."""
-        space = self.ground_space
-        return 1 if space is None else space.shape[-1]
+        return self.ground_space.shape[-1]
+
+    @property
+    def degenerate_flag(self) -> bool:
+        return self.dimension > 1
 
     def expectation(self, p: PauliString) -> float:
         """tr(P Pi)/d over the ground space; ``pauli_expectation(state, p)`` at d = 1."""
         space = self.ground_space
-        if space is None:
-            return pauli_expectation(self.state, p)
         if space.ndim == 2:
-            return float(np.mean([pauli_expectation(v, p) for v in space.T]))
+            # -0.0 is the start that leaves a lone column's value, sign of zero included
+            return sum((pauli_expectation(v, p) for v in space.T), -0.0) / self.dimension
         if not p.is_hermitian:
             raise ValueError("expectation requires a Hermitian Pauli")
         if p.xbits:  # maps every basis state off the ground space
@@ -232,48 +234,26 @@ def _lowest(op, v0: np.ndarray) -> Tuple[float, np.ndarray]:
 def _diagonal_ground_state(diagonal: np.ndarray) -> GroundStateResult:
     """Ground space of a diagonal H: basis states within DEGENERACY_THRESHOLD of its minimum."""
     e0 = float(diagonal.min())
-    lowest = np.flatnonzero(diagonal < e0 + DEGENERACY_THRESHOLD)
     state = np.zeros(diagonal.size)
     state[np.argmin(diagonal)] = 1.0
     gap = float(np.partition(diagonal, 1)[1]) - e0
-    degenerate = lowest.size > 1
-    return GroundStateResult(e0, state, gap, degenerate, lowest if degenerate else None)
-
-
-def _ground_space(h, sigma: float, e0: float, found: List[np.ndarray], rng) -> np.ndarray:
-    """Orthonormal columns spanning every level within DEGENERACY_THRESHOLD of e0.
-
-    Each round lifts the span of ``found`` by sigma and runs one more
-    Lanczos solve; the first level that clears the threshold ends it.
-    """
-    while len(found) <= GROUND_SPACE_CAP:
-        block = np.linalg.qr(np.column_stack(found))[0]
-
-        def deflated(v, block=block):
-            v = np.ravel(v)
-            return h @ v + sigma * (block @ (block.conj().T @ v))
-
-        op = spla.LinearOperator(h.shape, matvec=deflated, dtype=h.dtype)
-        level, vec = _lowest(op, rng.normal(size=h.shape[0]))
-        if level - e0 >= DEGENERACY_THRESHOLD:
-            return block
-        found.append(vec)
-    raise ValueError(f"ground space of dimension d >= {len(found)} exceeds {GROUND_SPACE_CAP}")
+    return GroundStateResult(e0, state, gap, np.flatnonzero(diagonal < e0 + DEGENERACY_THRESHOLD))
 
 
 def ground_state(terms: TermList, seed: int = 1234) -> GroundStateResult:
-    """Lowest level, gap estimate and, if degenerate, ground space of a Pauli-term H.
+    """Lowest level, gap estimate and ground space of a Pauli-term H.
 
     A diagonal H (every term a Z-string) takes its ground space exactly,
     as the basis states whose diagonal entry lies within
     DEGENERACY_THRESHOLD of the minimum, with no eigensolver.  Any other
-    H takes seeded Lanczos runs at every chain size: the ground state of
-    H, then the ground state of the deflated operator H + sigma
-    |psi0><psi0|, which lifts psi0 above the spectrum so that an exactly
-    degenerate partner shows up as a zero gap.  At such a flagged point
-    the deflation goes on, one solve per level, until the next level
-    clears the threshold; a ground space larger than GROUND_SPACE_CAP
-    raises a ValueError that names d.
+    H takes seeded Lanczos runs at every chain size: one for the ground
+    state psi0 of H, then one per round of a deflation loop.  Each round
+    solves H + sigma Q, where Q projects onto the levels found so far, so
+    that sigma lifts them above the spectrum.  The first round's level
+    gives the gap, and an exactly degenerate partner of psi0 shows up as
+    a zero gap.  The loop stops at the first level that clears the
+    threshold; a ground space larger than GROUND_SPACE_CAP raises a
+    ValueError that names d.
     """
     if not terms:
         raise ValueError("empty term list")
@@ -284,24 +264,30 @@ def ground_state(terms: TermList, seed: int = 1234) -> GroundStateResult:
     if all(p.xbits == 0 for _, p in terms):
         return _diagonal_ground_state(h.diagonal())
     rng = np.random.default_rng(seed)
-    e0, state = _lowest(h, rng.normal(size=h.shape[0]))
+    e0, psi0 = _lowest(h, rng.normal(size=h.shape[0]))
+    state = psi0 / np.linalg.norm(psi0)
     # sigma exceeds the spectral width: E_max <= sum |w| and E0 >= -sum |w|
     sigma = sum(abs(w) for w, _ in terms) - e0 + 1.0
+    found, basis = [state], [psi0]  # the first round lifts psi0 as Lanczos returned it
+    while len(found) <= GROUND_SPACE_CAP:
+        def deflated(v):
+            out = h @ np.ravel(v)
+            for f in basis:  # rank-1 terms: a block matmul costs more per matvec at d = 1
+                out += (sigma * np.vdot(f, v)) * f
+            return out
 
-    def deflated(v):
-        v = np.ravel(v)
-        return h @ v + sigma * np.vdot(state, v) * state
-
-    op = spla.LinearOperator(h.shape, matvec=deflated, dtype=h.dtype)
-    # a fresh start: Lanczos from the first one only reaches psi0 inside
-    # the ground space, so it would miss a degenerate partner
-    e1, partner = _lowest(op, rng.normal(size=h.shape[0]))
-    state = state / np.linalg.norm(state)
-    gap = max(0.0, e1 - e0)
-    if gap >= DEGENERACY_THRESHOLD:
-        return GroundStateResult(e0, state, gap, False)
-    space = _ground_space(h, sigma, e0, [state, partner], rng)
-    return GroundStateResult(e0, state, gap, True, space)
+        op = spla.LinearOperator(h.shape, matvec=deflated, dtype=h.dtype)
+        # a fresh start each round: Lanczos from the first one only reaches
+        # psi0 inside the ground space, so it would miss a degenerate partner
+        level, vec = _lowest(op, rng.normal(size=h.shape[0]))
+        if len(found) == 1:
+            gap = max(0.0, level - e0)
+        if level - e0 >= DEGENERACY_THRESHOLD:
+            space = state[:, None] if len(found) == 1 else basis.T
+            return GroundStateResult(e0, state, gap, space)
+        found.append(vec)
+        basis = np.linalg.qr(np.column_stack(found))[0].T
+    raise ValueError(f"ground space of dimension d >= {len(found)} exceeds {GROUND_SPACE_CAP}")
 
 
 def hamiltonian_measurement_set(spec: SpinChainSpec, scope: str = "all-terms") -> MeasurementSet:

@@ -49,6 +49,24 @@ class TestPolytope:
             (-1, 0), (0, -1), (0, 1), (1, 0),
         ]
 
+    def test_context_starts_computed_once(self, octahedron_file, tmp_path, capsys, monkeypatch):
+        import magicscope.cli as cli
+        import magicscope.polytope as polytope
+
+        calls = []
+        original = polytope.context_starts
+
+        def counting(vertices):
+            calls.append(len(vertices))
+            return original(vertices)
+
+        monkeypatch.setattr(polytope, "context_starts", counting)
+        monkeypatch.setattr(cli, "context_starts", counting, raising=False)
+        out = str(tmp_path / "v.json")
+        assert main(["polytope", octahedron_file, "--format", "json", "--out", out]) == EXIT_OK
+        assert calls == [6]  # the writer and the |I_max| line share one pass
+        assert "|I_max| = 3" in capsys.readouterr().err
+
     def test_txt_output_file(self, octahedron_file, tmp_path, capsys):
         out = tmp_path / "v.txt"
         assert main(["polytope", octahedron_file, "--out", str(out),
@@ -251,10 +269,15 @@ class TestScan:
                      "g=1:1:1", "--measurements", ms, "--out", str(out)])
         assert code == EXIT_OK
 
-    def test_bad_grid_is_usage_error(self, tmp_path):
+    def test_bad_grid_is_usage_error(self, tmp_path, capsys, recwarn):
         out = tmp_path / "scan.csv"
-        assert main(["scan", "--model", "tfim", "--n", "6", "--grid",
-                     "g=0;2;5", "--out", str(out)]) == EXIT_USAGE
+        # a non-finite end or span is refused as typed, before linspace warns or makes a NaN
+        for axis in ("g=0;2;5", "g=0:inf:3", "g=nan:1:3", "g=-inf:0:1", "g=-1e308:1e308:3"):
+            assert main(["scan", "--model", "tfim", "--n", "6", "--grid",
+                         axis, "--out", str(out)]) == EXIT_USAGE
+            assert f"bad grid axis {axis!r}" in capsys.readouterr().err
+            assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+            assert not out.exists()
 
     @pytest.fixture
     def no_work(self, monkeypatch):
@@ -410,16 +433,19 @@ class TestGlobalFlags:
 
     @pytest.fixture
     def linprog_tolerances(self, monkeypatch):
+        """(module, primal feasibility tolerance) of every LP that rom and oracle solve."""
+        import magicscope.oracle as oracle
         import magicscope.rom as rom
 
         seen = []
-        original = rom.linprog
+        for module in (rom, oracle):
+            name = module.__name__.rsplit(".", 1)[1]
 
-        def recording(*args, **kwargs):
-            seen.append(kwargs["options"]["primal_feasibility_tolerance"])
-            return original(*args, **kwargs)
+            def recording(*args, _name=name, _original=module.linprog, **kwargs):
+                seen.append((_name, kwargs["options"]["primal_feasibility_tolerance"]))
+                return _original(*args, **kwargs)
 
-        monkeypatch.setattr(rom, "linprog", recording)
+            monkeypatch.setattr(module, "linprog", recording)
         return seen
 
     @pytest.fixture
@@ -487,15 +513,21 @@ class TestGlobalFlags:
 
     def test_lp_tol_reaches_rom_solver(self, argv_of, capsys, linprog_tolerances):
         assert main(argv_of("rom", "--lp-tol", "3e-8")) == EXIT_OK
-        assert linprog_tolerances and set(linprog_tolerances) == {3e-8}
+        assert set(linprog_tolerances) == {("rom", 3e-8)}
 
     def test_lp_tol_reaches_scan_solver(self, argv_of, linprog_tolerances):
         assert main(argv_of("scan", "--lp-tol", "2e-7", "--threads", "1")) == EXIT_OK
-        assert len(linprog_tolerances) >= 2 and set(linprog_tolerances) == {2e-7}
+        assert len(linprog_tolerances) >= 2 and set(linprog_tolerances) == {("rom", 2e-7)}
 
     def test_lp_tol_reaches_oracle_solver(self, argv_of, capsys, linprog_tolerances):
         assert main(argv_of("oracle", "--lp-tol", "4e-8", "--seed", "1")) == EXIT_OK
-        assert linprog_tolerances and set(linprog_tolerances) == {4e-8}
+        # rom-bound solves the reduced LP and the full one that bounds it
+        assert set(linprog_tolerances) == {("rom", 4e-8), ("oracle", 4e-8)}
+        linprog_tolerances.clear()
+        argv = argv_of("oracle", "--lp-tol", "4e-8", "--seed", "1")
+        argv[argv.index("rom-bound")] = "hulls"
+        assert main(argv) == EXIT_OK
+        assert linprog_tolerances and set(linprog_tolerances) == {("oracle", 4e-8)}
 
     def test_decision_tol_reaches_the_verdict(self, octahedron_file, tmp_path, capsys):
         # rom 1 + 5e-4 on the octahedron: witnessed at the default, a member at 1e-2

@@ -232,7 +232,8 @@ class TestGroundSpace:
         spec = SpinChainSpec("annni", 8, {"k": 0.3, "g": 0.9})
         ms = hamiltonian_measurement_set(spec, "all-terms")
         gs = ground_state(build_hamiltonian(spec))
-        assert not gs.degenerate_flag and gs.ground_space is None and gs.dimension == 1
+        assert not gs.degenerate_flag and gs.dimension == 1
+        assert gs.ground_space.shape == (2**spec.n, 1)
         (record,) = sweep(spec, [{"k": 0.3, "g": 0.9}], ms, v_representation(ms))
         assert record.expectations == tuple(pauli_expectation(gs.state, p) for p in ms)
 
@@ -246,14 +247,23 @@ class TestGroundSpace:
             values.append([gs.expectation(p) for p in ms])
         assert np.ptp(values, axis=0).max() < 1e-9
 
-    def test_ground_space_above_cap_is_an_error_row(self, monkeypatch):
+    @pytest.mark.parametrize("delta, cap, d", [
+        (-1.1, 1, 2),  # the ferromagnetic doublet
+        (-1.0, 6, 7),  # the ferromagnetic multiplet, d = n + 1
+        (-1.0, 7, 7),
+    ], ids=["d2-cap1", "d7-cap6", "d7-cap7"])
+    def test_ground_space_above_cap_is_an_error_row(self, monkeypatch, delta, cap, d):
         spec = SpinChainSpec("xxz", 6, {})
         ms = hamiltonian_measurement_set(spec, "first-cell")
-        grid = [{"delta": -1.1, "h": 0.0}]  # the ferromagnetic doublet, d = 2
-        monkeypatch.setattr(spinchain, "GROUND_SPACE_CAP", 1)
-        (record,) = sweep(spec, grid, ms, v_representation(ms))
-        assert record.solver_status.startswith("error") and "d >= 2" in record.solver_status
-        assert record.rom is None and record.expectations is None
+        point = {"delta": delta, "h": 0.0}
+        monkeypatch.setattr(spinchain, "GROUND_SPACE_CAP", cap)
+        (record,) = sweep(spec, [point], ms, v_representation(ms))
+        if d <= cap:
+            assert record.solver_status == "optimal" and record.degenerate_flag
+            assert ground_state(build_hamiltonian(spec.with_params(point))).dimension == d
+        else:
+            assert record.solver_status.startswith("error") and f"d >= {d}" in record.solver_status
+            assert record.rom is None and record.expectations is None
 
 
 class TestZeroFieldAnnni:
