@@ -9,6 +9,7 @@ from .pauli import (
     multiply,
     pad,
     parse_pauli,
+    pauli_expectation,
     read_measurement_file,
 )
 from .fgraph import build_frustration_graph, enumerate_maximal_independent_sets
@@ -25,7 +26,6 @@ from .spinchain import (
     build_hamiltonian,
     ground_state,
     hamiltonian_measurement_set,
-    pauli_expectation,
     sweep,
 )
 

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, TextIO
 import numpy as np
 
 from . import oracle as oracle_mod
-from .pauli import MeasurementSet, PauliError, PauliString, format_pauli, read_measurement_file
+from .pauli import MeasurementSet, PauliError, format_pauli, hermitian, read_measurement_file
 from .polytope import v_representation
 from .rom import (
     DECISION_TOLERANCE,
@@ -134,6 +134,10 @@ def _read_expectations(path: str, measurements: MeasurementSet) -> ExpectationVe
         text = data.decode("utf-8")
         if text.lstrip().startswith("{"):
             values = json.loads(text)["expectations"]
+            # float() would take a JSON string, and a JSON boolean reads as 0 or 1
+            bad = [v for v in values if type(v) not in (int, float)]
+            if bad:
+                raise TypeError(f"expectations must be JSON numbers, got {bad[0]!r}")
         else:
             values = [float(line) for line in text.splitlines() if line.strip()]
         expectations = ExpectationVector.of(values)
@@ -262,6 +266,8 @@ def _cmd_scan(args) -> int:
         return tuple(repr(point[name]) for name in param_names)
 
     pending = [p for p in grid if key(p) not in done]
+    if not pending:  # a finished scan: the polytope build alone can take seconds
+        return EXIT_OK
     mode = "a" if (args.resume and done) else "w"
     failed = 0
     with _open_output(args.out, mode, newline="") as fh:
@@ -297,10 +303,8 @@ def _random_measurement_set(n: int, m: int, rng: np.random.Generator) -> Measure
         z = int(rng.integers(0, 1 << n))
         if x == 0 and z == 0:
             continue
-        sign = int(rng.integers(0, 2))
-        k = ((x & z).bit_count() + 2 * sign) % 4
-        chosen[(k, x, z)] = PauliString(n, k, x, z)
-    return MeasurementSet(tuple(chosen.values()))
+        chosen[hermitian(n, x, z, bool(rng.integers(0, 2)))] = None  # an insertion-ordered set
+    return MeasurementSet(tuple(chosen))
 
 
 def _cmd_oracle(args) -> int:

@@ -17,9 +17,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 from scipy.optimize import linprog
 
-from .pauli import MeasurementSet, PauliString, identity, multiply
+from .pauli import MeasurementSet, PauliString, apply_pauli, hermitian, identity, multiply
 from .rom import LP_TOLERANCE
-from .spinchain import apply_pauli
 
 __all__ = [
     "StabilizerGroup",
@@ -89,10 +88,7 @@ def _isotropic_subspaces(n: int) -> List[Tuple[int, ...]]:
 
 
 def _pauli_from_encoding(e: int, n: int, negate: bool) -> PauliString:
-    mask = (1 << n) - 1
-    x, z = e >> n, e & mask
-    k = ((x & z).bit_count() + (2 if negate else 0)) % 4
-    return PauliString(n, k, x, z)
+    return hermitian(n, e >> n, e & ((1 << n) - 1), negate)
 
 
 @functools.lru_cache(maxsize=None)
@@ -154,11 +150,7 @@ def pauli_basis(n: int) -> Tuple[PauliString, ...]:
 
     Ordered by (xbits, zbits) lexicographically; index 0 is the identity.
     """
-    basis = []
-    for x in range(1 << n):
-        for z in range(1 << n):
-            basis.append(PauliString(n, (x & z).bit_count() % 4, x, z))
-    return tuple(basis)
+    return tuple(hermitian(n, x, z) for x in range(1 << n) for z in range(1 << n))
 
 
 def full_pauli_table(state: np.ndarray) -> np.ndarray:
@@ -267,8 +259,7 @@ def measurement_expectations(
     table = np.asarray(pauli_table, dtype=float)
     out = []
     for p in measurements:
-        canonical_k = (p.xbits & p.zbits).bit_count() % 4
-        sign = 1.0 if p.phase_k == canonical_k else -1.0
+        sign = 1.0 if p == hermitian(n, p.xbits, p.zbits) else -1.0
         out.append(sign * float(table[(p.xbits << n) | p.zbits]))
     return out
 

@@ -6,6 +6,16 @@ so qubit 1 is the leftmost character of the text form).  Hermitian
 strings satisfy ``phase_k = popcount(xbits & zbits) (mod 2)``; general
 products may pick up factors of ``+-i`` and are allowed to carry any
 phase exponent.
+
+Every other module takes these conventions from here:
+
+- ``hermitian(n, xbits, zbits, negative)`` builds the Hermitian
+  ``+-P``, each Y counted as iXZ;
+- ``apply_pauli`` and ``pauli_expectation`` act on a state vector of
+  length 2^n (basis index bit ``i`` = qubit ``i+1``), and ``z_signs``
+  gives the (-1)^(z . s) sign of basis states s;
+- a ``PauliString`` is frozen and hashable, so it is its own dict or
+  set key.
 """
 
 from __future__ import annotations
@@ -13,10 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+import numpy as np
+
 __all__ = [
     "PauliString",
     "MeasurementSet",
     "PauliError",
+    "hermitian",
     "parse_pauli",
     "format_pauli",
     "multiply",
@@ -24,6 +37,9 @@ __all__ = [
     "identity_sign",
     "pad",
     "read_measurement_file",
+    "z_signs",
+    "apply_pauli",
+    "pauli_expectation",
 ]
 
 
@@ -55,16 +71,22 @@ class PauliString:
         return format_pauli(self)
 
 
+def hermitian(n: int, xbits: int, zbits: int, negative: bool = False) -> PauliString:
+    """The Hermitian ``(-1)^negative X^xbits Z^zbits`` with each Y = iXZ.
+
+    Its phase exponent is popcount(xbits & zbits) + 2 * negative (mod 4).
+    """
+    return PauliString(n, ((xbits & zbits).bit_count() + 2 * negative) % 4, xbits, zbits)
+
+
 _CHAR_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
 
 def parse_pauli(text: str) -> PauliString:
     """Parse e.g. ``-XIY`` into a PauliString (Y counts as iXZ)."""
     body = text.strip()
-    phase_k = 0
-    if body and body[0] in "+-":
-        if body[0] == "-":
-            phase_k = 2
+    negative = body.startswith("-")
+    if body.startswith(("+", "-")):
         body = body[1:]
     if not body:
         raise PauliError(f"empty Pauli body in {text!r}")
@@ -76,22 +98,13 @@ def parse_pauli(text: str) -> PauliString:
             raise PauliError(f"bad character {ch!r} in {text!r}") from None
         xbits |= x << i
         zbits |= z << i
-        if ch == "Y":
-            phase_k += 1
-    return PauliString(len(body), phase_k % 4, xbits, zbits)
+    return hermitian(len(body), xbits, zbits, negative)
 
 
 def format_pauli(p: PauliString) -> str:
     """Inverse of parse_pauli for Hermitian strings."""
-    chars = []
-    y_count = 0
-    for i in range(p.n):
-        x = (p.xbits >> i) & 1
-        z = (p.zbits >> i) & 1
-        chars.append("IXZY"[x + 2 * z])
-        if x and z:
-            y_count += 1
-    k = (p.phase_k - y_count) % 4
+    chars = ["IXZY"[((p.xbits >> i) & 1) + 2 * ((p.zbits >> i) & 1)] for i in range(p.n)]
+    k = (p.phase_k - (p.xbits & p.zbits).bit_count()) % 4
     if k == 0:
         sign = "+"
     elif k == 2:
@@ -160,10 +173,9 @@ class MeasurementSet:
                 raise PauliError(f"non-Hermitian measurement {p!r}")
             if p.xbits == 0 and p.zbits == 0:
                 raise PauliError("identity is not a valid measurement")
-            key = (p.phase_k, p.xbits, p.zbits)
-            if key in seen:
+            if p in seen:
                 raise PauliError(f"duplicate measurement {format_pauli(p)}")
-            seen.add(key)
+            seen.add(p)
 
     @classmethod
     def from_strings(cls, texts: Iterable[str]) -> "MeasurementSet":
@@ -211,14 +223,36 @@ def read_measurement_file(path) -> MeasurementSet:
                 raise PauliError(f"line {lineno}: {exc}") from None
             if parsed.xbits == 0 and parsed.zbits == 0:
                 raise PauliError(f"line {lineno}: identity is not a valid measurement")
-            key = (parsed.phase_k, parsed.xbits, parsed.zbits)
-            if key in seen:
+            if parsed in seen:
                 raise PauliError(
                     f"line {lineno}: duplicate measurement {format_pauli(parsed)}"
-                    f" (first seen on line {seen[key]})"
+                    f" (first seen on line {seen[parsed]})"
                 )
-            seen[key] = lineno
+            seen[parsed] = lineno
             paulis.append(parsed)
     if not paulis:
         raise PauliError("no measurements in file")
     return MeasurementSet(tuple(paulis))
+
+
+def z_signs(indices: np.ndarray, zbits: int) -> np.ndarray:
+    """(-1)^popcount(s & zbits) for each basis index s: Z^zbits |s> = sign |s>."""
+    return 1.0 - 2.0 * (np.bitwise_count(indices & np.int64(zbits)) & 1)
+
+
+def apply_pauli(p: PauliString, vec: np.ndarray) -> np.ndarray:
+    """P @ vec for a state vector of length 2^n."""
+    src = np.arange(vec.size, dtype=np.int64) ^ p.xbits
+    return (1j**p.phase_k) * z_signs(src, p.zbits) * vec[src]
+
+
+def pauli_expectation(state: np.ndarray, p: PauliString) -> float:
+    """<state|P|state> for Hermitian P; clipped to [-1, 1]."""
+    if not p.is_hermitian:
+        raise ValueError("expectation requires a Hermitian Pauli")
+    if state.size != 2**p.n:
+        raise ValueError("state length does not match qubit count")
+    val = np.vdot(state, apply_pauli(p, state))
+    if abs(val.imag) > 1e-10:
+        raise ValueError("imaginary residue in Hermitian expectation")
+    return float(min(1.0, max(-1.0, val.real)))

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import gf2
 from .fgraph import build_frustration_graph, enumerate_maximal_independent_sets
-from .pauli import MeasurementSet, commutes, format_pauli, identity_sign, multiply
+from .pauli import MeasurementSet, PauliString, commutes, format_pauli, identity_sign, multiply
 
 __all__ = [
     "VertexSet",
@@ -190,9 +190,13 @@ class VertexSet:
         return _orbit_reduction(self.measurements, self.vertices)
 
 
-def _move_qubits(bits: int, target: List[int]) -> int:
-    """Send bit q to bit target[q]."""
-    return sum(((bits >> q) & 1) << t for q, t in enumerate(target))
+def _move_qubits(p: PauliString, target: List[int]) -> PauliString:
+    """p with qubit q sent to qubit target[q]."""
+
+    def move(bits: int) -> int:
+        return sum(((bits >> q) & 1) << t for q, t in enumerate(target))
+
+    return PauliString(p.n, p.phase_k, move(p.xbits), move(p.zbits))
 
 
 def qubit_symmetries(measurements: MeasurementSet) -> np.ndarray:
@@ -204,14 +208,11 @@ def qubit_symmetries(measurements: MeasurementSet) -> np.ndarray:
     permutation.  They form a group.
     """
     n = measurements.n
-    index = {(p.phase_k, p.xbits, p.zbits): i for i, p in enumerate(measurements)}
+    index = {p: i for i, p in enumerate(measurements)}
     perms: List[List[int]] = []
     for k in range(n):
         for target in ([(q + k) % n for q in range(n)], [(k - q) % n for q in range(n)]):
-            images = [
-                index.get((p.phase_k, _move_qubits(p.xbits, target), _move_qubits(p.zbits, target)))
-                for p in measurements
-            ]
+            images = [index.get(_move_qubits(p, target)) for p in measurements]
             if None not in images and images not in perms:
                 perms.append(images)
     return np.array(perms, dtype=np.intp)

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .pauli import MeasurementSet, PauliString
+from .pauli import MeasurementSet, PauliString, hermitian, pauli_expectation, z_signs
 from .polytope import VertexSet
 from .rom import LP_TOLERANCE, ExpectationVector, reduced_rom
 
@@ -37,8 +37,6 @@ __all__ = [
     "build_hamiltonian",
     "hamiltonian_matrix",
     "ground_state",
-    "apply_pauli",
-    "pauli_expectation",
     "hamiltonian_measurement_set",
     "sweep",
     "EIG_TOLERANCE",
@@ -119,29 +117,19 @@ class GroundStateResult:
             return sum((pauli_expectation(v, p) for v in space.T), -0.0) / self.dimension
         if not p.is_hermitian:
             raise ValueError("expectation requires a Hermitian Pauli")
+        if self.state.size != 2**p.n:
+            raise ValueError("state length does not match qubit count")
         if p.xbits:  # maps every basis state off the ground space
             return 0.0
-        signs = 1.0 - 2.0 * (np.bitwise_count(space & np.int64(p.zbits)) & 1)
-        return float((1j**p.phase_k).real * signs.mean())
+        return float((1j**p.phase_k).real * z_signs(space, p.zbits).mean())
 
 
-def _zz(n: int, i: int, j: int) -> PauliString:
-    return PauliString(n, 0, 0, (1 << i) | (1 << j))
-
-
-def _single(n: int, i: int, kind: str) -> PauliString:
-    if kind == "x":
-        return PauliString(n, 0, 1 << i, 0)
-    return PauliString(n, 0, 0, 1 << i)
-
-
-def _two(n: int, i: int, j: int, kind: str) -> PauliString:
-    bits = (1 << i) | (1 << j)
-    if kind == "xx":
-        return PauliString(n, 0, bits, 0)
-    if kind == "yy":
-        return PauliString(n, 2, bits, bits)
-    return PauliString(n, 0, 0, bits)
+def _on(n: int, kind: str, *qubits: int) -> PauliString:
+    """The Hermitian Pauli with ``kind`` ("x", "y" or "z") on each of ``qubits``."""
+    bits = 0
+    for q in qubits:
+        bits |= 1 << q
+    return hermitian(n, bits if kind in "xy" else 0, bits if kind in "yz" else 0)
 
 
 def _structural_terms(spec: SpinChainSpec) -> TermList:
@@ -153,53 +141,31 @@ def _structural_terms(spec: SpinChainSpec) -> TermList:
         k = float(spec.params.get("k", 0.0))
         g = float(spec.params.get("g", 0.0))
         for i in range(n if periodic else n - 1):
-            terms.append((-1.0, _zz(n, i, (i + 1) % n)))
+            terms.append((-1.0, _on(n, "z", i, (i + 1) % n)))
         if spec.model == "annni":
             for i in range(n if periodic else n - 2):
-                terms.append((k, _zz(n, i, (i + 2) % n)))
+                terms.append((k, _on(n, "z", i, (i + 2) % n)))
         for i in range(n):
-            terms.append((-g, _single(n, i, "x")))
+            terms.append((-g, _on(n, "x", i)))
     else:  # xxz
         delta = float(spec.params.get("delta", 0.0))
         h = float(spec.params.get("h", 0.0))
         for i in range(n if periodic else n - 1):
             j = (i + 1) % n
-            terms.append((0.25, _two(n, i, j, "xx")))
-            terms.append((0.25, _two(n, i, j, "yy")))
-            terms.append((0.25 * delta, _two(n, i, j, "zz")))
+            terms.append((0.25, _on(n, "x", i, j)))
+            terms.append((0.25, _on(n, "y", i, j)))
+            terms.append((0.25 * delta, _on(n, "z", i, j)))
         for i in range(n):
-            terms.append((-0.5 * h, _single(n, i, "x")))
+            terms.append((-0.5 * h, _on(n, "x", i)))
     return terms
 
 
 def build_hamiltonian(spec: SpinChainSpec) -> TermList:
     """Weighted term list; duplicate Paulis merged, zero weights dropped."""
-    merged: Dict[Tuple[int, int, int], Tuple[float, PauliString]] = {}
+    merged: Dict[PauliString, float] = {}
     for weight, p in _structural_terms(spec):
-        key = (p.phase_k, p.xbits, p.zbits)
-        total, _ = merged.get(key, (0.0, p))
-        merged[key] = (total + weight, p)
-    return [(w, p) for w, p in merged.values() if w != 0.0]
-
-
-def apply_pauli(p: PauliString, vec: np.ndarray) -> np.ndarray:
-    """P @ vec for a state vector of length 2^n."""
-    idx = np.arange(vec.size, dtype=np.int64)
-    src = idx ^ p.xbits
-    signs = 1.0 - 2.0 * (np.bitwise_count(src & np.int64(p.zbits)) & 1)
-    return (1j**p.phase_k) * signs * vec[src]
-
-
-def pauli_expectation(state: np.ndarray, p: PauliString) -> float:
-    """<state|P|state> for Hermitian P; clipped to [-1, 1]."""
-    if not p.is_hermitian:
-        raise ValueError("expectation requires a Hermitian Pauli")
-    if state.size != 2**p.n:
-        raise ValueError("state length does not match qubit count")
-    val = np.vdot(state, apply_pauli(p, state))
-    if abs(val.imag) > 1e-10:
-        raise ValueError("imaginary residue in Hermitian expectation")
-    return float(min(1.0, max(-1.0, val.real)))
+        merged[p] = merged.get(p, 0.0) + weight
+    return [(w, p) for p, w in merged.items() if w != 0.0]
 
 
 def hamiltonian_matrix(terms: TermList, n: int) -> sp.csr_matrix:
@@ -218,8 +184,7 @@ def hamiltonian_matrix(terms: TermList, n: int) -> sp.csr_matrix:
     for weight, p in terms:
         g = xparts.index(p.xbits)
         phase = 1j**p.phase_k
-        signs = 1.0 - 2.0 * (np.bitwise_count(cols[:, g] & np.int64(p.zbits)) & 1)
-        data[:, g] += weight * (phase.real if real else phase) * signs
+        data[:, g] += weight * (phase.real if real else phase) * z_signs(cols[:, g], p.zbits)
     indptr = np.arange(0, cols.size + 1, len(xparts))
     h = sp.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(2**n, 2**n))
     h.eliminate_zeros()
@@ -300,28 +265,17 @@ def hamiltonian_measurement_set(spec: SpinChainSpec, scope: str = "all-terms") -
     n = spec.n
     if scope == "first-cell":
         if spec.model == "tfim":
-            paulis = [_zz(n, 0, 1), _single(n, 0, "x")]
+            paulis = [_on(n, "z", 0, 1), _on(n, "x", 0)]
         elif spec.model == "annni":
-            paulis = [_zz(n, 0, 1), _zz(n, 0, 2), _single(n, 0, "x")]
+            paulis = [_on(n, "z", 0, 1), _on(n, "z", 0, 2), _on(n, "x", 0)]
         else:
-            paulis = [
-                _two(n, 0, 1, "xx"),
-                _two(n, 0, 1, "yy"),
-                _two(n, 0, 1, "zz"),
-                _single(n, 0, "x"),
-            ]
+            paulis = [_on(n, "x", 0, 1), _on(n, "y", 0, 1), _on(n, "z", 0, 1), _on(n, "x", 0)]
         return MeasurementSet(tuple(paulis))
     if scope != "all-terms":
         raise ValueError(f"unknown scope {scope!r}")
-    seen = set()
-    paulis = []
-    for _, p in _structural_terms(spec):
-        stripped = PauliString(p.n, (p.xbits & p.zbits).bit_count() % 4, p.xbits, p.zbits)
-        key = (stripped.xbits, stripped.zbits)
-        if key not in seen:
-            seen.add(key)
-            paulis.append(stripped)
-    return MeasurementSet(tuple(paulis))
+    # dict.fromkeys keeps the first occurrence of each, in term order
+    stripped = (hermitian(n, p.xbits, p.zbits) for _, p in _structural_terms(spec))
+    return MeasurementSet(tuple(dict.fromkeys(stripped)))
 
 
 @dataclass(frozen=True)

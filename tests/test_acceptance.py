@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from magicscope import oracle
-from magicscope.pauli import MeasurementSet, PauliString, format_pauli
+from magicscope.pauli import MeasurementSet, PauliString, format_pauli, pauli_expectation
 from magicscope.polytope import size_bound, v_representation
 from magicscope.rom import ExpectationVector, reduced_rom
 from magicscope.spinchain import (
@@ -22,7 +22,6 @@ from magicscope.spinchain import (
     build_hamiltonian,
     ground_state,
     hamiltonian_measurement_set,
-    pauli_expectation,
     sweep,
 )
 

@@ -158,8 +158,11 @@ class TestRom:
             ("b.json", b'{"values": [0, 0, 0]}'),
             ("b.txt", b"nan\n0\n0\n"),
             ("b.txt", b"\xff\xfe0\n0\n0\n"),
+            ("b.json", b'{"expectations": [true, false, true]}'),
+            ("b.json", b'{"expectations": ["0.5", "0.5", "0.5"]}'),
         ],
-        ids=["non-numeric-line", "truncated-json", "no-expectations-key", "nan", "not-utf8"],
+        ids=["non-numeric-line", "truncated-json", "no-expectations-key", "nan", "not-utf8",
+             "json-bool", "json-string"],
     )
     def test_malformed_expectations_are_parse_errors(
         self, octahedron_file, tmp_path, capsys, name, data
@@ -167,7 +170,8 @@ class TestRom:
         b = tmp_path / name
         b.write_bytes(data)
         assert main(["rom", octahedron_file, str(b)]) == EXIT_PARSE
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == "" and str(b) in captured.err
 
     def test_infeasible_exit_code(self, tmp_path):
         ms = write(tmp_path / "m.txt", "+Z\n-Z\n")
@@ -219,7 +223,7 @@ class TestScan:
         assert "g=0.0:" not in err
         assert "4 grid points failed" in err
 
-    def test_resume_skips_done_rows(self, tmp_path):
+    def test_resume_skips_done_rows(self, tmp_path, monkeypatch):
         out = tmp_path / "scan.csv"
         args = ["scan", "--model", "tfim", "--n", "4", "--grid", "g=0:1:3",
                 "--measurements", "first-cell", "--out", str(out)]
@@ -235,6 +239,14 @@ class TestScan:
             resumed = list(csv.DictReader(fh))
         assert len(resumed) == 3
         assert [r["g"] for r in resumed] == [r["g"] for r in full]
+        # resuming a finished scan builds no polytope and leaves the file as it is
+        import magicscope.cli as cli
+
+        builds = []
+        monkeypatch.setattr(cli, "v_representation", lambda *a: builds.append(a))
+        finished = out.read_bytes()
+        assert main(args + ["--resume"]) == EXIT_OK
+        assert builds == [] and out.read_bytes() == finished
 
     @pytest.mark.parametrize(
         "other",

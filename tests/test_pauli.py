@@ -11,6 +11,7 @@ from magicscope.pauli import (
     PauliString,
     commutes,
     format_pauli,
+    hermitian,
     identity,
     identity_sign,
     multiply,
@@ -49,6 +50,21 @@ class TestParseFormat:
     def test_format_rejects_imaginary_phase(self):
         with pytest.raises(PauliError):
             format_pauli(PauliString(1, 1, 1, 0))  # iX
+
+
+class TestHermitian:
+    def test_every_signed_pauli_matches_dense(self):
+        for n in (1, 2):
+            for x in range(1 << n):
+                for z in range(1 << n):
+                    # i^popcount(x & z) X^x Z^z: each Y = iXZ
+                    unsigned = 1j ** bin(x & z).count("1") * pauli_matrix(PauliString(n, 0, x, z))
+                    for negative in (False, True):
+                        p = hermitian(n, x, z, negative)
+                        dense = pauli_matrix(p)
+                        assert np.allclose(dense, dense.conj().T)
+                        assert np.allclose(dense, (-1 if negative else 1) * unsigned)
+                        assert parse_pauli(format_pauli(p)) == p
 
 
 class TestMultiply:

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from magicscope import oracle
-from magicscope.pauli import MeasurementSet, PauliString, read_measurement_file
+from magicscope.pauli import MeasurementSet, PauliString, pauli_expectation, read_measurement_file
 from magicscope.polytope import (
     _BLOCK_ROWS,
     VertexSet,
@@ -31,7 +31,6 @@ from magicscope.spinchain import (
     build_hamiltonian,
     ground_state,
     hamiltonian_measurement_set,
-    pauli_expectation,
 )
 from util import solve_l1_dense
 

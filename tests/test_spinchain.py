@@ -6,19 +6,24 @@ import numpy as np
 import pytest
 
 from magicscope import oracle, spinchain
-from magicscope.pauli import MeasurementSet, PauliString, format_pauli, parse_pauli
+from magicscope.pauli import (
+    MeasurementSet,
+    PauliString,
+    apply_pauli,
+    format_pauli,
+    parse_pauli,
+    pauli_expectation,
+)
 from magicscope.polytope import v_representation
 from magicscope.rom import ExpectationVector, reduced_rom
 from magicscope.spinchain import (
     DEGENERACY_THRESHOLD,
     GroundStateResult,
     SpinChainSpec,
-    apply_pauli,
     build_hamiltonian,
     ground_state,
     hamiltonian_matrix,
     hamiltonian_measurement_set,
-    pauli_expectation,
     sweep,
 )
 from util import dense_hamiltonian, pauli_matrix
@@ -227,6 +232,9 @@ class TestGroundSpace:
         for p in hamiltonian_measurement_set(spec, "all-terms"):
             exact = np.trace(space.conj().T @ pauli_matrix(p) @ space).real / d
             assert gs.expectation(p) == pytest.approx(exact, abs=1e-9)
+        # a Pauli on two qubits the chain does not have
+        with pytest.raises(ValueError, match="state length does not match qubit count"):
+            gs.expectation(PauliString(n + 2, 0, 0, 0b11 << n))
 
     def test_non_degenerate_expectation_is_the_state_s(self):
         spec = SpinChainSpec("annni", 8, {"k": 0.3, "g": 0.9})
