@@ -25,6 +25,7 @@ from functools import cached_property
 from typing import List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 from . import gf2
 from .fgraph import build_frustration_graph, enumerate_maximal_independent_sets
@@ -43,6 +44,9 @@ __all__ = [
 
 # Rows per block that the writers format and write, and the LP prices, at once.
 _BLOCK_ROWS = 4096
+# Most orbits whose points get a convex hull: qhull took 13 ms at 5 orbits, 52 ms
+# at 6, 0.49 s at 7 and over a minute at 8 (projections of the XXZ n=12 window).
+_HULL_MAX_ORBITS = 6
 
 
 def _run_starts(rows: np.ndarray) -> np.ndarray:
@@ -229,11 +233,17 @@ class OrbitReduction:
     fibre of point p (every vertex that projects to it) is the run
     ``order[starts[p]:starts[p + 1]]``.  The group maps each fibre onto
     itself.
+
+    ``hull`` holds the ascending indices of the points' convex hull
+    vertices, or None above _HULL_MAX_ORBITS (6) orbits or when qhull
+    refuses the points (none, one orbit, a flat set): the TFIM, ANNNI and
+    XXZ n=9 all-terms sets (2-4 orbits) have one, the XXZ n=12 window (13) not.
     """
 
     perms: np.ndarray
     orbits: np.ndarray
     points: np.ndarray
+    hull: Optional[np.ndarray]
     order: np.ndarray
     starts: np.ndarray
 
@@ -259,7 +269,18 @@ def _orbit_reduction(
     order = np.lexsort(sums.T)
     ordered = sums[order]
     starts = np.append(_run_starts(ordered), len(vertices))
-    return OrbitReduction(perms, orbits, ordered[starts[:-1]].astype(float), order, starts)
+    points = ordered[starts[:-1]].astype(float)
+    return OrbitReduction(perms, orbits, points, _hull_vertices(points), order, starts)
+
+
+def _hull_vertices(points: np.ndarray) -> Optional[np.ndarray]:
+    """``OrbitReduction.hull`` of these points."""
+    if points.shape[1] > _HULL_MAX_ORBITS:
+        return None
+    try:
+        return np.sort(ConvexHull(points).vertices)
+    except (QhullError, ValueError):  # no points, one dimension, or a flat set
+        return None
 
 
 def _symplectic_column_matrix(measurements: MeasurementSet, subset: Sequence[int]) -> List[int]:

@@ -21,14 +21,17 @@ evenly over its fibre, every vertex projecting to it: the group maps
 the fibre onto itself, so its mean is constant on the orbits, and the
 spread reproduces an invariant b with the same sum and 1-norm.  If b
 is not invariant, the reduced LP fails, or the lifted coefficients do
-not reproduce b, the full LP runs.
+not reproduce b, the full LP runs.  The reduced LP's first dual solve
+runs over the vertices of the points' convex hull where
+``OrbitReduction.hull`` has them, the only points that can bind;
+pricing still runs over every point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -81,8 +84,7 @@ class ExpectationVector:
 @dataclass(frozen=True)
 class RomResult:
     rom: float
-    coefficients: np.ndarray
-    negativity: float
+    coefficients: np.ndarray  # empty unless status is "optimal"
     member: bool
     status: str
     path: str  # "symmetric" (orbit-sum LP) or "full"
@@ -93,7 +95,7 @@ class RomResult:
             "rom": self.rom,
             "member": self.member,
             "status": self.status,
-            "negativity": self.negativity,
+            "negativity": self.rom,
             "path": self.path,
         }
 
@@ -113,29 +115,34 @@ def _row_products(rows: np.ndarray, vector: np.ndarray) -> np.ndarray:
 
 
 def _solve_l1_column_generation(
-    vmat: np.ndarray, b_eq: np.ndarray, lp_tolerance: float = LP_TOLERANCE
+    vmat: np.ndarray,
+    b_eq: np.ndarray,
+    lp_tolerance: float = LP_TOLERANCE,
+    warm: Optional[np.ndarray] = None,
 ):
     """Solve the 1-norm LP by dual cutting planes; returns (fun, coefficients, status, cause).
 
     The dual is max b_eq . y subject to |v_j . y[:m] + y[m]| <= 1 for
     every vertex j, inside the box |y| <= bound.  Constraints are
     activated lazily: solve over the active rows, price all vertices with
-    one matvec, add the worst violators, repeat.  Once no vertex is
-    violated, the primal is read from the last solve's row marginals,
-    x = lambda_plus - lambda_minus over the active vertices.  If that x
-    reproduces b_eq and its 1-norm equals the dual objective to
-    DECISION_TOLERANCE, the optimum is found; a larger duality gap, as a
-    loose lp_tolerance leaves, is a solver failure (status 4).  If x does
-    not reproduce b_eq the box is binding, so it is widened, and past
-    1e12 the primal is reported infeasible (status 2).  cause says why a
-    status other than 0 or 2 was returned.
+    one matvec, add the worst violators, repeat.  The first active set
+    is ``warm`` (row indices, such as ``OrbitReduction.hull``) or, by
+    default, the 2(m+1) vertices most and the 2(m+1) least aligned with
+    b_eq.  Once no vertex is violated, the primal is read from the last
+    solve's row marginals, x = lambda_plus - lambda_minus over the active
+    vertices.  If that x reproduces b_eq and its 1-norm equals the dual
+    objective to DECISION_TOLERANCE, the optimum is found; a larger
+    duality gap, as a loose lp_tolerance leaves, is a solver failure
+    (status 4).  If x does not reproduce b_eq the box is binding, so it
+    is widened, and past 1e12 the primal is reported infeasible (status
+    2).  cause says why a status other than 0 or 2 was returned.
     """
     n_vert, m = vmat.shape
-    # Deterministic warm set: vertices most (anti)aligned with the target.
-    scores = _row_products(vmat, b_eq[:m])
-    order = np.argsort(scores, kind="stable")
-    seed = 2 * (m + 1)
-    active = np.unique(np.concatenate([order[:seed], order[-seed:]]))
+    active = warm
+    if active is None:
+        order = np.argsort(_row_products(vmat, b_eq[:m]), kind="stable")
+        seed = 2 * (m + 1)
+        active = np.unique(np.concatenate([order[:seed], order[-seed:]]))
     bound = 1e6
     batch = 8 * (m + 1)
     for _ in range(200):
@@ -202,7 +209,7 @@ def _solve_symmetric(vset: VertexSet, b_eq: np.ndarray, lp_tolerance: float):
         return None
     sums = np.bincount(reduction.orbits, weights=values, minlength=reduction.points.shape[1])
     fun, weights, status, _ = _solve_l1_column_generation(
-        reduction.points, np.append(sums, 1.0), lp_tolerance
+        reduction.points, np.append(sums, 1.0), lp_tolerance, reduction.hull
     )
     if status != 0:
         return None
@@ -243,7 +250,6 @@ def reduced_rom(
     """
     if vset.m != b.m:
         raise ValueError("dimension mismatch between vertex set and expectations")
-    n_vert = len(vset.vertices)
     b_eq = np.concatenate([np.asarray(b.values, dtype=float), [1.0]])
     solved = _solve_symmetric(vset, b_eq, lp_tolerance)
     path = "symmetric"
@@ -252,13 +258,11 @@ def reduced_rom(
         path = "full"
     fun, coeffs, status, cause = solved
     if status == 2:
-        return RomResult(math.inf, np.zeros(n_vert), math.inf, False, "infeasible", path)
+        return RomResult(math.inf, np.empty(0), False, "infeasible", path)
     if status != 0:
-        return RomResult(
-            math.nan, np.zeros(n_vert), math.nan, False, "numerically-degenerate", path, cause
-        )
+        return RomResult(math.nan, np.empty(0), False, "numerically-degenerate", path, cause)
     rom = float(fun)
-    return RomResult(rom, coeffs, rom, rom <= 1.0 + decision_tolerance, "optimal", path)
+    return RomResult(rom, coeffs, rom <= 1.0 + decision_tolerance, "optimal", path)
 
 
 @dataclass(frozen=True)

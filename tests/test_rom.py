@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
-from magicscope import oracle
+from magicscope import oracle, rom
 from magicscope.pauli import MeasurementSet, PauliString, pauli_expectation, read_measurement_file
 from magicscope.polytope import (
     _BLOCK_ROWS,
@@ -93,7 +94,7 @@ class TestReducedRom:
     def test_negativity_equals_rom(self):
         vset = v_representation(OCTAHEDRON)
         result = reduced_rom(vset, ExpectationVector.of(T_BLOCH))
-        assert result.negativity == result.rom
+        assert result.to_json_dict()["negativity"] == result.rom
 
     def test_rom_is_optimal_near_a_vertex(self):
         # the dual objective is rom: at HiGHS's default 1e-7 dual tolerance it read
@@ -117,6 +118,18 @@ class TestReducedRom:
         result = reduced_rom(vset, ExpectationVector.of([1.0, 1.0]))
         assert result.status == "infeasible"
         assert not result.member
+
+    def test_failures_carry_no_coefficients(self):
+        infeasible = reduced_rom(
+            v_representation(MeasurementSet.from_strings(["+Z", "-Z"])),
+            ExpectationVector.of([1.0, 1.0]),
+        )
+        failed = reduced_rom(
+            v_representation(OCTAHEDRON), ExpectationVector.of([0.5, 0.5, 0.5]), lp_tolerance=0.9
+        )
+        assert infeasible.status == "infeasible"
+        assert failed.status == "numerically-degenerate"
+        assert infeasible.coefficients.size == failed.coefficients.size == 0
 
     def test_dimension_mismatch(self):
         vset = v_representation(OCTAHEDRON)
@@ -229,6 +242,18 @@ def all_terms_ground_state(model, n, params):
     return ms, ExpectationVector.of([pauli_expectation(gs.state, p) for p in ms]), gs
 
 
+def count_linprog(monkeypatch):
+    """A list that gains an entry per ``rom.linprog`` call from here on."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(rom, "linprog", counted)
+    return calls
+
+
 class TestSymmetricPath:
     def assert_agrees_with_full(self, vset, b):
         result = reduced_rom(vset, b)
@@ -300,6 +325,7 @@ class TestSymmetricPath:
         vset = v_representation(MeasurementSet.from_strings(texts))
         reduction = vset.symmetry
         assert len(reduction.perms) == 2 and reduction.points.shape[1] == 23
+        assert reduction.hull is None
         rng = np.random.default_rng(1)
         b = vset.vertices.T @ rng.dirichlet(np.full(len(vset.vertices), 0.05))
         b = b[reduction.perms].mean(axis=0)
@@ -308,11 +334,69 @@ class TestSymmetricPath:
         self.assert_agrees_with_full(vset, ExpectationVector.of(b))
         assert reduced_rom(vset, ExpectationVector.of(b)).rom > 1.0
 
+    @pytest.mark.parametrize(
+        "model, n, params, hull",
+        [("annni", 8, {"k": 0.3, "g": 0.8}, 9), ("xxz", 9, {"delta": -1.0, "h": 1.0}, 32)],
+    )
+    def test_hull_warm_set_needs_one_solve(self, monkeypatch, model, n, params, hull):
+        ms, b, gs = all_terms_ground_state(model, n, params)
+        assert not gs.degenerate_flag
+        vset = v_representation(ms)
+        reduction = vset.symmetry
+        assert len(reduction.hull) == hull
+        calls = count_linprog(monkeypatch)
+        result = reduced_rom(vset, b)
+        assert result.path == "symmetric" and result.status == "optimal"
+        assert len(calls) == 1
+        # the same points from the warm set of the most and least aligned points
+        sums = np.bincount(reduction.orbits, weights=b.values, minlength=reduction.points.shape[1])
+        target = np.append(sums, 1.0)
+        del calls[:]
+        fun, _, status, _ = _solve_l1_column_generation(reduction.points, target)
+        assert status == 0 and len(calls) > 1
+        assert abs(result.rom - fun) <= 1e-9
+        # drop one hull vertex at a time: pricing over every point adds back one
+        # that binds, so some drops cost a second solve and none moves the rom
+        repriced = 0
+        for dropped in range(hull):
+            del calls[:]
+            fun, _, status, _ = _solve_l1_column_generation(
+                reduction.points, target, warm=np.delete(reduction.hull, dropped)
+            )
+            assert status == 0 and abs(result.rom - fun) <= 1e-9
+            repriced += len(calls) > 1
+        assert repriced
+
     def test_zero_rows_are_infeasible(self):
         vset = vertex_set_from_json('{"m": 2, "measurements": ["+ZI", "+IZ"], "vertices": []}')
         assert len(vset.symmetry.perms) == 2
         assert vset.symmetry.points.shape == (0, 1)
+        assert vset.symmetry.hull is None
         assert reduced_rom(vset, ExpectationVector.of([0.0, 0.0])).status == "infeasible"
+
+    @pytest.mark.parametrize(
+        "texts, values",
+        [
+            # one orbit: the points lie on a line
+            (["ZII", "IZI", "IIZ"], [0.4] * 3),
+            # two orbits whose sums always cancel: a flat set in the plane
+            (["+ZI", "+IZ", "-ZI", "-IZ"], [0.3, 0.3, -0.3, -0.3]),
+        ],
+    )
+    def test_points_without_a_hull_keep_the_aligned_warm_set(self, texts, values):
+        vset = v_representation(MeasurementSet.from_strings(texts))
+        assert vset.symmetry.hull is None
+        b = ExpectationVector.of(values)
+        self.assert_agrees_with_full(vset, b)
+        assert reduced_rom(vset, b).rom == pytest.approx(1.0, abs=1e-9)
+
+    def test_xxz12_window_is_above_the_hull_cap(self):
+        vset = v_representation(read_measurement_file(XXZ12_WINDOW))
+        reduction = vset.symmetry
+        assert reduction.points.shape[1] == 13 and reduction.hull is None
+        rng = np.random.default_rng(2)
+        b = vset.vertices.T @ rng.dirichlet(np.full(len(vset.vertices), 0.05))
+        self.assert_agrees_with_full(vset, ExpectationVector.of(b[reduction.perms].mean(axis=0)))
 
     def test_reduction_is_lazy(self):
         vset = v_representation(MeasurementSet.from_strings(marginal_texts(3)))
