@@ -12,12 +12,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
 
 from .pauli import MeasurementSet, PauliString, apply_pauli, hermitian, identity, multiply
+from .polytope import _isotropic_subspace_count
 from .rom import LP_TOLERANCE
 
 __all__ = [
@@ -115,10 +116,7 @@ def enumerate_stabilizer_groups(n: int) -> Tuple[StabilizerGroup, ...]:
 
 
 def stabilizer_group_count(n: int) -> int:
-    count = 2**n
-    for k in range(1, n + 1):
-        count *= 2**k + 1
-    return count
+    return 2**n * _isotropic_subspace_count(n)
 
 
 def stabilizer_expectation(group: StabilizerGroup, p: PauliString) -> int:
@@ -131,13 +129,11 @@ def stabilizer_expectation(group: StabilizerGroup, p: PauliString) -> int:
     return 1 if stored == p.phase_k else -1
 
 
-def topdown_vertices(
-    measurements: MeasurementSet, max_n: int = 3
-) -> Set[Tuple[int, ...]]:
-    """Project every pure stabilizer state onto the measurement set."""
+def topdown_vertices(measurements: MeasurementSet) -> Set[Tuple[int, ...]]:
+    """Project every pure stabilizer state onto the measurement set (n <= 3)."""
     n = measurements.n
-    if n > max_n:
-        raise ValueError(f"top-down projection capped at n <= {max_n}")
+    if n > 3:
+        raise ValueError("top-down projection capped at n <= 3")
     vectors = set()
     for group in enumerate_stabilizer_groups(n):
         vectors.add(tuple(stabilizer_expectation(group, p) for p in measurements))
@@ -350,11 +346,9 @@ class CliffordCircuit:
         return u
 
 
-def random_clifford(n: int, rng: np.random.Generator, length: Optional[int] = None) -> CliffordCircuit:
-    if length is None:
-        length = 4 * n + 4
+def random_clifford(n: int, rng: np.random.Generator) -> CliffordCircuit:
     gates: List[Tuple] = []
-    for _ in range(length):
+    for _ in range(4 * n + 4):
         kind = rng.integers(0, 3 if n > 1 else 2)
         if kind == 0:
             gates.append(("h", int(rng.integers(0, n))))

@@ -3,10 +3,11 @@
 Each maximal commuting subset S of the measurement set, together with
 an admissible sign assignment f (no signed subset product equal to -1),
 contributes one vertex with entries f on S and 0 elsewhere.  The
-admissible assignments come from the RREF of the symplectic column
-matrix of S: its pivot columns are an independent subset of S whose
-2^rank signs are free, and every other member is +-1 times the product
-of the pivot members marked in its RREF column, which fixes its sign.
+admissible assignments come from one GF(2) elimination over the
+members' symplectic vectors, in subset order: a member independent of
+those before it is a pivot whose sign is free, 2^rank assignments in
+all, and every other member is +-1 times the product of the pivots it
+reduces against, which fixes its sign.
 
 The qubit cyclic shifts and reflections that map the signed measurement
 set onto itself permute the measurements and the vertices.  Their
@@ -27,7 +28,6 @@ from typing import List, Optional, Sequence, TextIO, Tuple
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from . import gf2
 from .fgraph import build_frustration_graph, enumerate_maximal_independent_sets
 from .pauli import MeasurementSet, PauliString, commutes, format_pauli, identity_sign, multiply
 
@@ -283,38 +283,44 @@ def _hull_vertices(points: np.ndarray) -> Optional[np.ndarray]:
         return None
 
 
-def _symplectic_column_matrix(measurements: MeasurementSet, subset: Sequence[int]) -> List[int]:
-    """Bit-packed rows (x bits of each qubit, then z bits) with column j for subset[j]."""
-    n = measurements.n
-    rows = []
-    for i in range(n):
-        row = 0
-        for j, idx in enumerate(subset):
-            row |= ((measurements[idx].xbits >> i) & 1) << j
-        rows.append(row)
-    for i in range(n):
-        row = 0
-        for j, idx in enumerate(subset):
-            row |= ((measurements[idx].zbits >> i) & 1) << j
-        rows.append(row)
-    return rows
-
-
 def _sign_block(measurements: MeasurementSet, subset: Tuple[int, ...]) -> np.ndarray:
-    """Admissible signs of a sorted commuting subset: one int8 row each, in sorted order."""
-    red, rank, pivots = gf2.rref(_symplectic_column_matrix(measurements, subset), len(subset))
-    # Row k gives pivot i the sign of bit rank-1-i of k (0 -> -1), so the pivot
-    # columns ascend lexicographically.  A dependent column is fixed by pivots
-    # to its left, so the whole rows are in sorted() order as well.
+    """Admissible signs of a sorted commuting subset: one int8 row each, in sorted order.
+
+    Each member's symplectic vector ``xbits | zbits << n`` is reduced
+    against an XOR basis keyed by leading bit, remembering which members
+    every basis vector is the product of.  A member that survives is a
+    pivot, independent of the members before it; one that reduces to
+    zero is +-1 times the product of the pivots it marked.
+    """
+    n = measurements.n
+    basis = {}  # leading bit -> (vector, bit mask of the members it is the product of)
+    pivots: List[int] = []
+    dependents = []
+    for c, index in enumerate(subset):
+        p = measurements[index]
+        vector, members = p.xbits | p.zbits << n, 1 << c
+        while vector and vector.bit_length() - 1 in basis:
+            reducer, marks = basis[vector.bit_length() - 1]
+            vector ^= reducer
+            members ^= marks
+        if vector:
+            basis[vector.bit_length() - 1] = (vector, members)
+            pivots.append(c)
+        else:
+            dependents.append((c, [j for j in pivots if (members >> j) & 1]))
+    rank = len(pivots)
+    # Row k gives pivot i the sign of bit rank-1-i of k (0 -> -1), so the pivots,
+    # the lexicographically first independent members, ascend lexicographically.
+    # A dependent member is fixed by pivots to its left, so the whole rows are
+    # in sorted() order as well.
     k = np.arange(1 << rank)[:, None]
     block = np.empty((1 << rank, len(subset)), dtype=np.int8)
     block[:, pivots] = 2 * ((k >> np.arange(rank - 1, -1, -1)) & 1) - 1
-    for c in set(range(len(subset))).difference(pivots):
-        marked = [p for i, p in enumerate(pivots) if (red[i] >> c) & 1]
+    for c, marked in dependents:
         # P_c = lam * prod(P_marked), and the product is Hermitian, so P_c * prod = lam * 1
         product = measurements[subset[c]]
-        for p in marked:
-            product = multiply(product, measurements[subset[p]])
+        for j in marked:
+            product = multiply(product, measurements[subset[j]])
         block[:, c] = identity_sign(product) * np.prod(block[:, marked], axis=1)
     return block
 
@@ -325,13 +331,13 @@ def admissible_signs(
     """All sign assignments over the commuting subset with no -1 product.
 
     Returns tuples of +-1 aligned with ``subset`` (ascending index
-    order), in sorted order.  The RREF pivots of the subset's symplectic
-    column matrix are independent members whose 2^rank signs are free;
-    each other member P_c equals lam_c times the product of the pivot
-    members marked in its RREF column, and its sign is lam_c times
-    their signs.  The signed pivots generate a group without -1 that
-    holds every signed member, so there are always 2^rank assignments
-    (``+Z, -Z`` gives (-1, 1) and (1, -1)).
+    order), in sorted order.  Eliminating the members' symplectic
+    vectors in that order picks the pivots: the members independent of
+    those before them, whose 2^rank signs are free.  Each other member
+    P_c equals lam_c times the product of the pivots it reduces against,
+    and its sign is lam_c times their signs.  The signed pivots generate
+    a group without -1 that holds every signed member, so there are
+    always 2^rank assignments (``+Z, -Z`` gives (-1, 1) and (1, -1)).
     """
     subset = tuple(sorted(subset))
     for a in range(len(subset)):

@@ -2,7 +2,9 @@
 
 Tier-1 never runs ``perfbench``, so a rename inside ``magicscope`` could
 break the benchmark while every other test passes.  This reads the
-scripts' import statements with ``ast`` and runs none of them.
+scripts' import statements, and the attributes they read off the package
+modules they import (``rom_module.linprog``, ``cli.main``), with ``ast``
+and runs none of them.
 """
 
 import ast
@@ -24,13 +26,41 @@ def package_imports(script):
     ]
 
 
-def test_every_imported_name_exists():
-    imports = [
-        pair for script in ("run.py", "make_reference.py") for pair in package_imports(PERFBENCH / script)
+def module_attributes(script):
+    """(module, attribute) for every ``alias.attribute`` read off a ``from magicscope import module``."""
+    tree = ast.parse(script.read_text(encoding="utf-8"), filename=str(script))
+    modules = {
+        alias.asname or alias.name: f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "magicscope"
+        for alias in node.names
+        if importlib.util.find_spec(f"magicscope.{alias.name}")
+    }
+    return [
+        (modules[node.value.id], node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
     ]
+
+
+SCRIPTS = ("run.py", "make_reference.py")
+
+
+def test_every_imported_name_exists():
+    imports = [pair for script in SCRIPTS for pair in package_imports(PERFBENCH / script)]
     assert imports  # run.py imports from the package at its top level
     for module, name in imports:
         package = importlib.import_module(module)
         # ``from magicscope import cli`` names a submodule, not an attribute
         submodule = hasattr(package, "__path__") and importlib.util.find_spec(f"{module}.{name}")
         assert hasattr(package, name) or submodule, f"{module} has no {name}"
+
+
+def test_every_module_attribute_read_exists():
+    reads = {pair for script in SCRIPTS for pair in module_attributes(PERFBENCH / script)}
+    # the traced run counts LP solves through rom.linprog; the export runs cli.main
+    assert {("magicscope.rom", "linprog"), ("magicscope.cli", "main")} <= reads
+    for module, name in reads:
+        assert hasattr(importlib.import_module(module), name), f"{module} has no {name}"

@@ -10,13 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magicscope import gf2, polytope
+from magicscope import polytope
 from magicscope.fgraph import build_frustration_graph, enumerate_maximal_independent_sets
 from magicscope.oracle import hull_contains, hull_equal, topdown_vertices
 from magicscope.pauli import MeasurementSet, PauliString, identity, identity_sign, multiply
 from magicscope.polytope import (
     VertexSet,
-    _symplectic_column_matrix,
     admissible_signs,
     context_starts,
     size_bound,
@@ -24,7 +23,7 @@ from magicscope.polytope import (
     vertex_set_from_json,
 )
 from magicscope.spinchain import SpinChainSpec, hamiltonian_measurement_set
-from util import vertex_json, vertex_txt
+from util import span_rank, vertex_json, vertex_txt
 
 
 def measurement_sets(max_n=3, max_m=6):
@@ -98,6 +97,9 @@ class TestAdmissibleSigns:
         assert len(signs) == 4
         for f in signs:
             assert f[0] * f[1] * f[2] == -1  # XX.YY.ZZ = -1 forces odd parity
+        # rank 2: XX and YY are the free pivots, and ZZ = -XX.YY takes the sign they fix
+        assert span_rank(list(ms)) == 2
+        assert signs == [(-1, -1, -1), (-1, 1, 1), (1, -1, 1), (1, 1, -1)]
 
     def test_opposite_pair(self):
         ms = MeasurementSet.from_strings(["+Z", "-Z"])
@@ -113,8 +115,7 @@ class TestAdmissibleSigns:
     def test_count_is_two_to_rank(self, ms):
         graph = build_frustration_graph(ms)
         for subset in enumerate_maximal_independent_sets(graph):
-            m_s = _symplectic_column_matrix(ms, subset)
-            _, rank, _ = gf2.rref(m_s, len(subset))
+            rank = span_rank([ms[i] for i in subset])
             assert len(admissible_signs(ms, subset)) == 2**rank
 
     @given(measurement_sets())

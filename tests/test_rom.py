@@ -307,9 +307,14 @@ class TestSymmetricPath:
         self.assert_agrees_with_full(vset, b)
         assert reduced_rom(vset, b).rom == pytest.approx(1.3321, abs=1e-4)
 
-    def test_asymmetric_sets_take_the_full_path(self):
+    def test_asymmetric_sets_take_the_full_path(self, monkeypatch):
         octahedron = v_representation(OCTAHEDRON)
-        assert reduced_rom(octahedron, ExpectationVector.of(T_BLOCH)).path == "full"
+        # perfbench's traced sweep counts the solves through ``rom.linprog`` and
+        # refuses an optimal query that made none, on either path
+        calls = count_linprog(monkeypatch)
+        result = reduced_rom(octahedron, ExpectationVector.of(T_BLOCH))
+        assert result.path == "full" and result.status == "optimal"
+        assert calls
         vset = v_representation(MeasurementSet.from_strings(marginal_texts(3)))
         b = ExpectationVector.of([0.5, 0.0, 0.0, 0.2] + [0.0] * 5)
         assert reduced_rom(vset, b).path == "full"

@@ -63,6 +63,22 @@ def solve_l1_dense(vmat: np.ndarray, b_eq: np.ndarray, lp_tolerance: float = 1e-
     return float(res.fun), res.x[:n_vert] - res.x[n_vert:], 0
 
 
+def span_rank(paulis) -> int:
+    """GF(2) rank of the Paulis' symplectic vectors: log2 of the size of their span.
+
+    Enumerates all 2^len subset XORs, so it is for a handful of Paulis only.
+    """
+    span = set()
+    for bits in range(1 << len(paulis)):
+        x = z = 0
+        for j, p in enumerate(paulis):
+            if (bits >> j) & 1:
+                x ^= p.xbits
+                z ^= p.zbits
+        span.add((x, z))
+    return len(span).bit_length() - 1
+
+
 def vertex_json(vset) -> str:
     """The JSON vertex file from nested lists and one ``json.dumps`` call.
 
