@@ -97,9 +97,13 @@ class TestAdmissibleSigns:
         assert len(signs) == 4
         for f in signs:
             assert f[0] * f[1] * f[2] == -1  # XX.YY.ZZ = -1 forces odd parity
+
+    def test_symplectic_matrix_of_xx_yy_zz(self):
+        ms = MeasurementSet.from_strings(["XX", "YY", "ZZ"])
         # rank 2: XX and YY are the free pivots, and ZZ = -XX.YY takes the sign they fix
         assert span_rank(list(ms)) == 2
-        assert signs == [(-1, -1, -1), (-1, 1, 1), (1, -1, 1), (1, 1, -1)]
+        block = polytope._sign_block(ms, (0, 1, 2))
+        assert block.tolist() == [[-1, -1, -1], [-1, 1, 1], [1, -1, 1], [1, 1, -1]]
 
     def test_opposite_pair(self):
         ms = MeasurementSet.from_strings(["+Z", "-Z"])
