@@ -248,6 +248,9 @@ def _cmd_scan(args) -> int:
     run = (args.model, str(args.n), args.boundary)
     done = set()
     if args.resume and os.path.exists(args.out):
+        with open(args.out, "rb+") as fh:
+            # a row without its line end was not finished: cut it off before reading
+            fh.truncate(fh.read().rfind(b"\n") + 1)
         with open(args.out, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is not None and reader.fieldnames != columns:

@@ -33,8 +33,6 @@ __all__ = [
     "pauli_basis",
     "full_pauli_table",
     "random_pure_state",
-    "CliffordCircuit",
-    "random_clifford",
     "ORACLE_MAX_QUBITS",
 ]
 
@@ -263,101 +261,3 @@ def measurement_expectations(
 def random_pure_state(n: int, rng: np.random.Generator) -> np.ndarray:
     vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return vec / np.linalg.norm(vec)
-
-
-# --- Clifford conjugation (symplectic update rules per gate) ---------------
-
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_PHASE = np.array([[1, 0], [0, 1j]], dtype=complex)
-
-
-@dataclass(frozen=True)
-class CliffordCircuit:
-    """A word in {H, S, CNOT}, applied left to right."""
-
-    n: int
-    gates: Tuple[Tuple, ...]  # ("h", q) | ("s", q) | ("cx", c, t)
-
-    def conjugate(self, p: PauliString) -> PauliString:
-        """C P C-dagger, staying in the symplectic representation."""
-        if p.n != self.n:
-            raise ValueError("qubit counts differ")
-        k, x, z = p.phase_k, p.xbits, p.zbits
-        for gate in self.gates:
-            if gate[0] == "h":
-                q = 1 << gate[1]
-                if x & z & q:
-                    k = (k + 2) % 4
-                xq, zq = x & q, z & q
-                x, z = (x & ~q) | zq, (z & ~q) | xq
-            elif gate[0] == "s":
-                q = 1 << gate[1]
-                if x & q:
-                    k = (k + 1) % 4
-                    z ^= q
-            else:
-                c, t = 1 << gate[1], 1 << gate[2]
-                if x & c:
-                    x ^= t
-                if z & t:
-                    z ^= c
-        return PauliString(self.n, k, x, z)
-
-    def conjugate_set(self, measurements: MeasurementSet) -> MeasurementSet:
-        return MeasurementSet(tuple(self.conjugate(p) for p in measurements))
-
-    def inverse(self) -> "CliffordCircuit":
-        inv: List[Tuple] = []
-        for gate in reversed(self.gates):
-            if gate[0] == "s":
-                # S^-1 = S S S
-                inv.extend([gate, gate, gate])
-            else:
-                inv.append(gate)
-        return CliffordCircuit(self.n, tuple(inv))
-
-    def unitary(self) -> np.ndarray:
-        dim = 2**self.n
-        u = np.eye(dim, dtype=complex)
-        for gate in self.gates:
-            u = self._gate_matrix(gate) @ u
-        return u
-
-    def apply(self, state: np.ndarray) -> np.ndarray:
-        return self.unitary() @ state
-
-    def _gate_matrix(self, gate: Tuple) -> np.ndarray:
-        dim = 2**self.n
-        if gate[0] in ("h", "s"):
-            q = gate[1]
-            single = _HADAMARD if gate[0] == "h" else _PHASE
-            mats = [np.eye(2, dtype=complex)] * self.n
-            mats[q] = single
-            # qubit 0 is the least-significant bit of the basis index
-            full = mats[-1]
-            for m in reversed(mats[:-1]):
-                full = np.kron(full, m)
-            return full
-        c, t = gate[1], gate[2]
-        u = np.zeros((dim, dim), dtype=complex)
-        for basis in range(dim):
-            target = basis ^ (1 << t) if (basis >> c) & 1 else basis
-            u[target, basis] = 1.0
-        return u
-
-
-def random_clifford(n: int, rng: np.random.Generator) -> CliffordCircuit:
-    gates: List[Tuple] = []
-    for _ in range(4 * n + 4):
-        kind = rng.integers(0, 3 if n > 1 else 2)
-        if kind == 0:
-            gates.append(("h", int(rng.integers(0, n))))
-        elif kind == 1:
-            gates.append(("s", int(rng.integers(0, n))))
-        else:
-            c = int(rng.integers(0, n))
-            t = int(rng.integers(0, n - 1))
-            if t >= c:
-                t += 1
-            gates.append(("cx", c, t))
-    return CliffordCircuit(n, tuple(gates))

@@ -34,7 +34,6 @@ from .pauli import MeasurementSet, PauliString, commutes, format_pauli, identity
 __all__ = [
     "VertexSet",
     "OrbitReduction",
-    "context_starts",
     "qubit_symmetries",
     "admissible_signs",
     "v_representation",
@@ -49,17 +48,6 @@ _BLOCK_ROWS = 4096
 _HULL_MAX_ORBITS = 6
 
 
-def _run_starts(rows: np.ndarray) -> np.ndarray:
-    """Index of every row that differs from the row before it, the first row included."""
-    changes = np.flatnonzero(np.any(rows[1:] != rows[:-1], axis=1)) + 1
-    return np.concatenate([[0], changes]) if len(rows) else changes
-
-
-def context_starts(vertices: np.ndarray) -> np.ndarray:
-    """Row index where each maximal commuting subset's block starts: where the support changes."""
-    return _run_starts(vertices != 0)
-
-
 def _json_list(items: Sequence[str], depth: int) -> str:
     """The JSON list of encoded items as ``json.dumps(indent=1)`` lays it out at this depth."""
     if not items:
@@ -68,18 +56,14 @@ def _json_list(items: Sequence[str], depth: int) -> str:
     return "[" + pad + ("," + pad).join(items) + "\n" + " " * depth + "]"
 
 
-def _token_rows(
-    block: np.ndarray, heads: Tuple[str, str], entry: str, last: str, empty: str
-) -> str:
+def _token_rows(block: np.ndarray, heads: Tuple[str, str], entry: str, last: str) -> str:
     """The text of a block of int8 rows with entries -1, 0 and 1, joined from a token table.
 
     A row is its head (``heads[0]`` for the block's first row, ``heads[1]``
     for the others), then ``entry % v`` for each of its entries but the
-    last and ``last % v`` for the last, or ``empty`` if it has no entries.
+    last and ``last % v`` for the last.
     """
     rows, width = block.shape
-    if width == 0:
-        return heads[0] + empty + (heads[1] + empty) * (rows - 1)
     values = (-1, 0, 1)
     table = np.array(
         [entry % v for v in values] + [last % v for v in values] + list(heads), dtype=object
@@ -99,7 +83,10 @@ class VertexSet:
 
     Rows come in context order: one maximal commuting subset after
     another, each with its admissible sign assignments in sorted order.
-    A row's support is its context and its non-zero entries its signs.
+    A row's support is its context and its non-zero entries its signs;
+    ``starts`` holds the first row of each subset's block.  Only
+    ``v_representation`` builds a set, so it has its measurements and
+    every block has at least one row, none of them zero.
 
     ``write_json`` and ``write_txt`` stream the vertex file to an open
     text file, byte for byte the text of ``json.dumps(indent=1)`` of
@@ -113,19 +100,14 @@ class VertexSet:
     to row.  So the whole text and the nested lists never exist at once.
     """
 
-    m: int
+    measurements: MeasurementSet
     vertices: np.ndarray
-    measurements: Optional[MeasurementSet] = None
-
-    @cached_property
-    def starts(self) -> List[int]:
-        """``context_starts`` of the vertices, computed at the first access and cached."""
-        return context_starts(self.vertices).tolist()
+    starts: Tuple[int, ...]
 
     def _blocks(self):
         """(first row, end row, support) of each maximal commuting subset's block."""
         starts = self.starts
-        for a, b in zip(starts, starts[1:] + [len(self.vertices)]):
+        for a, b in zip(starts, starts[1:] + (len(self.vertices),)):
             yield a, b, np.flatnonzero(self.vertices[a])
 
     def contexts(self) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
@@ -139,36 +121,27 @@ class VertexSet:
 
     def write_json(self, fh: TextIO) -> None:
         """Write the JSON vertex file (see the class docstring) to ``fh``."""
-        measurements = (
-            _json_list([json.dumps(format_pauli(p)) for p in self.measurements], 1)
-            if self.measurements is not None
-            else "null"
-        )
-        fh.write(f'{{\n "m": {self.m},\n "measurements": {measurements},\n "vertices": ')
-        if not len(self.vertices):
-            fh.write('[],\n "contexts": []\n}')
-            return
-        fh.write("[")
+        ms = self.measurements
+        measurements = _json_list([json.dumps(format_pauli(p)) for p in ms], 1)
+        fh.write(f'{{\n "m": {ms.m},\n "measurements": {measurements},\n "vertices": [')
         for a in range(0, len(self.vertices), _BLOCK_ROWS):
             block = self.vertices[a:a + _BLOCK_ROWS]
             heads = ("\n  [" if a == 0 else ",\n  [", ",\n  [")
-            fh.write(_token_rows(block, heads, "\n   %d,", "\n   %d\n  ]", "]"))
+            fh.write(_token_rows(block, heads, "\n   %d,", "\n   %d\n  ]"))
         fh.write('\n ],\n "contexts": [')
         for a, b, support in self._blocks():
             s = _json_list([str(c) for c in support.tolist()], 3)
             head = f'\n  {{\n   "set": {s},\n   "signs": ['
             heads = (head if a == 0 else "," + head, "," + head)
             signs = self.vertices[a:b, support]
-            fh.write(_token_rows(signs, heads, "\n    %d,", "\n    %d\n   ]\n  }", "]\n  }"))
+            fh.write(_token_rows(signs, heads, "\n    %d,", "\n    %d\n   ]\n  }"))
         fh.write("\n ]\n}")
 
     def write_txt(self, fh: TextIO) -> None:
         """Write one line of space-separated entries per row to ``fh``."""
-        if not len(self.vertices):
-            fh.write("\n")
         for a in range(0, len(self.vertices), _BLOCK_ROWS):
             block = self.vertices[a:a + _BLOCK_ROWS]
-            fh.write(_token_rows(block, ("", ""), "%d ", "%d\n", "\n"))
+            fh.write(_token_rows(block, ("", ""), "%d ", "%d\n"))
 
     def to_json(self) -> str:
         """The JSON vertex file as one string."""
@@ -184,13 +157,11 @@ class VertexSet:
 
     @cached_property
     def symmetry(self) -> Optional["OrbitReduction"]:
-        """The orbit-sum reduction, or None without measurements or a non-trivial group.
+        """The orbit-sum reduction, or None if the qubit symmetry group is trivial.
 
         Computed at the first access and cached; ``v_representation`` does
         not touch it.
         """
-        if self.measurements is None:
-            return None
         return _orbit_reduction(self.measurements, self.vertices)
 
 
@@ -236,7 +207,7 @@ class OrbitReduction:
 
     ``hull`` holds the ascending indices of the points' convex hull
     vertices, or None above _HULL_MAX_ORBITS (6) orbits or when qhull
-    refuses the points (none, one orbit, a flat set): the TFIM, ANNNI and
+    refuses the points (one orbit, a flat set): the TFIM, ANNNI and
     XXZ n=9 all-terms sets (2-4 orbits) have one, the XXZ n=12 window (13) not.
     """
 
@@ -268,7 +239,8 @@ def _orbit_reduction(
     )
     order = np.lexsort(sums.T)
     ordered = sums[order]
-    starts = np.append(_run_starts(ordered), len(vertices))
+    changes = np.flatnonzero(np.any(ordered[1:] != ordered[:-1], axis=1)) + 1
+    starts = np.concatenate([[0], changes, [len(vertices)]])
     points = ordered[starts[:-1]].astype(float)
     return OrbitReduction(perms, orbits, points, _hull_vertices(points), order, starts)
 
@@ -279,7 +251,7 @@ def _hull_vertices(points: np.ndarray) -> Optional[np.ndarray]:
         return None
     try:
         return np.sort(ConvexHull(points).vertices)
-    except (QhullError, ValueError):  # no points, one dimension, or a flat set
+    except (QhullError, ValueError):  # one dimension, or a flat set
         return None
 
 
@@ -351,17 +323,19 @@ def v_representation(measurements: MeasurementSet) -> VertexSet:
     """Enumerate every (maximal commuting subset, admissible signs) vertex."""
     m = len(measurements)
     blocks = []
+    starts = [0]  # the first row of each block, then the row count
     for subset in enumerate_maximal_independent_sets(build_frustration_graph(measurements)):
         signs = _sign_block(measurements, subset)
         block = np.zeros((len(signs), m), dtype=np.int8)
         block[:, list(subset)] = signs
         blocks.append(block)
+        starts.append(starts[-1] + len(block))
     packed = np.concatenate(blocks)
     del blocks  # so the duplicate check's sorted copy does not coexist with them
     rows = np.sort(packed.view(np.dtype((np.void, m))).ravel())
     assert not np.any(rows[1:] == rows[:-1]), "duplicate vertices from distinct contexts"
     packed.setflags(write=False)
-    return VertexSet(m, packed, measurements)
+    return VertexSet(measurements, packed, tuple(starts[:-1]))
 
 
 def _isotropic_subspace_count(n: int) -> int:
@@ -381,21 +355,3 @@ def size_bound(n: int, m: int) -> int:
     else:
         independent_sets = 3 ** (m // 3 + 1)
     return 2 ** min(n, m) * independent_sets
-
-
-def vertex_set_from_json(text: str) -> VertexSet:
-    """Read a vertex file written by ``to_json``; its contexts follow from the rows."""
-    payload = json.loads(text)
-    m = payload["m"]
-    rows = payload["vertices"]
-    if any(not isinstance(row, list) or len(row) != m for row in rows):
-        raise ValueError(f"vertex rows must have m = {m} entries")
-    parsed = np.array(rows, dtype=float).reshape(len(rows), m)
-    if not np.isin(parsed, (-1.0, 0.0, 1.0)).all():
-        raise ValueError("vertex entries must be -1, 0 or 1")
-    vertices = parsed.astype(np.int8)  # only after the check: 256 would wrap to 0
-    vertices.setflags(write=False)
-    measurements = None
-    if payload.get("measurements"):
-        measurements = MeasurementSet.from_strings(payload["measurements"])
-    return VertexSet(m, vertices, measurements)

@@ -248,7 +248,7 @@ def reduced_rom(
     larger spread, a failed reduced LP or a lift that does not reproduce
     b to 1e-8 falls back to the full LP (``path == "full"``).
     """
-    if vset.m != b.m:
+    if vset.measurements.m != b.m:
         raise ValueError("dimension mismatch between vertex set and expectations")
     b_eq = np.concatenate([np.asarray(b.values, dtype=float), [1.0]])
     solved = _solve_symmetric(vset, b_eq, lp_tolerance)

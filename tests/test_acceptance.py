@@ -24,6 +24,7 @@ from magicscope.spinchain import (
     hamiltonian_measurement_set,
     sweep,
 )
+from util import random_clifford
 
 
 def report(number: int, description: str, failures):
@@ -213,7 +214,7 @@ def test_criterion_07_resource_monotone_property_suite():
         if lhs > rhs + 1e-6:
             failures.append(f"trial {trial}: (d) convexity {lhs} > {rhs}")
         # (e) Clifford two-sided monotonicity equality
-        circuit = oracle.random_clifford(n, rng)
+        circuit = random_clifford(n, rng)
         rotated = circuit.apply(state)
         b_rot = ExpectationVector.of(
             oracle.measurement_expectations(oracle.full_pauli_table(rotated), ms)

@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, file formats, exit codes."""
 
 import csv
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,8 @@ from magicscope.cli import (
     main,
 )
 from magicscope.cli import CliError
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def write(path, text):
@@ -49,23 +53,14 @@ class TestPolytope:
             (-1, 0), (0, -1), (0, 1), (1, 0),
         ]
 
-    def test_context_starts_computed_once(self, octahedron_file, tmp_path, capsys, monkeypatch):
-        import magicscope.cli as cli
-        import magicscope.polytope as polytope
-
-        calls = []
-        original = polytope.context_starts
-
-        def counting(vertices):
-            calls.append(len(vertices))
-            return original(vertices)
-
-        monkeypatch.setattr(polytope, "context_starts", counting)
-        monkeypatch.setattr(cli, "context_starts", counting, raising=False)
-        out = str(tmp_path / "v.json")
-        assert main(["polytope", octahedron_file, "--format", "json", "--out", out]) == EXIT_OK
-        assert calls == [6]  # the writer and the |I_max| line share one pass
-        assert "|I_max| = 3" in capsys.readouterr().err
+    def test_export_matches_the_benchmark_digest(self, tmp_path):
+        # perfbench's polytope-export workload accepts only these bytes
+        reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
+        out = tmp_path / "xxz9.json"
+        measurements = str(PERFBENCH / "data" / "xxz9_all_terms.txt")
+        assert main(["polytope", measurements, "--out", str(out)]) == EXIT_OK
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == reference["polytope-export"]["sha256"]
 
     def test_txt_output_file(self, octahedron_file, tmp_path, capsys):
         out = tmp_path / "v.txt"
@@ -247,6 +242,18 @@ class TestScan:
         finished = out.read_bytes()
         assert main(args + ["--resume"]) == EXIT_OK
         assert builds == [] and out.read_bytes() == finished
+
+    def test_resume_after_a_cut_inside_a_row(self, tmp_path):
+        # a killed scan can leave its last row without its line end: that point is not done
+        out = tmp_path / "scan.csv"
+        args = ["scan", "--model", "tfim", "--n", "4", "--grid", "g=0:2:5", "--threads", "1",
+                "--out", str(out)]
+        assert main(args) == EXIT_OK
+        full = out.read_bytes()
+        row = full.index(b"\ntfim,4,periodic,1.0,") + 1
+        out.write_bytes(full[:row + 25])
+        assert main(args + ["--resume"]) == EXIT_OK
+        assert out.read_bytes() == full
 
     @pytest.mark.parametrize(
         "other",

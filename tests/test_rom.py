@@ -11,13 +11,7 @@ from scipy.optimize import linprog
 
 from magicscope import oracle, rom
 from magicscope.pauli import MeasurementSet, PauliString, pauli_expectation, read_measurement_file
-from magicscope.polytope import (
-    _BLOCK_ROWS,
-    VertexSet,
-    qubit_symmetries,
-    v_representation,
-    vertex_set_from_json,
-)
+from magicscope.polytope import _BLOCK_ROWS, VertexSet, qubit_symmetries, v_representation
 from magicscope.rom import (
     DECISION_TOLERANCE,
     SYMMETRY_TOLERANCE,
@@ -33,7 +27,7 @@ from magicscope.spinchain import (
     ground_state,
     hamiltonian_measurement_set,
 )
-from util import solve_l1_dense
+from util import random_clifford, solve_l1_dense
 
 XXZ12_WINDOW = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "xxz12_window.txt"
 
@@ -214,11 +208,11 @@ class TestColumnGeneration:
         ms, b, _ = all_terms_ground_state("annni", 8, {"k": 0.3, "g": 0.8})
         vset = v_representation(ms)
         assert len(vset.vertices) > _BLOCK_ROWS
-        wide = VertexSet(vset.m, vset.vertices.astype(float), vset.measurements)
+        wide = VertexSet(vset.measurements, vset.vertices.astype(float), vset.starts)
         rng = np.random.default_rng(4)
         for _ in range(2):
             # off the orbit averages, so the symmetric path is refused
-            values = np.clip(np.array(b.values) + 1e-3 * rng.standard_normal(vset.m), -1, 1)
+            values = np.clip(np.array(b.values) + 1e-3 * rng.standard_normal(b.m), -1, 1)
             compact = reduced_rom(vset, ExpectationVector.of(values))
             reference = reduced_rom(wide, ExpectationVector.of(values))
             assert compact.path == reference.path == "full"
@@ -372,13 +366,6 @@ class TestSymmetricPath:
             repriced += len(calls) > 1
         assert repriced
 
-    def test_zero_rows_are_infeasible(self):
-        vset = vertex_set_from_json('{"m": 2, "measurements": ["+ZI", "+IZ"], "vertices": []}')
-        assert len(vset.symmetry.perms) == 2
-        assert vset.symmetry.points.shape == (0, 1)
-        assert vset.symmetry.hull is None
-        assert reduced_rom(vset, ExpectationVector.of([0.0, 0.0])).status == "infeasible"
-
     @pytest.mark.parametrize(
         "texts, values",
         [
@@ -521,7 +508,7 @@ class TestResourceProperties:
         ms = MeasurementSet.from_strings(["XX", "ZI", "IZ", "YY"])
         for _ in range(8):
             state = oracle.random_pure_state(2, rng)
-            circuit = oracle.random_clifford(2, rng)
+            circuit = random_clifford(2, rng)
             rotated = circuit.apply(state)
             # rom over M of C psi C+  ==  rom over C+ M C of psi
             b_rotated = ExpectationVector.of(
