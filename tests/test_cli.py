@@ -62,6 +62,25 @@ class TestPolytope:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == reference["polytope-export"]["sha256"]
 
+    def test_context_starts_computed_once(self, octahedron_file, tmp_path, capsys, monkeypatch):
+        import magicscope.cli as cli
+
+        built = []
+        original = cli.v_representation
+
+        def counting(measurements):
+            built.append(original(measurements))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "v_representation", counting)
+        out = tmp_path / "v.json"
+        assert main(["polytope", octahedron_file, "--format", "json", "--out", str(out)]) == EXIT_OK
+        # the writer and the |I_max| line share the starts of one v_representation
+        assert len(built) == 1
+        assert built[0].starts == (0, 2, 4)
+        assert len(json.loads(out.read_text())["vertices"]) == 6
+        assert "|I_max| = 3" in capsys.readouterr().err
+
     def test_txt_output_file(self, octahedron_file, tmp_path, capsys):
         out = tmp_path / "v.txt"
         assert main(["polytope", octahedron_file, "--out", str(out),
