@@ -19,7 +19,6 @@ from .rom import (
     RomResult,
     reduced_rom,
     sample_complexity,
-    witness,
 )
 from .spinchain import (
     SpinChainSpec,

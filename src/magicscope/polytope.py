@@ -11,10 +11,9 @@ reduces against, which fixes its sign.
 
 The qubit cyclic shifts and reflections that map the signed measurement
 set onto itself permute the measurements and the vertices.  Their
-orbit-sum reduction (``VertexSet.symmetry``) sorts the vertices into
-fibres, one per distinct vector of orbit sums.  It is built lazily, at
-the first robustness query that asks for it, and cached on the vertex
-set.
+orbit-sum reduction (``VertexSet.symmetry``) holds each distinct
+vector of the vertices' orbit sums once.  It is built lazily, at the
+first robustness query that asks for it, and cached on the vertex set.
 """
 
 from __future__ import annotations
@@ -200,10 +199,8 @@ class OrbitReduction:
     ``orbits`` labels each measurement with its orbit; a vertex projects
     to its orbit sums, and ``points`` holds each distinct projection
     once, in lexicographic order with the last orbit the primary key.
-    ``order`` sorts the vertices stably by their projections, so the
-    fibre of point p (every vertex that projects to it) is the run
-    ``order[starts[p]:starts[p + 1]]``.  The group maps each fibre onto
-    itself.
+    The group maps each point's fibre, every vertex that projects to it,
+    onto itself, so the fibre's mean is constant on each orbit.
 
     ``hull`` holds the ascending indices of the points' convex hull
     vertices, or None above _HULL_MAX_ORBITS (6) orbits or when qhull
@@ -215,18 +212,12 @@ class OrbitReduction:
     orbits: np.ndarray
     points: np.ndarray
     hull: Optional[np.ndarray]
-    order: np.ndarray
-    starts: np.ndarray
-
-    def fibre(self, p: int) -> np.ndarray:
-        """Row indices of the vertices that project to ``points[p]``."""
-        return self.order[self.starts[p]:self.starts[p + 1]]
 
 
 def _orbit_reduction(
     measurements: MeasurementSet, vertices: np.ndarray
 ) -> Optional[OrbitReduction]:
-    """Sort the vertices into fibres by their orbit sums; None if the group is trivial."""
+    """The distinct orbit sums of the vertices; None if the group is trivial."""
     perms = qubit_symmetries(measurements)
     if len(perms) == 1:
         return None
@@ -237,12 +228,11 @@ def _orbit_reduction(
         [vertices[:, orbits == o].sum(axis=1, dtype=np.int16) for o in range(orbits.max() + 1)],
         axis=1,
     )
-    order = np.lexsort(sums.T)
-    ordered = sums[order]
-    changes = np.flatnonzero(np.any(ordered[1:] != ordered[:-1], axis=1)) + 1
-    starts = np.concatenate([[0], changes, [len(vertices)]])
-    points = ordered[starts[:-1]].astype(float)
-    return OrbitReduction(perms, orbits, points, _hull_vertices(points), order, starts)
+    # a lexsort: np.unique(axis=0) is an order of magnitude slower on these rows
+    ordered = sums[np.lexsort(sums.T)]
+    first = np.concatenate([[True], np.any(ordered[1:] != ordered[:-1], axis=1)])
+    points = ordered[first].astype(float)
+    return OrbitReduction(perms, orbits, points, _hull_vertices(points))
 
 
 def _hull_vertices(points: np.ndarray) -> Optional[np.ndarray]:
@@ -322,18 +312,21 @@ def admissible_signs(
 def v_representation(measurements: MeasurementSet) -> VertexSet:
     """Enumerate every (maximal commuting subset, admissible signs) vertex."""
     m = len(measurements)
+    subsets = list(enumerate_maximal_independent_sets(build_frustration_graph(measurements)))
+    # A row's support is its whole subset (every sign is +-1) and the rows of one
+    # block differ on its pivots, so a vertex repeats only if a subset does.
+    assert all(a < b for a, b in zip(subsets, subsets[1:])), (
+        "duplicate vertices from distinct contexts"
+    )
     blocks = []
     starts = [0]  # the first row of each block, then the row count
-    for subset in enumerate_maximal_independent_sets(build_frustration_graph(measurements)):
+    for subset in subsets:
         signs = _sign_block(measurements, subset)
         block = np.zeros((len(signs), m), dtype=np.int8)
         block[:, list(subset)] = signs
         blocks.append(block)
         starts.append(starts[-1] + len(block))
     packed = np.concatenate(blocks)
-    del blocks  # so the duplicate check's sorted copy does not coexist with them
-    rows = np.sort(packed.view(np.dtype((np.void, m))).ravel())
-    assert not np.any(rows[1:] == rows[:-1]), "duplicate vertices from distinct contexts"
     packed.setflags(write=False)
     return VertexSet(measurements, packed, tuple(starts[:-1]))
 

@@ -1,4 +1,4 @@
-"""Linear programs over the reduced polytope: robustness and witness.
+"""Linear programs over the reduced polytope: robustness and membership.
 
 The reduced robustness minimizes the 1-norm of an affine pseudo-mixture
 of polytope vertices reproducing the observed expectations.  It has one
@@ -16,15 +16,17 @@ constant on its measurement orbits to SYMMETRY_TOLERANCE, the same
 solver runs over the distinct orbit-sum points of the vertices instead
 (Heinrich & Gross, Quantum 3, 132, 2019): the LP is convex, so an
 optimal dual can be taken constant on the orbits, and a vertex then
-enters only through its orbit sums.  Each point's weight is spread
-evenly over its fibre, every vertex projecting to it: the group maps
-the fibre onto itself, so its mean is constant on the orbits, and the
-spread reproduces an invariant b with the same sum and 1-norm.  If b
-is not invariant, the reduced LP fails, or the lifted coefficients do
-not reproduce b, the full LP runs.  The reduced LP's first dual solve
-runs over the vertices of the points' convex hull where
-``OrbitReduction.hull`` has them, the only points that can bind;
-pricing still runs over every point.
+enters only through its orbit sums.  The coefficients are then one
+weight w per point.  Spreading each weight evenly over its point's
+fibre, every vertex projecting to it, would give vertex coefficients
+with the same sum and 1-norm: the group maps the fibre onto itself, so
+its mean is constant on the orbits, and the spread takes the value
+(points.T @ w)[o] / |o| on each measurement of orbit o.  If b is not
+invariant, the reduced LP fails, or that vector does not reproduce b,
+the full LP runs.  The reduced LP's first dual solve runs over the
+vertices of the points' convex hull where ``OrbitReduction.hull`` has
+them, the only points that can bind; pricing still runs over every
+point.
 """
 
 from __future__ import annotations
@@ -36,14 +38,12 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import linprog
 
-from .pauli import MeasurementSet
-from .polytope import _BLOCK_ROWS, VertexSet, v_representation
+from .polytope import _BLOCK_ROWS, VertexSet
 
 __all__ = [
     "ExpectationVector",
     "RomResult",
     "reduced_rom",
-    "witness",
     "sample_complexity",
     "LP_TOLERANCE",
     "LP_TOLERANCE_RANGE",
@@ -57,7 +57,7 @@ LP_TOLERANCE_RANGE = (1e-10, 1.0)
 DECISION_TOLERANCE = 1e-7
 INPUT_TOLERANCE = 1e-6
 # largest orbit spread of b that still takes the symmetric path; the same
-# 1e-8 that the lifted coefficients must reproduce b to
+# 1e-8 that the orbit-sum weights must reproduce b to
 SYMMETRY_TOLERANCE = 1e-8
 
 
@@ -83,8 +83,16 @@ class ExpectationVector:
 
 @dataclass(frozen=True)
 class RomResult:
+    """One robustness query's result.
+
+    ``coefficients`` is empty unless status is "optimal".  On the full
+    path it holds one coefficient per row of ``VertexSet.vertices``; on
+    the symmetric path one weight per row of ``VertexSet.symmetry.points``,
+    each to be spread evenly over the vertices projecting to that point.
+    """
+
     rom: float
-    coefficients: np.ndarray  # empty unless status is "optimal"
+    coefficients: np.ndarray
     member: bool
     status: str
     path: str  # "symmetric" (orbit-sum LP) or "full"
@@ -194,12 +202,13 @@ def _solve_l1_column_generation(
 
 
 def _solve_symmetric(vset: VertexSet, b_eq: np.ndarray, lp_tolerance: float):
-    """The 1-norm LP over the orbit-sum points, lifted to the vertices.
+    """The 1-norm LP over the orbit-sum points.
 
-    Returns (fun, coefficients, 0, "") like ``_solve_l1_column_generation``,
-    or None when the group is trivial, b_eq is not constant on every
-    orbit to SYMMETRY_TOLERANCE, the reduced LP fails, or the lift does
-    not reproduce b_eq to 1e-8.
+    Returns (fun, weights over the points, 0, "") like
+    ``_solve_l1_column_generation``, or None when the group is trivial,
+    b_eq is not constant on every orbit to SYMMETRY_TOLERANCE, the
+    reduced LP fails, or the weights' spread over the fibres would not
+    reproduce b_eq to 1e-8.
     """
     reduction = vset.symmetry
     if reduction is None:
@@ -207,21 +216,18 @@ def _solve_symmetric(vset: VertexSet, b_eq: np.ndarray, lp_tolerance: float):
     values = b_eq[:-1]
     if np.ptp(values[reduction.perms], axis=0).max() > SYMMETRY_TOLERANCE:
         return None
-    sums = np.bincount(reduction.orbits, weights=values, minlength=reduction.points.shape[1])
+    orbits = reduction.orbits
+    sums = np.bincount(orbits, weights=values, minlength=reduction.points.shape[1])
     fun, weights, status, _ = _solve_l1_column_generation(
         reduction.points, np.append(sums, 1.0), lp_tolerance, reduction.hull
     )
     if status != 0:
         return None
-    fibres = {p: reduction.fibre(p) for p in np.flatnonzero(weights)}
-    coeffs = np.zeros(len(vset.vertices))
-    for p, fibre in fibres.items():
-        coeffs[fibre] = weights[p] / len(fibre)
-    used = np.concatenate(list(fibres.values()))
-    reproduced = np.append(vset.vertices[used].T @ coeffs[used], coeffs[used].sum())
-    if np.max(np.abs(reproduced - b_eq)) > 1e-8:
+    # the spread's value on measurement i of orbit o: (points.T @ weights)[o] / |o|
+    spread = (reduction.points.T @ weights / np.bincount(orbits))[orbits]
+    if np.max(np.abs(np.append(spread, weights.sum()) - b_eq)) > 1e-8:
         return None
-    return fun, coeffs, 0, ""
+    return fun, weights, 0, ""
 
 
 def reduced_rom(
@@ -243,10 +249,10 @@ def reduced_rom(
 
     If the set has a non-trivial qubit symmetry group and every orbit
     spread of b is at most SYMMETRY_TOLERANCE (1e-8), the LP runs over
-    the distinct orbit-sum points and each point's weight is spread
-    evenly over its fibre of vertices (``path == "symmetric"``).  A
-    larger spread, a failed reduced LP or a lift that does not reproduce
-    b to 1e-8 falls back to the full LP (``path == "full"``).
+    the distinct orbit-sum points and the coefficients are their weights
+    (``path == "symmetric"``).  A larger spread, a failed reduced LP or
+    weights whose even spread over each point's fibre of vertices would
+    not reproduce b to 1e-8 fall back to the full LP (``path == "full"``).
     """
     if vset.measurements.m != b.m:
         raise ValueError("dimension mismatch between vertex set and expectations")
@@ -263,30 +269,6 @@ def reduced_rom(
         return RomResult(math.nan, np.empty(0), False, "numerically-degenerate", path, cause)
     rom = float(fun)
     return RomResult(rom, coeffs, rom <= 1.0 + decision_tolerance, "optimal", path)
-
-
-@dataclass(frozen=True)
-class WitnessReport:
-    witnessed: bool
-    rom: float
-    message: str
-    vertex_count: int
-
-
-def witness(measurements: MeasurementSet, b: ExpectationVector) -> WitnessReport:
-    """Build the reduced polytope and test b against it.
-
-    A negative verdict only means the statistics are reproducible by
-    some stabilizer state on this measurement set; it is not a
-    stabilizerness certificate.
-    """
-    vset = v_representation(measurements)
-    result = reduced_rom(vset, b)
-    if result.member:
-        msg = "consistent with a stabilizer state on the measurement set"
-    else:
-        msg = "nonstabilizerness witnessed"
-    return WitnessReport(not result.member, result.rom, msg, len(vset.vertices))
 
 
 def sample_complexity(rom: float, delta: float, epsilon: float) -> int:

@@ -4,15 +4,32 @@ Tier-1 never runs ``perfbench``, so a rename inside ``magicscope`` could
 break the benchmark while every other test passes.  This reads the
 scripts' import statements, and the attributes they read off the package
 modules they import (``rom_module.linprog``, ``cli.main``), with ``ast``
-and runs none of them.
+and runs none of them.  It also checks the attributes ``run.py`` reads
+off the objects the package returns, on small objects of each type.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
 
+from magicscope.pauli import MeasurementSet
+from magicscope.polytope import v_representation
+from magicscope.rom import ExpectationVector, reduced_rom
+from magicscope.spinchain import SpinChainSpec, SweepRecord, build_hamiltonian, ground_state
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+# what run.py reads off each type of object the package returns
+RESULT_READS = {
+    "VertexSet": ("vertices", "to_json"),
+    "RomResult": ("coefficients", "status", "rom"),
+    "GroundStateResult": ("state", "energy", "gap_estimate", "degenerate_flag"),
+}
+# run.py's traced sweep builds a SweepRecord from these, by position
+SWEEP_RECORD_FIELDS = (
+    "params", "energy", "gap_estimate", "expectations", "rom", "degenerate_flag", "solver_status",
+)
 
 
 def package_imports(script):
@@ -64,3 +81,20 @@ def test_every_module_attribute_read_exists():
     assert {("magicscope.rom", "linprog"), ("magicscope.cli", "main")} <= reads
     for module, name in reads:
         assert hasattr(importlib.import_module(module), name), f"{module} has no {name}"
+
+
+def test_every_attribute_read_off_a_result_exists():
+    tree = ast.parse((PERFBENCH / "run.py").read_text(encoding="utf-8"))
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    vset = v_representation(MeasurementSet.from_strings(["X", "Y", "Z"]))
+    results = {
+        "VertexSet": vset,
+        "RomResult": reduced_rom(vset, ExpectationVector.of([0.5, 0.0, 0.0])),
+        "GroundStateResult": ground_state(build_hamiltonian(SpinChainSpec("tfim", 3, {"g": 1.0}))),
+    }
+    for kind, names in RESULT_READS.items():
+        for name in names:
+            assert name in read, f"run.py no longer reads {name}; drop it from RESULT_READS"
+            assert hasattr(results[kind], name), f"{kind} has no {name}"
+    fields = tuple(f.name for f in dataclasses.fields(SweepRecord))
+    assert fields[:len(SWEEP_RECORD_FIELDS)] == SWEEP_RECORD_FIELDS

@@ -253,10 +253,21 @@ class TestVRepresentation:
         assert not vertices.flags.writeable
         assert vertices.nbytes == rows * m
 
+    def test_a_repeated_subset_is_a_duplicate_vertex(self, monkeypatch):
+        # the check reads the subset list, not the rows: a subset enumerated
+        # twice gives its whole block of vertices twice
+        ms = MeasurementSet.from_strings(["X", "Y", "Z"])
+        subsets = list(enumerate_maximal_independent_sets(build_frustration_graph(ms)))
+        monkeypatch.setattr(
+            polytope, "enumerate_maximal_independent_sets", lambda g: iter(subsets[:1] + subsets)
+        )
+        with pytest.raises(AssertionError, match="duplicate vertices from distinct contexts"):
+            v_representation(ms)
+
     def test_build_peak_memory_is_near_the_vertex_array(self):
         # N x m bytes is the int8 array.  The per-subset blocks and their
-        # concatenation coexist once, as do the array and the duplicate check's
-        # sorted copy: 2x.  A float64 copy of the array alone would be 8x.
+        # concatenation coexist once: 2x.  A float64 copy of the array alone
+        # would be 8x.
         ms = hamiltonian_measurement_set(SpinChainSpec("annni", 10, {}), "all-terms")
         tracemalloc.start()
         try:

@@ -1,4 +1,4 @@
-"""Robustness LP, membership verdict, witness, and resource-monotone properties."""
+"""Robustness LP, membership verdict, and resource-monotone properties."""
 
 import math
 from pathlib import Path
@@ -19,7 +19,6 @@ from magicscope.rom import (
     _solve_l1_column_generation,
     reduced_rom,
     sample_complexity,
-    witness,
 )
 from magicscope.spinchain import (
     SpinChainSpec,
@@ -27,7 +26,7 @@ from magicscope.spinchain import (
     ground_state,
     hamiltonian_measurement_set,
 )
-from util import random_clifford, solve_l1_dense
+from util import fibres, lift, random_clifford, solve_l1_dense
 
 XXZ12_WINDOW = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "xxz12_window.txt"
 
@@ -255,7 +254,8 @@ class TestSymmetricPath:
         fun, _, status, _ = _solve_l1_column_generation(vset.vertices, np.append(b.values, 1.0))
         assert status == 0
         assert abs(result.rom - fun) < 1e-7
-        x = result.coefficients
+        assert result.coefficients.shape == (len(vset.symmetry.points),)
+        x = lift(vset, result.coefficients)
         assert np.max(np.abs(vset.vertices.T @ x - np.array(b.values))) < 1e-8
         assert abs(x.sum() - 1.0) < 1e-8
         assert abs(np.abs(x).sum() - result.rom) < 1e-8
@@ -404,12 +404,16 @@ class TestQubitSymmetries:
         reduction = vset.symmetry
         assert len(reduction.perms) == 20
         assert reduction.points.shape == (964, 3)
+        # the points are distinct, in lexicographic order with the last orbit first
+        assert np.array_equal(np.lexsort(reduction.points.T), np.arange(964))
+        assert len({tuple(p) for p in reduction.points.tolist()}) == 964
         # the fibres partition the rows, and every vertex of a fibre projects to its point
-        fibres = [reduction.fibre(p) for p in range(len(reduction.points))]
-        assert np.array_equal(np.sort(np.concatenate(fibres)), np.arange(len(vset.vertices)))
+        found = fibres(vset)
+        assert all(len(rows) for rows in found)
+        assert np.array_equal(np.sort(np.concatenate(found)), np.arange(len(vset.vertices)))
         indicator = np.eye(3)[reduction.orbits]
-        for p, fibre in enumerate(fibres):
-            assert np.all(vset.vertices[fibre] @ indicator == reduction.points[p])
+        for p, rows in enumerate(found):
+            assert np.all(vset.vertices[rows] @ indicator == reduction.points[p])
 
     def test_xxz12_window_reflection(self):
         ms = read_measurement_file(XXZ12_WINDOW)
@@ -469,21 +473,21 @@ class TestMembership:
 
 
 class TestWitness:
+    """``not reduced_rom(...).member`` is the witness verdict ``magicscope rom`` prints."""
+
     def test_t_state_witnessed(self):
-        report = witness(OCTAHEDRON, ExpectationVector.of(T_BLOCH))
-        assert report.witnessed
-        assert "witnessed" in report.message
+        result = reduced_rom(v_representation(OCTAHEDRON), ExpectationVector.of(T_BLOCH))
+        assert result.status == "optimal" and not result.member
 
     def test_plus_state_consistent(self):
-        report = witness(OCTAHEDRON, ExpectationVector.of([1.0, 0.0, 0.0]))
-        assert not report.witnessed
-        assert "consistent" in report.message
+        result = reduced_rom(v_representation(OCTAHEDRON), ExpectationVector.of([1.0, 0.0, 0.0]))
+        assert result.status == "optimal" and result.member
 
     @given(st.tuples(st.floats(-1, 1), st.floats(-1, 1)))
     @settings(max_examples=40, deadline=None)
     def test_commuting_sets_never_witness(self, b):
-        ms = MeasurementSet.from_strings(["XI", "IX"])
-        assert not witness(ms, ExpectationVector.of(b)).witnessed
+        vset = v_representation(MeasurementSet.from_strings(["XI", "IX"]))
+        assert reduced_rom(vset, ExpectationVector.of(b)).member
 
 
 class TestResourceProperties:

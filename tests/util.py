@@ -106,6 +106,36 @@ def vertex_txt(vset) -> str:
     return "\n".join(" ".join(str(c) for c in row) for row in rows) + "\n"
 
 
+def fibres(vset) -> List[np.ndarray]:
+    """Row indices of the vertices that project to each of ``vset.symmetry.points``.
+
+    Each row's orbit sums come from an indicator matmul and are looked up
+    in a dict of the points, so a row whose sums are no point raises
+    KeyError.
+    """
+    reduction = vset.symmetry
+    # int8 @ int16 sums in int16, exact: an orbit sum is at most m in magnitude
+    indicator = np.eye(reduction.points.shape[1], dtype=np.int16)[reduction.orbits]
+    sums = (vset.vertices @ indicator).tolist()
+    index = {tuple(point): p for p, point in enumerate(reduction.points.astype(int).tolist())}
+    rows: List[List[int]] = [[] for _ in reduction.points]
+    for row, point in enumerate(sums):
+        rows[index[tuple(point)]].append(row)
+    return [np.array(r, dtype=np.intp) for r in rows]
+
+
+def lift(vset, weights: np.ndarray) -> np.ndarray:
+    """Vertex coefficients that spread each point's weight evenly over its fibre.
+
+    The reference lift of symmetric-path ``RomResult.coefficients``,
+    which are weights over ``vset.symmetry.points``.
+    """
+    coefficients = np.zeros(len(vset.vertices))
+    for weight, rows in zip(weights, fibres(vset)):
+        coefficients[rows] = weight / len(rows)
+    return coefficients
+
+
 # --- Clifford conjugation (symplectic update rules per gate) ---------------
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
