@@ -1,11 +1,13 @@
 """Spin-chain Hamiltonians, ground states, and parameter sweeps.
 
-Hamiltonians are kept as weighted Pauli-string term lists and turned
-into one sparse CSR matrix, real for all three chain models.  Seeded
-Lanczos (``eigsh``) runs on that matrix give the ground state at every
-chain size, then one deflation loop gives the gap and the ground space;
-a diagonal H (every term a Z-string) has its ground space read off its
-diagonal.
+Hamiltonians are kept as weighted Pauli-string term lists.  All three
+chain models commute with the spin flip X^n, so H splits into two real
+CSR blocks of size 2^(n-1), one per flip sector, whose index pattern
+(``SectorPattern``) a sweep builds once; each point only sums its terms'
+fixed entry arrays.  Seeded Lanczos (``eigsh``) runs on the blocks give
+the ground state at every chain size, then one deflation loop gives the
+gap and the ground space, lifted back to 2^n; a diagonal H (every term a
+Z-string) has its ground space read off its diagonal.
 
 The expectations are those of the T -> 0 Gibbs state, tr(P Pi)/d over
 the d-dimensional ground space: the ground state's own at d = 1, and at
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,7 +37,7 @@ __all__ = [
     "GroundStateResult",
     "SweepRecord",
     "build_hamiltonian",
-    "hamiltonian_matrix",
+    "SectorPattern",
     "ground_state",
     "hamiltonian_measurement_set",
     "sweep",
@@ -45,10 +47,12 @@ __all__ = [
 ]
 
 EIG_TOLERANCE = 1e-10
+_SEED = 1234  # of the Lanczos starts, in ground_state and sweep
 DEGENERACY_THRESHOLD = 1e-8
 # the largest ground space a non-diagonal H deflates out, one Lanczos solve
 # per level: it holds the XXZ ferromagnetic multiplet at delta = -1, h = 0,
-# d = n + 1 = 15 at n = 14 (1.6 s); the test and benchmark grids reach d = 4
+# d = n + 1 = 15 at n = 14 (0.7 s, 8 levels in one flip sector and 7 in the
+# other); the test and benchmark grids reach d = 4
 GROUND_SPACE_CAP = 16
 COUPLINGS = {"tfim": ("g",), "annni": ("k", "g"), "xxz": ("delta", "h")}
 
@@ -168,32 +172,97 @@ def build_hamiltonian(spec: SpinChainSpec) -> TermList:
     return [(w, p) for p, w in merged.items() if w != 0.0]
 
 
-def hamiltonian_matrix(terms: TermList, n: int) -> sp.csr_matrix:
-    """H = sum_j w_j P_j as a CSR matrix in the computational basis.
+class SectorPattern:
+    """The CSR index pattern of H = sum_j w_j P_j over fixed Paulis P_j, split by spin-flip parity.
 
-    Terms sharing an X-part share a sparsity pattern (column c feeds row
-    c ^ xbits), so each row holds one entry per distinct X-part.  The
-    matrix is real whenever every term has an even phase exponent (all
-    three chain models), complex otherwise.
+    When every P_j commutes with the spin flip F = X^n (an even count of
+    Y and Z factors: XX, YY, ZZ and X in all three chain models), H has
+    one real block in each F sector, of size 2^(n-1), in the basis
+    |r s> = (|r> + s|~r>)/sqrt(2), s = +1 or -1, over the representatives
+    r < 2^(n-1), where ~r = r ^ (2^n - 1) flips every qubit.  P_j maps
+    |c s> to a signed |(c ^ x_j) s>, x_j its X-part; when x_j flips the
+    top qubit, c ^ x_j is not a representative but its partner is, at the
+    price of a factor s.  An H with a term odd under F has one block, H
+    itself in the computational basis.  Either way the terms that share
+    an X-part share one entry of every row, so the Paulis fix the index
+    pattern, and a point's entries are sum_j w_j D_j over fixed per-term
+    arrays D_j.  The blocks are complex only if some P_j has an odd
+    phase exponent.
     """
-    real = all(p.phase_k % 2 == 0 for _, p in terms)
-    xparts = sorted({p.xbits for _, p in terms})
-    # cols[r, g] = r ^ xparts[g]: the one column of row r that X-part g fills
-    cols = np.arange(2**n, dtype=np.int64)[:, None] ^ np.array(xparts, dtype=np.int64)
-    data = np.zeros(cols.shape, dtype=float if real else complex)
-    for weight, p in terms:
-        g = xparts.index(p.xbits)
-        phase = 1j**p.phase_k
-        data[:, g] += weight * (phase.real if real else phase) * z_signs(cols[:, g], p.zbits)
-    indptr = np.arange(0, cols.size + 1, len(xparts))
-    h = sp.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(2**n, 2**n))
-    h.eliminate_zeros()
-    return h
+
+    def __init__(self, paulis: Iterable[PauliString]):
+        self.slot = {p: j for j, p in enumerate(dict.fromkeys(paulis))}
+        n = next(iter(self.slot)).n
+        if n > 14:
+            raise ValueError("exact diagonalization capped at 14 qubits")
+        even = all(p.zbits.bit_count() % 2 == 0 for p in self.slot)
+        self.signs = (1.0, -1.0) if even else (1.0,)
+        top = 1 << (n - 1) if even else 0
+        self.xparts = sorted({p.xbits for p in self.slot})
+        # cols[r, g]: the column X-part g fills in row r
+        folded = [x ^ (2 * top - 1) if x & top else x for x in self.xparts]
+        self.cols = np.arange(2**n >> even, dtype=np.int32)[:, None] ^ np.array(folded, np.int32)
+        rows, width = self.cols.shape
+        # flips[i, g]: the factor sector signs[i] puts on X-part g
+        self.flips = np.array([[s if x & top else 1.0 for x in self.xparts] for s in self.signs])
+        real = all(p.phase_k % 2 == 0 for p in self.slot)
+        self.group = [self.xparts.index(p.xbits) for p in self.slot]
+        # per_term[j]: D_j, one entry per row, in column group[j]
+        self.per_term = np.array([
+            ((1j**p.phase_k).real if real else 1j**p.phase_k) * z_signs(self.cols[:, g], p.zbits)
+            for p, g in zip(self.slot, self.group)
+        ])
+
+    def _entries(self, terms: TermList) -> np.ndarray:
+        """sum_j w_j D_j as a rows x width array, one column per X-part."""
+        entries = np.zeros(self.cols.shape[::-1], self.per_term.dtype)
+        for weight, p in terms:
+            j = self.slot[p]
+            entries[self.group[j]] += weight * self.per_term[j]
+        return np.ascontiguousarray(entries.T)  # row by row, as CSR keeps them
+
+    def blocks(self, terms: TermList) -> List[sp.csr_matrix]:
+        """One CSR block of H per sector, in the order of ``signs``."""
+        entries = self._entries(terms)
+        rows, width = entries.shape
+        # drop the exact cancellations (XX + YY), a fifth of the
+        # matrix-vector cost at XXZ n = 12, and the terms absent at this point
+        keep = np.flatnonzero(entries != 0)
+        cols = self.cols.take(keep)
+        indptr = np.searchsorted(keep, np.arange(0, entries.size + 1, width)).astype(np.int32)
+        return [
+            sp.csr_matrix(((entries * flip).take(keep), cols, indptr), shape=(rows, rows))
+            for flip in self.flips
+        ]
+
+    def diagonal(self, terms: TermList) -> np.ndarray:
+        """The computational-basis diagonal of an H of Z-strings."""
+        d = self._entries(terms)[:, self.xparts.index(0)].real
+        # ~r = 2^n - 1 - r has the diagonal entry of r
+        return np.concatenate([d, d[::-1]]) if len(self.signs) == 2 else d
+
+    def lift(self, vecs: np.ndarray, sign: float) -> np.ndarray:
+        """Vectors (along axis 0) of the block of sector ``sign`` as 2^n vectors."""
+        if len(self.signs) == 1:
+            return vecs
+        return np.concatenate([vecs, sign * vecs[::-1]]) / math.sqrt(2.0)
 
 
 def _lowest(op, v0: np.ndarray) -> Tuple[float, np.ndarray]:
     evals, evecs = spla.eigsh(op, k=1, which="SA", tol=EIG_TOLERANCE, v0=v0, maxiter=5000)
     return float(evals[0]), evecs[:, 0]
+
+
+def _deflated(h: sp.csr_matrix, basis: np.ndarray, sigma: float) -> spla.LinearOperator:
+    """h + sigma Q, where Q projects onto the orthonormal rows of ``basis``."""
+
+    def matvec(v):
+        out = h @ np.ravel(v)
+        for f in basis:  # rank-1 terms: a block matmul costs more per matvec at d = 1
+            out += (sigma * np.vdot(f, v)) * f
+        return out
+
+    return spla.LinearOperator(h.shape, matvec=matvec, dtype=h.dtype)
 
 
 def _diagonal_ground_state(diagonal: np.ndarray) -> GroundStateResult:
@@ -205,54 +274,71 @@ def _diagonal_ground_state(diagonal: np.ndarray) -> GroundStateResult:
     return GroundStateResult(e0, state, gap, np.flatnonzero(diagonal < e0 + DEGENERACY_THRESHOLD))
 
 
-def ground_state(terms: TermList, seed: int = 1234) -> GroundStateResult:
+def _ground_state(pattern: SectorPattern, terms: TermList, seed: int) -> GroundStateResult:
+    if all(p.xbits == 0 for _, p in terms):
+        return _diagonal_ground_state(pattern.diagonal(terms))
+    rng = np.random.default_rng(seed)
+    blocks = pattern.blocks(terms)
+    lowest = [_lowest(h, rng.normal(size=h.shape[0])) for h in blocks]
+    levels = [level for level, _ in lowest]
+    e0 = min(levels)
+    # sigma exceeds the spectral width: E_max <= sum |w| and E0 >= -sum |w|
+    sigma = sum(abs(w) for w, _ in terms) - e0 + 1.0
+    # found[i]: block i's ground-space vectors; live while its last level was one
+    found = [[vec] if level - e0 < DEGENERACY_THRESHOLD else [] for level, vec in lowest]
+    live = [bool(f) for f in found]
+    while any(live):
+        d = sum(map(len, found))
+        if d > GROUND_SPACE_CAP:
+            raise ValueError(f"ground space of dimension d >= {d} exceeds {GROUND_SPACE_CAP}")
+        for i, h in enumerate(blocks):
+            if not live[i]:
+                continue
+            basis = np.linalg.qr(np.column_stack(found[i]))[0].T
+            # a fresh start each round: Lanczos from the first one only reaches
+            # psi0 inside the ground space, so it would miss a degenerate partner
+            level, vec = _lowest(_deflated(h, basis, sigma), rng.normal(size=h.shape[0]))
+            levels.append(level)
+            live[i] = level - e0 < DEGENERACY_THRESHOLD
+            if live[i]:
+                found[i].append(vec)
+    # levels holds every level within the threshold and each block's first above it
+    gap = max(0.0, sorted(levels)[1] - e0)
+    first = levels.index(e0)
+    psi0 = lowest[first][1]
+    state = pattern.lift(psi0 / np.linalg.norm(psi0), pattern.signs[first])
+    if sum(map(len, found)) == 1:
+        return GroundStateResult(e0, state, gap, state[:, None])
+    space = [
+        pattern.lift(np.linalg.qr(np.column_stack(f))[0], sign)
+        for f, sign in zip(found, pattern.signs)
+        if f
+    ]
+    return GroundStateResult(e0, state, gap, np.hstack(space))
+
+
+def ground_state(terms: TermList, seed: int = _SEED) -> GroundStateResult:
     """Lowest level, gap estimate and ground space of a Pauli-term H.
 
     A diagonal H (every term a Z-string) takes its ground space exactly,
     as the basis states whose diagonal entry lies within
     DEGENERACY_THRESHOLD of the minimum, with no eigensolver.  Any other
-    H takes seeded Lanczos runs at every chain size: one for the ground
-    state psi0 of H, then one per round of a deflation loop.  Each round
-    solves H + sigma Q, where Q projects onto the levels found so far, so
-    that sigma lifts them above the spectrum.  The first round's level
-    gives the gap, and an exactly degenerate partner of psi0 shows up as
-    a zero gap.  The loop stops at the first level that clears the
-    threshold; a ground space larger than GROUND_SPACE_CAP raises a
-    ValueError that names d.
+    H is split into its spin-flip sector blocks (``SectorPattern``; one
+    block when a term is odd under the flip) and takes seeded Lanczos
+    runs on them at every chain size: one for each block's lowest level,
+    E0 the lower of the two, then one deflation loop over the blocks
+    whose lowest level lies within DEGENERACY_THRESHOLD of E0.  Each
+    round solves such a block's B + sigma Q, where Q projects onto the
+    levels it has given so far, so that sigma lifts them above the
+    spectrum; a block leaves the loop at its first level that clears the
+    threshold.  The gap is the next level above E0 across the blocks, so
+    a degeneracy between the sectors is found from the two minima alone.
+    The ground-space columns are the blocks' vectors lifted back to 2^n;
+    one larger than GROUND_SPACE_CAP raises a ValueError that names d.
     """
     if not terms:
         raise ValueError("empty term list")
-    n = terms[0][1].n
-    if n > 14:
-        raise ValueError("exact diagonalization capped at 14 qubits")
-    h = hamiltonian_matrix(terms, n)
-    if all(p.xbits == 0 for _, p in terms):
-        return _diagonal_ground_state(h.diagonal())
-    rng = np.random.default_rng(seed)
-    e0, psi0 = _lowest(h, rng.normal(size=h.shape[0]))
-    state = psi0 / np.linalg.norm(psi0)
-    # sigma exceeds the spectral width: E_max <= sum |w| and E0 >= -sum |w|
-    sigma = sum(abs(w) for w, _ in terms) - e0 + 1.0
-    found, basis = [state], [psi0]  # the first round lifts psi0 as Lanczos returned it
-    while len(found) <= GROUND_SPACE_CAP:
-        def deflated(v):
-            out = h @ np.ravel(v)
-            for f in basis:  # rank-1 terms: a block matmul costs more per matvec at d = 1
-                out += (sigma * np.vdot(f, v)) * f
-            return out
-
-        op = spla.LinearOperator(h.shape, matvec=deflated, dtype=h.dtype)
-        # a fresh start each round: Lanczos from the first one only reaches
-        # psi0 inside the ground space, so it would miss a degenerate partner
-        level, vec = _lowest(op, rng.normal(size=h.shape[0]))
-        if len(found) == 1:
-            gap = max(0.0, level - e0)
-        if level - e0 >= DEGENERACY_THRESHOLD:
-            space = state[:, None] if len(found) == 1 else basis.T
-            return GroundStateResult(e0, state, gap, space)
-        found.append(vec)
-        basis = np.linalg.qr(np.column_stack(found))[0].T
-    raise ValueError(f"ground space of dimension d >= {len(found)} exceeds {GROUND_SPACE_CAP}")
+    return _ground_state(SectorPattern(p for _, p in terms), terms, seed)
 
 
 def hamiltonian_measurement_set(spec: SpinChainSpec, scope: str = "all-terms") -> MeasurementSet:
@@ -306,10 +392,13 @@ def sweep(
     error record.
     """
 
+    # every point's H fills the pattern of the model's structural terms
+    pattern = SectorPattern(p for _, p in _structural_terms(spec))
+
     def run(point: Dict[str, float]) -> SweepRecord:
         try:
             terms = build_hamiltonian(spec.with_params(point))
-            gs = ground_state(terms)
+            gs = _ground_state(pattern, terms, _SEED)
             expectations = tuple(gs.expectation(p) for p in measurements)
             result = reduced_rom(
                 vset, ExpectationVector.of(expectations), lp_tolerance=lp_tolerance

@@ -19,10 +19,10 @@ from magicscope.rom import ExpectationVector, reduced_rom
 from magicscope.spinchain import (
     DEGENERACY_THRESHOLD,
     GroundStateResult,
+    SectorPattern,
     SpinChainSpec,
     build_hamiltonian,
     ground_state,
-    hamiltonian_matrix,
     hamiltonian_measurement_set,
     sweep,
 )
@@ -31,6 +31,21 @@ from util import dense_hamiltonian, pauli_matrix
 
 def term_dict(terms):
     return {format_pauli(p): w for w, p in terms}
+
+
+def flip_basis(n, sign):
+    """The 2^n x 2^(n-1) isometry onto (|r> + sign |~r>)/sqrt(2), r < 2^(n-1)."""
+    half = 2 ** (n - 1)
+    r = np.arange(half)
+    v = np.zeros((2 * half, half))
+    v[r, r] = 1 / math.sqrt(2)
+    v[2 * half - 1 - r, r] = sign / math.sqrt(2)
+    return v
+
+
+def flip_signs(space):
+    """<v|F|v> for each column v, F = X^n the spin flip (F|r> = |2^n - 1 - r>)."""
+    return np.einsum("ij,ij->j", space.conj(), space[::-1]).real
 
 
 class TestSpec:
@@ -137,10 +152,24 @@ class TestHamiltonianMatrix:
     ])
     @pytest.mark.parametrize("n", [4, 5])
     def test_matches_kronecker_sum(self, model, params, n):
-        terms = build_hamiltonian(SpinChainSpec(model, n, params))
-        h = hamiltonian_matrix(terms, n)
-        assert h.dtype == np.float64
-        assert np.allclose(h.toarray(), dense_hamiltonian(terms), atol=1e-14)
+        for boundary in ("periodic", "open"):
+            terms = build_hamiltonian(SpinChainSpec(model, n, params, boundary))
+            h = dense_hamiltonian(terms)
+            pattern = SectorPattern(p for _, p in terms)
+            assert pattern.signs == (1.0, -1.0)
+            for sign, block in zip(pattern.signs, pattern.blocks(terms)):
+                assert block.dtype == np.float64
+                v = flip_basis(n, sign)
+                assert np.allclose(block.toarray(), v.T @ h @ v, atol=1e-14)
+
+    def test_pattern_of_absent_terms_gives_the_same_blocks(self):
+        # a sweep's pattern holds every term of the model; h = 0 drops the fields
+        spec = SpinChainSpec("xxz", 6, {"delta": 0.3, "h": 0.0})
+        terms = build_hamiltonian(spec)
+        wider = SectorPattern(p for _, p in build_hamiltonian(spec.with_params({"delta": 1, "h": 1})))
+        for own, wide in zip(SectorPattern(p for _, p in terms).blocks(terms), wider.blocks(terms)):
+            for a, b in ((own.data, wide.data), (own.indices, wide.indices), (own.indptr, wide.indptr)):
+                assert np.array_equal(a, b)
 
     def test_lone_y_field_is_complex(self):
         n = 4
@@ -150,7 +179,9 @@ class TestHamiltonianMatrix:
             (0.25, PauliString(n, 2, 0b1100, 0b1100)),
             (-0.3, PauliString(n, 0, 0b1000, 0)),
         ]
-        h = hamiltonian_matrix(terms, n)
+        pattern = SectorPattern(p for _, p in terms)
+        (h,) = pattern.blocks(terms)  # odd under the spin flip: one block, H itself
+        assert pattern.signs == (1.0,)
         assert np.iscomplexobj(h.toarray())
         assert np.allclose(h.toarray(), dense_hamiltonian(terms), atol=1e-14)
 
@@ -184,18 +215,26 @@ class TestGroundState:
         assert gs.gap_estimate >= 0.0
 
     def test_krylov_path_matches_dense(self):
-        for n in range(3, 8):
-            boundary = "open" if n == 3 else "periodic"  # periodic annni starts at n = 4
-            terms = build_hamiltonian(SpinChainSpec("annni", n, {"k": 0.4, "g": 0.9}, boundary))
-            evals, evecs = np.linalg.eigh(dense_hamiltonian(terms))
-            assert evals[1] - evals[0] > 0.5  # non-degenerate, so the state is unique
-            krylov = ground_state(terms)
-            assert krylov.energy == pytest.approx(evals[0], abs=1e-8)
-            assert krylov.gap_estimate == pytest.approx(evals[1] - evals[0], abs=1e-6)
-            for p in ("ZZ" + "I" * (n - 2), "X" + "I" * (n - 1)):
-                assert pauli_expectation(krylov.state, parse_pauli(p)) == pytest.approx(
-                    pauli_expectation(evecs[:, 0], parse_pauli(p)), abs=1e-6
-                )
+        for model, params, min_gap in (
+            ("annni", {"k": 0.4, "g": 0.9}, 0.5),
+            ("xxz", {"delta": -0.5, "h": 1.5}, 0.3),
+        ):
+            for n in range(3, 9):
+                boundary = "open" if n == 3 else "periodic"  # periodic annni starts at n = 4
+                terms = build_hamiltonian(SpinChainSpec(model, n, params, boundary))
+                evals, evecs = np.linalg.eigh(dense_hamiltonian(terms))
+                assert evals[1] - evals[0] > min_gap  # non-degenerate, so the state is unique
+                krylov = ground_state(terms)
+                assert krylov.energy == pytest.approx(evals[0], abs=1e-8)
+                assert krylov.gap_estimate == pytest.approx(evals[1] - evals[0], abs=1e-6)
+                # orthonormal spin-flip eigenvectors, whichever sector holds them
+                space = krylov.ground_space
+                assert np.allclose(space.T @ space, np.eye(krylov.dimension), atol=1e-12)
+                assert np.allclose(np.abs(flip_signs(space)), 1.0, atol=1e-12)
+                for p in ("ZZ" + "I" * (n - 2), "X" + "I" * (n - 1)):
+                    assert pauli_expectation(krylov.state, parse_pauli(p)) == pytest.approx(
+                        pauli_expectation(evecs[:, 0], parse_pauli(p)), abs=1e-6
+                    )
 
     @pytest.mark.parametrize("model, params", [
         ("xxz", {"delta": -1.1, "h": 0.0}),
@@ -235,6 +274,26 @@ class TestGroundSpace:
         # a Pauli on two qubits the chain does not have
         with pytest.raises(ValueError, match="state length does not match qubit count"):
             gs.expectation(PauliString(n + 2, 0, 0, 0b11 << n))
+
+    @pytest.mark.parametrize("n, delta, d", [
+        (6, -1.1, 2),  # the ferromagnetic doublet: one level in each sector
+        (8, -1.1, 2),
+        (7, 0.0, 4),  # two levels in each sector
+        (6, -1.0, 7),  # the ferromagnetic multiplet: four and three
+    ])
+    def test_columns_are_spin_flip_eigenvectors(self, n, delta, d):
+        terms = build_hamiltonian(SpinChainSpec("xxz", n, {"delta": delta, "h": 0.0}))
+        evals, evecs = np.linalg.eigh(dense_hamiltonian(terms))
+        space = evecs[:, evals < evals[0] + DEGENERACY_THRESHOLD]
+        gs = ground_state(terms)
+        assert gs.dimension == space.shape[1] == d
+        assert gs.energy == pytest.approx(evals[0], abs=1e-8)
+        assert gs.gap_estimate == pytest.approx(evals[1] - evals[0], abs=1e-6)
+        assert np.allclose(gs.ground_space.T @ gs.ground_space, np.eye(d), atol=1e-12)
+        signs = flip_signs(gs.ground_space)
+        assert np.allclose(np.abs(signs), 1.0, atol=1e-12)
+        # the + sector holds (d + tr(F Pi)) / 2 of the levels
+        assert np.sum(signs > 0) == round((d + flip_signs(space).sum()) / 2)
 
     def test_non_degenerate_expectation_is_the_state_s(self):
         spec = SpinChainSpec("annni", 8, {"k": 0.3, "g": 0.9})
