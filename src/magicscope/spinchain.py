@@ -176,18 +176,14 @@ class SectorPattern:
     """The CSR index pattern of H = sum_j w_j P_j over fixed Paulis P_j, split by spin-flip parity.
 
     When every P_j commutes with the spin flip F = X^n (an even count of
-    Y and Z factors: XX, YY, ZZ and X in all three chain models), H has
-    one real block in each F sector, of size 2^(n-1), in the basis
-    |r s> = (|r> + s|~r>)/sqrt(2), s = +1 or -1, over the representatives
-    r < 2^(n-1), where ~r = r ^ (2^n - 1) flips every qubit.  P_j maps
-    |c s> to a signed |(c ^ x_j) s>, x_j its X-part; when x_j flips the
-    top qubit, c ^ x_j is not a representative but its partner is, at the
-    price of a factor s.  An H with a term odd under F has one block, H
-    itself in the computational basis.  Either way the terms that share
-    an X-part share one entry of every row, so the Paulis fix the index
-    pattern, and a point's entries are sum_j w_j D_j over fixed per-term
-    arrays D_j.  The blocks are complex only if some P_j has an odd
-    phase exponent.
+    Y and Z factors, as XX, YY, ZZ and X), H has one block per F sector
+    s = +1, -1, of size 2^(n-1), in the basis (|r> + s|~r>)/sqrt(2) over
+    r < 2^(n-1), ~r flipping every qubit.  P_j, X-part x_j, takes the
+    state of c to a signed one of c ^ x_j, or of its partner, at the price
+    of a factor s, when x_j flips the top qubit.  An H with a term odd
+    under F is one block, H itself.  Terms that share an X-part share an
+    entry of every row, so the Paulis fix the pattern, and a point's
+    entries are sum_j w_j D_j over fixed per-term arrays D_j.
     """
 
     def __init__(self, paulis: Iterable[PauliString]):
@@ -202,7 +198,6 @@ class SectorPattern:
         # cols[r, g]: the column X-part g fills in row r
         folded = [x ^ (2 * top - 1) if x & top else x for x in self.xparts]
         self.cols = np.arange(2**n >> even, dtype=np.int32)[:, None] ^ np.array(folded, np.int32)
-        rows, width = self.cols.shape
         # flips[i, g]: the factor sector signs[i] puts on X-part g
         self.flips = np.array([[s if x & top else 1.0 for x in self.xparts] for s in self.signs])
         real = all(p.phase_k % 2 == 0 for p in self.slot)
@@ -309,11 +304,8 @@ def _ground_state(pattern: SectorPattern, terms: TermList, seed: int) -> GroundS
     state = pattern.lift(psi0 / np.linalg.norm(psi0), pattern.signs[first])
     if sum(map(len, found)) == 1:
         return GroundStateResult(e0, state, gap, state[:, None])
-    space = [
-        pattern.lift(np.linalg.qr(np.column_stack(f))[0], sign)
-        for f, sign in zip(found, pattern.signs)
-        if f
-    ]
+    space = [pattern.lift(np.linalg.qr(np.column_stack(f))[0], sign)
+             for f, sign in zip(found, pattern.signs) if f]
     return GroundStateResult(e0, state, gap, np.hstack(space))
 
 
