@@ -25,8 +25,10 @@ its mean is constant on the orbits, and the spread takes the value
 invariant, the reduced LP fails, or that vector does not reproduce b,
 the full LP runs.  The reduced LP's first dual solve runs over the
 vertices of the points' convex hull where ``OrbitReduction.hull`` has
-them, the only points that can bind; pricing still runs over every
-point.
+them, the only points that can bind.  Elsewhere it runs over the
+reduction's ``probes``, the extreme points along fixed seeded
+directions, and the points most and least aligned with b.  Pricing
+still runs over every point.
 """
 
 from __future__ import annotations
@@ -122,6 +124,14 @@ def _row_products(rows: np.ndarray, vector: np.ndarray) -> np.ndarray:
     return out
 
 
+def _aligned_rows(vmat: np.ndarray, b_eq: np.ndarray) -> np.ndarray:
+    """The 2(m+1) rows most and the 2(m+1) least aligned with b_eq, ascending."""
+    m = vmat.shape[1]
+    order = np.argsort(_row_products(vmat, b_eq[:m]), kind="stable")
+    seed = 2 * (m + 1)
+    return np.unique(np.concatenate([order[:seed], order[-seed:]]))
+
+
 def _solve_l1_column_generation(
     vmat: np.ndarray,
     b_eq: np.ndarray,
@@ -134,23 +144,19 @@ def _solve_l1_column_generation(
     every vertex j, inside the box |y| <= bound.  Constraints are
     activated lazily: solve over the active rows, price all vertices with
     one matvec, add the worst violators, repeat.  The first active set
-    is ``warm`` (row indices, such as ``OrbitReduction.hull``) or, by
-    default, the 2(m+1) vertices most and the 2(m+1) least aligned with
-    b_eq.  Once no vertex is violated, the primal is read from the last
-    solve's row marginals, x = lambda_plus - lambda_minus over the active
-    vertices.  If that x reproduces b_eq and its 1-norm equals the dual
-    objective to DECISION_TOLERANCE, the optimum is found; a larger
-    duality gap, as a loose lp_tolerance leaves, is a solver failure
-    (status 4).  If x does not reproduce b_eq the box is binding, so it
+    is ``warm``, ascending row indices, or by default ``_aligned_rows``;
+    ``_solve_symmetric`` passes the hull vertices or, where there is no
+    hull, the probes and the aligned rows.  Once no vertex is violated,
+    the primal is read from the last solve's row marginals,
+    x = lambda_plus - lambda_minus over the active vertices.  If that x
+    reproduces b_eq and its 1-norm equals the dual objective to
+    DECISION_TOLERANCE, the optimum is found; a larger duality gap, as a
+    loose lp_tolerance leaves, is a solver failure (status 4).  If x does not reproduce b_eq the box is binding, so it
     is widened, and past 1e12 the primal is reported infeasible (status
     2).  cause says why a status other than 0 or 2 was returned.
     """
     n_vert, m = vmat.shape
-    active = warm
-    if active is None:
-        order = np.argsort(_row_products(vmat, b_eq[:m]), kind="stable")
-        seed = 2 * (m + 1)
-        active = np.unique(np.concatenate([order[:seed], order[-seed:]]))
+    active = _aligned_rows(vmat, b_eq) if warm is None else warm
     bound = 1e6
     batch = 8 * (m + 1)
     for _ in range(200):
@@ -218,8 +224,12 @@ def _solve_symmetric(vset: VertexSet, b_eq: np.ndarray, lp_tolerance: float):
         return None
     orbits = reduction.orbits
     sums = np.bincount(orbits, weights=values, minlength=reduction.points.shape[1])
+    target = np.append(sums, 1.0)
+    warm = reduction.hull
+    if warm is None:
+        warm = np.union1d(reduction.probes, _aligned_rows(reduction.points, target))
     fun, weights, status, _ = _solve_l1_column_generation(
-        reduction.points, np.append(sums, 1.0), lp_tolerance, reduction.hull
+        reduction.points, target, lp_tolerance, warm
     )
     if status != 0:
         return None

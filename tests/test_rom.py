@@ -343,6 +343,7 @@ class TestSymmetricPath:
         vset = v_representation(ms)
         reduction = vset.symmetry
         assert len(reduction.hull) == hull
+        assert reduction.probes is None
         calls = count_linprog(monkeypatch)
         result = reduced_rom(vset, b)
         assert result.path == "symmetric" and result.status == "optimal"
@@ -378,6 +379,8 @@ class TestSymmetricPath:
     def test_points_without_a_hull_keep_the_aligned_warm_set(self, texts, values):
         vset = v_representation(MeasurementSet.from_strings(texts))
         assert vset.symmetry.hull is None
+        # the points lie on a line: the probes are its two ends
+        assert len(vset.symmetry.probes) == 2
         b = ExpectationVector.of(values)
         self.assert_agrees_with_full(vset, b)
         assert reduced_rom(vset, b).rom == pytest.approx(1.0, abs=1e-9)
@@ -389,6 +392,34 @@ class TestSymmetricPath:
         rng = np.random.default_rng(2)
         b = vset.vertices.T @ rng.dirichlet(np.full(len(vset.vertices), 0.05))
         self.assert_agrees_with_full(vset, ExpectationVector.of(b[reduction.perms].mean(axis=0)))
+
+    def test_xxz12_window_probes_need_about_one_solve(self, monkeypatch):
+        ms = read_measurement_file(XXZ12_WINDOW)
+        vset = v_representation(ms)
+        reduction = vset.symmetry
+        probes = reduction.probes
+        # fixed by the points alone, ascending rows of them
+        assert np.array_equal(probes, v_representation(ms).symmetry.probes)
+        assert np.all(np.diff(probes) > 0)
+        assert 0 <= probes[0] and probes[-1] < len(reduction.points)
+        # ground states on the 20 x 20 grid of the xxz12-window benchmark
+        spec = SpinChainSpec("xxz", 12, {}, "periodic")
+        deltas, fields = np.linspace(-2.0, 2.0, 20), np.linspace(0.0, 4.0, 20)
+        calls = count_linprog(monkeypatch)
+        queries = 0
+        for i, j in ((1, 3), (3, 16), (6, 8), (9, 12), (12, 1), (14, 15), (17, 6), (19, 19)):
+            gs = ground_state(build_hamiltonian(spec.with_params({"delta": deltas[i], "h": fields[j]})))
+            values = [gs.expectation(p) for p in ms]
+            result = reduced_rom(vset, ExpectationVector.of(values))
+            assert result.path == "symmetric" and result.status == "optimal"
+            queries += 1
+            counted = len(calls)
+            sums = np.bincount(reduction.orbits, weights=values, minlength=reduction.points.shape[1])
+            # from the most and least aligned points alone
+            fun, _, status, _ = _solve_l1_column_generation(reduction.points, np.append(sums, 1.0))
+            assert status == 0 and abs(result.rom - fun) <= 1e-9
+            del calls[counted:]
+        assert len(calls) / queries <= 1.3
 
     def test_reduction_is_lazy(self):
         vset = v_representation(MeasurementSet.from_strings(marginal_texts(3)))

@@ -1,6 +1,7 @@
 """Spin-chain Hamiltonians, exact diagonalization, and parameter sweeps."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from magicscope.pauli import (
     format_pauli,
     parse_pauli,
     pauli_expectation,
+    read_measurement_file,
 )
 from magicscope.polytope import v_representation
 from magicscope.rom import ExpectationVector, reduced_rom
@@ -27,6 +29,8 @@ from magicscope.spinchain import (
     sweep,
 )
 from util import dense_hamiltonian, pauli_matrix
+
+XXZ12_WINDOW = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "xxz12_window.txt"
 
 
 def term_dict(terms):
@@ -466,6 +470,18 @@ class TestSweep:
         assert records[0].rom == pytest.approx(1.0, abs=1e-6)
         assert records[1].rom > 1.0 + 1e-3
         assert records[2].rom < records[1].rom
+
+    def test_threads_build_the_window_probes_alike(self):
+        # the first query in the pool builds the lazy reduction and its probes
+        spec = SpinChainSpec("xxz", 12, {}, "periodic")
+        ms = read_measurement_file(XXZ12_WINDOW)
+        grid = [{"delta": d, "h": h} for d, h in ((-1.2, 0.4), (0.3, 1.1), (1.4, 2.5), (0.8, 0.2))]
+        vset = v_representation(ms)
+        assert "symmetry" not in vars(vset)
+        threaded = sweep(spec, grid, ms, vset, threads=2)
+        assert vset.symmetry.probes is not None
+        assert threaded == sweep(spec, grid, ms, v_representation(ms), threads=1)
+        assert all(r.solver_status == "optimal" for r in threaded)
 
     def test_failures_recorded_not_raised(self):
         spec = SpinChainSpec("tfim", 6, {})
