@@ -17,6 +17,8 @@ from magicscope.pauli import (
     multiply,
     pad,
     parse_pauli,
+    pauli_expectation,
+    pauli_expectations,
     read_measurement_file,
 )
 from util import pauli_matrix, pauli_pairs, pauli_strings
@@ -65,6 +67,54 @@ class TestHermitian:
                         assert np.allclose(dense, dense.conj().T)
                         assert np.allclose(dense, (-1 if negative else 1) * unsigned)
                         assert parse_pauli(format_pauli(p)) == p
+
+
+def dense_expectation(p, space):
+    """tr(P Pi)/d for the orthonormal columns of ``space``, from the Kronecker matrix of P."""
+    return np.trace(space.conj().T @ pauli_matrix(p) @ space).real / space.shape[1]
+
+
+def bits(values):
+    """The IEEE bit patterns of floats, so that 0.0 and -0.0 differ."""
+    return np.array(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def kernel_inputs(n, seed):
+    """A random real state, a random complex state and a random 2-column ground space on n qubits."""
+    rng = np.random.default_rng(seed)
+    real = rng.normal(size=2**n)
+    complex_ = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    block = np.linalg.qr(rng.normal(size=(2**n, 2)) + 1j * rng.normal(size=(2**n, 2)))[0]
+    return real / np.linalg.norm(real), complex_ / np.linalg.norm(complex_), block
+
+
+class TestPauliExpectations:
+    @settings(max_examples=150, deadline=None)
+    @given(pauli_strings(hermitian=True), st.integers(0, 2**32 - 1))
+    def test_matches_dense_trace(self, p, seed):
+        for state in kernel_inputs(p.n, seed):
+            space = state if state.ndim == 2 else state[:, None]
+            assert pauli_expectations(state, [p])[0] == pytest.approx(
+                dense_expectation(p, space), abs=1e-12
+            )
+
+    def test_batch_is_its_single_calls_bit_for_bit(self):
+        n = 3
+        paulis = [hermitian(n, x, z, neg) for x in range(8) for z in range(8) for neg in (False, True)]
+        for state in kernel_inputs(n, 5):
+            batch = bits(pauli_expectations(state, paulis))
+            assert batch == bits([pauli_expectation(state, p) for p in paulis])
+            # the order of the list does not move a value either
+            assert bits(pauli_expectations(state, paulis[::-1])) == batch[::-1]
+
+    def test_rejects_non_hermitian_and_wrong_length(self):
+        state = kernel_inputs(2, 0)[1]
+        with pytest.raises(ValueError, match="Hermitian"):
+            pauli_expectations(state, [parse_pauli("XZ"), PauliString(2, 1, 0b01, 0)])  # iX
+        with pytest.raises(ValueError, match="state length does not match qubit count"):
+            pauli_expectations(state, [parse_pauli("XZ"), parse_pauli("XZZ")])
+        with pytest.raises(ValueError, match="state length does not match qubit count"):
+            pauli_expectation(kernel_inputs(3, 0)[2], parse_pauli("XZ"))
 
 
 class TestMultiply:

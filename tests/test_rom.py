@@ -295,7 +295,7 @@ class TestSymmetricPath:
         ms, _, gs = all_terms_ground_state("xxz", 9, {"delta": 0.0, "h": 0.0})
         vset = v_representation(ms)
         assert gs.degenerate_flag and gs.dimension == 4
-        values = np.array([gs.expectation(p) for p in ms])
+        values = np.array(gs.expectations(ms))
         assert np.ptp(values[vset.symmetry.perms], axis=0).max() <= SYMMETRY_TOLERANCE
         b = ExpectationVector.of(values)
         self.assert_agrees_with_full(vset, b)
@@ -409,7 +409,7 @@ class TestSymmetricPath:
         queries = 0
         for i, j in ((1, 3), (3, 16), (6, 8), (9, 12), (12, 1), (14, 15), (17, 6), (19, 19)):
             gs = ground_state(build_hamiltonian(spec.with_params({"delta": deltas[i], "h": fields[j]})))
-            values = [gs.expectation(p) for p in ms]
+            values = gs.expectations(ms)
             result = reduced_rom(vset, ExpectationVector.of(values))
             assert result.path == "symmetric" and result.status == "optimal"
             queries += 1

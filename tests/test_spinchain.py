@@ -52,6 +52,17 @@ def flip_signs(space):
     return np.einsum("ij,ij->j", space.conj(), space[::-1]).real
 
 
+def lone_y_field_terms():
+    """An H with a lone Y field on qubit 2: odd under the spin flip, complex, one block."""
+    n = 4
+    return [
+        (0.8, PauliString(n, 1, 0b0010, 0b0010)),  # Y on qubit 2
+        (-1.0, PauliString(n, 0, 0, 0b0011)),
+        (0.25, PauliString(n, 2, 0b1100, 0b1100)),
+        (-0.3, PauliString(n, 0, 0b1000, 0)),
+    ]
+
+
 class TestSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -176,18 +187,59 @@ class TestHamiltonianMatrix:
                 assert np.array_equal(a, b)
 
     def test_lone_y_field_is_complex(self):
-        n = 4
-        terms = [
-            (0.8, PauliString(n, 1, 0b0010, 0b0010)),  # Y on qubit 2
-            (-1.0, PauliString(n, 0, 0, 0b0011)),
-            (0.25, PauliString(n, 2, 0b1100, 0b1100)),
-            (-0.3, PauliString(n, 0, 0b1000, 0)),
-        ]
+        terms = lone_y_field_terms()
         pattern = SectorPattern(p for _, p in terms)
         (h,) = pattern.blocks(terms)  # odd under the spin flip: one block, H itself
         assert pattern.signs == (1.0,)
         assert np.iscomplexobj(h.toarray())
         assert np.allclose(h.toarray(), dense_hamiltonian(terms), atol=1e-14)
+
+
+class TestSectorOperator:
+    @pytest.mark.parametrize("terms", [
+        build_hamiltonian(SpinChainSpec("annni", 8, {"k": 0.3, "g": 0.9})),
+        build_hamiltonian(SpinChainSpec("xxz", 9, {"delta": -0.6, "h": 0.4})),
+        lone_y_field_terms(),
+    ], ids=["annni8", "xxz9", "lone-y"])
+    def test_bitwise_the_csr_block(self, terms):
+        rng = np.random.default_rng(3)
+        pattern = SectorPattern(p for _, p in terms)
+        for h in pattern.blocks(terms):
+            rows = h.shape[0]
+
+            def draw(*shape):
+                real = rng.normal(size=shape)
+                return real + 1j * rng.normal(size=shape) if np.iscomplexobj(h.data) else real
+
+            v = draw(rows)
+            op = spinchain._SectorOperator(h)
+            out = op.matvec(v)
+            assert out.dtype == (h @ v).dtype and np.array_equal(out, h @ v)
+            # B + sigma Q on two orthonormal rows: the rank-1 terms in their order
+            basis = np.linalg.qr(draw(rows, 2))[0].T
+            sigma = 7.25
+            expected = h @ v
+            for f in basis:
+                expected += (sigma * np.vdot(f, v)) * f
+            assert np.array_equal(spinchain._SectorOperator(h, basis, sigma).matvec(v), expected)
+            # eigsh through the operator takes the same steps as on the block itself
+            v0 = rng.normal(size=rows)
+            level, vec = spinchain._lowest(op, v0)
+            assert level == spinchain._lowest(h, v0)[0]
+            assert np.array_equal(vec, spinchain._lowest(h, v0)[1])
+
+    def test_eigsh_sees_only_the_operator(self, monkeypatch):
+        seen = []
+        eigsh = spinchain.spla.eigsh
+
+        def recording(op, *args, **kwargs):
+            seen.append(type(op))
+            return eigsh(op, *args, **kwargs)
+
+        monkeypatch.setattr(spinchain.spla, "eigsh", recording)
+        gs = ground_state(build_hamiltonian(SpinChainSpec("xxz", 6, {"delta": -1.1, "h": 0.0})))
+        assert gs.dimension == 2  # minima of both blocks, then a deflated solve in each
+        assert seen == [spinchain._SectorOperator] * 4
 
 
 class TestGroundState:
@@ -272,12 +324,13 @@ class TestGroundSpace:
         assert gs.degenerate_flag and gs.dimension == d
         assert gs.energy == pytest.approx(evals[0], abs=1e-10)
         assert np.linalg.norm(dense_hamiltonian(terms) @ gs.state - gs.energy * gs.state) < 1e-8
-        for p in hamiltonian_measurement_set(spec, "all-terms"):
+        ms = hamiltonian_measurement_set(spec, "all-terms")
+        for p, value in zip(ms, gs.expectations(ms)):
             exact = np.trace(space.conj().T @ pauli_matrix(p) @ space).real / d
-            assert gs.expectation(p) == pytest.approx(exact, abs=1e-9)
+            assert value == pytest.approx(exact, abs=1e-9)
         # a Pauli on two qubits the chain does not have
         with pytest.raises(ValueError, match="state length does not match qubit count"):
-            gs.expectation(PauliString(n + 2, 0, 0, 0b11 << n))
+            gs.expectations([PauliString(n + 2, 0, 0, 0b11 << n)])
 
     @pytest.mark.parametrize("n, delta, d", [
         (6, -1.1, 2),  # the ferromagnetic doublet: one level in each sector
@@ -315,7 +368,7 @@ class TestGroundSpace:
         for seed in (1234, 1, 2):
             gs = ground_state(terms, seed)
             assert gs.dimension == 4
-            values.append([gs.expectation(p) for p in ms])
+            values.append(gs.expectations(ms))
         assert np.ptp(values, axis=0).max() < 1e-9
 
     @pytest.mark.parametrize("delta, cap, d", [
@@ -350,7 +403,7 @@ class TestZeroFieldAnnni:
             terms = build_hamiltonian(spec.with_params({"k": k, "g": 0.0}))
             for seed in (1234, 1, 2):
                 gs = ground_state(terms, seed)
-                b = ExpectationVector.of([gs.expectation(p) for p in ms])
+                b = ExpectationVector.of(gs.expectations(ms))
                 result = reduced_rom(vset, b)
                 assert result.path == "symmetric", (k, seed)
                 assert abs(result.rom - 1.0) <= 1e-6, (k, seed, result.rom)
@@ -368,7 +421,7 @@ class TestZeroFieldAnnni:
             gs = ground_state(build_hamiltonian(spec.with_params(point)))
             if gs.degenerate_flag:
                 flagged += 1
-                b = ExpectationVector.of([gs.expectation(p) for p in ms])
+                b = ExpectationVector.of(gs.expectations(ms))
                 result = reduced_rom(vset, b)
                 assert result.path == "symmetric" and result.status == "optimal", point
         assert flagged == 26
