@@ -98,14 +98,18 @@ class TestPauliExpectations:
                 dense_expectation(p, space), abs=1e-12
             )
 
-    def test_batch_is_its_single_calls_bit_for_bit(self):
-        n = 3
-        paulis = [hermitian(n, x, z, neg) for x in range(8) for z in range(8) for neg in (False, True)]
-        for state in kernel_inputs(n, 5):
-            batch = bits(pauli_expectations(state, paulis))
-            assert batch == bits([pauli_expectation(state, p) for p in paulis])
-            # the order of the list does not move a value either
-            assert bits(pauli_expectations(state, paulis[::-1])) == batch[::-1]
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_hermitian_pauli_in_one_batch(self, n):
+        paulis = [
+            hermitian(n, x, z, neg) for x in range(2**n) for z in range(2**n) for neg in (False, True)
+        ]
+        for state in kernel_inputs(n, 5 + n):
+            values = pauli_expectations(state, paulis)
+            space = state if state.ndim == 2 else state[:, None]
+            assert values == pytest.approx([dense_expectation(p, space) for p in paulis], abs=1e-12)
+            # a batch is its single calls bit for bit, in either order
+            assert bits(values) == bits([pauli_expectation(state, p) for p in paulis])
+            assert bits(pauli_expectations(state, paulis[::-1])) == bits(values)[::-1]
 
     def test_rejects_non_hermitian_and_wrong_length(self):
         state = kernel_inputs(2, 0)[1]
