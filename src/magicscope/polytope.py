@@ -40,7 +40,8 @@ __all__ = [
 ]
 
 
-# Rows per block that the writers format and write, and the LP prices, at once.
+# Rows per block that the writers format and write, the LP prices and the orbit
+# reduction sums at once.
 _BLOCK_ROWS = 4096
 # Most orbits whose points get a convex hull: qhull took 13 ms at 5 orbits, 52 ms
 # at 6, 0.49 s at 7 and over a minute at 8 (projections of the XXZ n=12 window).
@@ -236,19 +237,29 @@ def _orbit_reduction(
         return None
     # a group orbit's smallest member labels it
     _, orbits = np.unique(perms.min(axis=0), return_inverse=True)
-    # exact: an orbit sum is at most m in magnitude
-    sums = np.stack(
-        [vertices[:, orbits == o].sum(axis=1, dtype=np.int16) for o in range(orbits.max() + 1)],
-        axis=1,
-    )
-    # a lexsort: np.unique(axis=0) is an order of magnitude slower on these rows
-    ordered = sums[np.lexsort(sums.T)]
-    first = np.concatenate([[True], np.any(ordered[1:] != ordered[:-1], axis=1)])
-    points = ordered[first].astype(float)
+    groups = [orbits == o for o in range(orbits.max() + 1)]
+    # A block's distinct sums, then the distinct rows of all of them: only one
+    # block of sums and the rows kept so far are ever in memory.
+    kept = []
+    for a in range(0, len(vertices), _BLOCK_ROWS):
+        block = vertices[a:a + _BLOCK_ROWS]
+        # exact: an orbit sum is at most m in magnitude
+        sums = np.stack([block[:, g].sum(axis=1, dtype=np.int16) for g in groups], axis=1)
+        kept.append(_distinct_rows(sums))
+    kept = np.concatenate(kept)  # drops the blocks' arrays before the last sort
+    points = _distinct_rows(kept).astype(float)
     hull = _hull_vertices(points)
     return OrbitReduction(
         perms, orbits, points, hull, _extreme_points(points) if hull is None else None
     )
+
+
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """Each distinct row once, in lexicographic order with the last column the primary key."""
+    # a lexsort: np.unique(axis=0) is an order of magnitude slower on these rows
+    ordered = rows[np.lexsort(rows.T)]
+    first = np.concatenate([[True], np.any(ordered[1:] != ordered[:-1], axis=1)])
+    return ordered[first]
 
 
 def _hull_vertices(points: np.ndarray) -> Optional[np.ndarray]:
@@ -283,14 +294,18 @@ def _extreme_points(points: np.ndarray) -> np.ndarray:
     return np.unique(found)
 
 
-def _sign_block(measurements: MeasurementSet, subset: Tuple[int, ...]) -> np.ndarray:
-    """Admissible signs of a sorted commuting subset: one int8 row each, in sorted order.
+_Elimination = Tuple[List[int], List[Tuple[int, List[int], int]]]
 
-    Each member's symplectic vector ``xbits | zbits << n`` is reduced
-    against an XOR basis keyed by leading bit, remembering which members
-    every basis vector is the product of.  A member that survives is a
-    pivot, independent of the members before it; one that reduces to
-    zero is +-1 times the product of the pivots it marked.
+
+def _eliminate(measurements: MeasurementSet, subset: Tuple[int, ...]) -> _Elimination:
+    """The pivots of a sorted commuting subset, and each dependent's (member, marked pivots, lam).
+
+    Members are positions in ``subset``.  Each member's symplectic vector
+    ``xbits | zbits << n`` is reduced against an XOR basis keyed by
+    leading bit, remembering which members every basis vector is the
+    product of.  A member that survives is a pivot, independent of the
+    members before it; one that reduces to zero is lam = +-1 times the
+    product of the pivots it marked.
     """
     n = measurements.n
     basis = {}  # leading bit -> (vector, bit mask of the members it is the product of)
@@ -307,21 +322,36 @@ def _sign_block(measurements: MeasurementSet, subset: Tuple[int, ...]) -> np.nda
             basis[vector.bit_length() - 1] = (vector, members)
             pivots.append(c)
         else:
-            dependents.append((c, [j for j in pivots if (members >> j) & 1]))
+            marked = [j for j in pivots if (members >> j) & 1]
+            # P_c = lam * prod(P_marked), and the product is Hermitian, so P_c * prod = lam * 1
+            product = p
+            for j in marked:
+                product = multiply(product, measurements[subset[j]])
+            dependents.append((c, marked, identity_sign(product)))
+    return pivots, dependents
+
+
+def _write_signs(out: np.ndarray, columns: np.ndarray, elimination: _Elimination) -> None:
+    """Write a subset's admissible signs into the 2^rank rows of ``out``, member c's in columns[c].
+
+    Row k gives pivot i the sign of bit rank-1-i of k (0 -> -1), so the
+    pivots, the lexicographically first independent members, ascend
+    lexicographically.  A dependent member is fixed by pivots to its
+    left, so the whole rows are in sorted() order as well.
+    """
+    pivots, dependents = elimination
     rank = len(pivots)
-    # Row k gives pivot i the sign of bit rank-1-i of k (0 -> -1), so the pivots,
-    # the lexicographically first independent members, ascend lexicographically.
-    # A dependent member is fixed by pivots to its left, so the whole rows are
-    # in sorted() order as well.
     k = np.arange(1 << rank)[:, None]
-    block = np.empty((1 << rank, len(subset)), dtype=np.int8)
-    block[:, pivots] = 2 * ((k >> np.arange(rank - 1, -1, -1)) & 1) - 1
-    for c, marked in dependents:
-        # P_c = lam * prod(P_marked), and the product is Hermitian, so P_c * prod = lam * 1
-        product = measurements[subset[c]]
-        for j in marked:
-            product = multiply(product, measurements[subset[j]])
-        block[:, c] = identity_sign(product) * np.prod(block[:, marked], axis=1)
+    out[:, columns[pivots]] = 2 * ((k >> np.arange(rank - 1, -1, -1)) & 1) - 1
+    for c, marked, lam in dependents:
+        out[:, columns[c]] = lam * np.prod(out[:, columns[marked]], axis=1)
+
+
+def _sign_block(measurements: MeasurementSet, subset: Tuple[int, ...]) -> np.ndarray:
+    """Admissible signs of a sorted commuting subset: one int8 row each, in sorted order."""
+    elimination = _eliminate(measurements, subset)
+    block = np.empty((1 << len(elimination[0]), len(subset)), dtype=np.int8)
+    _write_signs(block, np.arange(len(subset)), elimination)
     return block
 
 
@@ -353,20 +383,17 @@ def v_representation(measurements: MeasurementSet) -> VertexSet:
     subsets = list(enumerate_maximal_independent_sets(build_frustration_graph(measurements)))
     # A row's support is its whole subset (every sign is +-1) and the rows of one
     # block differ on its pivots, so a vertex repeats only if a subset does.
-    assert all(a < b for a, b in zip(subsets, subsets[1:])), (
-        "duplicate vertices from distinct contexts"
-    )
-    blocks = []
-    starts = [0]  # the first row of each block, then the row count
-    for subset in subsets:
-        signs = _sign_block(measurements, subset)
-        block = np.zeros((len(signs), m), dtype=np.int8)
-        block[:, list(subset)] = signs
-        blocks.append(block)
-        starts.append(starts[-1] + len(block))
-    packed = np.concatenate(blocks)
-    packed.setflags(write=False)
-    return VertexSet(measurements, packed, tuple(starts[:-1]))
+    if any(a >= b for a, b in zip(subsets, subsets[1:])):
+        raise AssertionError("duplicate vertices from distinct contexts")
+    eliminations = [_eliminate(measurements, subset) for subset in subsets]
+    # the first row of each block, then the row count
+    starts = np.cumsum([0] + [1 << len(pivots) for pivots, _ in eliminations])
+    # each block's signs go straight into its rows of the one array
+    vertices = np.zeros((starts[-1], m), dtype=np.int8)
+    for subset, elimination, a, b in zip(subsets, eliminations, starts, starts[1:]):
+        _write_signs(vertices[a:b], np.array(subset), elimination)
+    vertices.setflags(write=False)
+    return VertexSet(measurements, vertices, tuple(starts[:-1].tolist()))
 
 
 def _isotropic_subspace_count(n: int) -> int:

@@ -403,10 +403,10 @@ def sweep(
 ) -> List[SweepRecord]:
     """One record per grid point; eigensolver failures are recorded, not raised.
 
-    Each expectation is ``GroundStateResult.expectation``: the ground
-    state's at a non-degenerate point, the ground-space average tr(P Pi)/d
-    at a flagged one.  A ground space above GROUND_SPACE_CAP gives an
-    error record.
+    A point's expectations come from one ``GroundStateResult.expectations``
+    pass: the ground state's at a non-degenerate point, the ground-space
+    average tr(P Pi)/d at a flagged one.  A ground space above
+    GROUND_SPACE_CAP gives an error record.
     """
 
     # every point's H fills the pattern of the model's structural terms

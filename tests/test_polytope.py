@@ -265,9 +265,10 @@ class TestVRepresentation:
             v_representation(ms)
 
     def test_build_peak_memory_is_near_the_vertex_array(self):
-        # N x m bytes is the int8 array.  The per-subset blocks and their
-        # concatenation coexist once: 2x.  A float64 copy of the array alone
-        # would be 8x.
+        # N x m bytes is the int8 array, and each subset's signs are written
+        # into its rows: the rest is one subset's eliminations and temporaries.
+        # Per-subset blocks next to their concatenation would be 2x, and a
+        # float64 copy of the array alone 8x.
         ms = hamiltonian_measurement_set(SpinChainSpec("annni", 10, {}), "all-terms")
         tracemalloc.start()
         try:
@@ -277,7 +278,21 @@ class TestVRepresentation:
             tracemalloc.stop()
         rows, m = vset.vertices.shape
         assert (rows, m) == (362240, 30)
-        assert peak <= 2.5 * rows * m
+        assert peak <= 1.2 * rows * m
+
+    @given(measurement_sets())
+    @example(XXZ5_ALL_TERMS)
+    @example(hamiltonian_measurement_set(SpinChainSpec("annni", 8, {}), "all-terms"))
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_are_the_sign_blocks_of_their_subsets(self, ms):
+        # the build writes the signs in place; _sign_block expands the same
+        # elimination into an array of its own
+        vset = v_representation(ms)
+        for a, b, support in vset._blocks():
+            block = vset.vertices[a:b]
+            signs = polytope._sign_block(ms, tuple(support.tolist()))
+            assert np.array_equal(block[:, support], signs)
+            assert not np.delete(block, support, axis=1).any()
 
 
 class TestSerialization:

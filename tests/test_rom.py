@@ -1,6 +1,7 @@
 """Robustness LP, membership verdict, and resource-monotone properties."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from magicscope import oracle, rom
+from magicscope import oracle, polytope, rom
 from magicscope.pauli import MeasurementSet, PauliString, pauli_expectation, read_measurement_file
 from magicscope.polytope import _BLOCK_ROWS, VertexSet, qubit_symmetries, v_representation
 from magicscope.rom import (
@@ -36,6 +37,17 @@ T_BLOCH = (1 / math.sqrt(3),) * 3
 H_BLOCH = (1 / math.sqrt(2), 0.0, 1 / math.sqrt(2))
 # sets holding both P and -P, so [V 1] is rank-deficient
 RANK_DEFICIENT = (["-XX", "+XX", "+ZI"], ["X", "-X", "Z"], ["XX", "YY", "ZZ", "-ZZ"])
+
+
+def mirror_pairs():
+    """23 mirror pairs of Z-strings on 12 qubits: 46 measurements in 23 orbits of the reflection."""
+    n = 12
+    shapes = [(0, 2), (0, 4), (0, 6), (0, 8), (0, 1, 3)]
+    supports = {tuple(q + s for s in shape) for shape in shapes for q in range(n - shape[-1])}
+    supports |= {tuple(sorted(n - 1 - q for q in s)) for s in supports}
+    return MeasurementSet.from_strings(
+        ["".join("Z" if q in s else "I" for q in range(n)) for s in sorted(supports)]
+    )
 
 
 def marginal_texts(n):
@@ -314,14 +326,9 @@ class TestSymmetricPath:
         assert reduced_rom(vset, b).path == "full"
 
     def test_orbit_sums_beyond_two_to_the_53(self):
-        # 23 mirror pairs of Z-strings: each orbit sum takes 5 values, so the
-        # orbit-sum vectors range over 5^23 > 2^53 values
-        n = 12
-        shapes = [(0, 2), (0, 4), (0, 6), (0, 8), (0, 1, 3)]
-        supports = {tuple(q + s for s in shape) for shape in shapes for q in range(n - shape[-1])}
-        supports |= {tuple(sorted(n - 1 - q for q in s)) for s in supports}
-        texts = ["".join("Z" if q in s else "I" for q in range(n)) for s in sorted(supports)]
-        vset = v_representation(MeasurementSet.from_strings(texts))
+        # each of the 23 orbit sums takes 5 values, so the orbit-sum vectors
+        # range over 5^23 > 2^53 values
+        vset = v_representation(mirror_pairs())
         reduction = vset.symmetry
         assert len(reduction.perms) == 2 and reduction.points.shape[1] == 23
         assert reduction.hull is None
@@ -445,6 +452,52 @@ class TestQubitSymmetries:
         indicator = np.eye(3)[reduction.orbits]
         for p, rows in enumerate(found):
             assert np.all(vset.vertices[rows] @ indicator == reduction.points[p])
+
+    def test_reduction_peak_memory_is_one_block(self):
+        # the orbit sums of 362,240 rows, their lexsort index and a sorted copy
+        # would take 8 MB at once; a block of 4,096 rows and the distinct sums
+        # kept from each take a small fraction of one
+        ms = hamiltonian_measurement_set(SpinChainSpec("annni", 10, {}), "all-terms")
+        vset = v_representation(ms)
+        tracemalloc.start()
+        try:
+            assert vset.symmetry.points.shape == (964, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("block_rows", [polytope._BLOCK_ROWS, 3])
+    @pytest.mark.parametrize("name", ["xxz5", "annni8", "xxz12-window", "mirror-pairs"])
+    def test_reduction_is_independent_of_the_block_size(self, monkeypatch, name, block_rows):
+        ms = {
+            "xxz5": lambda: hamiltonian_measurement_set(
+                SpinChainSpec("xxz", 5, {"delta": 0.5, "h": 0.0}, "periodic"), "all-terms"
+            ),
+            "annni8": lambda: hamiltonian_measurement_set(
+                SpinChainSpec("annni", 8, {}), "all-terms"
+            ),
+            "xxz12-window": lambda: read_measurement_file(XXZ12_WINDOW),
+            "mirror-pairs": mirror_pairs,
+        }[name]()
+        vertices = v_representation(ms).vertices
+        # the reference: every row's orbit sums at once, each distinct row once,
+        # sorted with the last orbit the primary key
+        _, orbits = np.unique(qubit_symmetries(ms).min(axis=0), return_inverse=True)
+        sums = vertices.astype(np.int64) @ np.eye(orbits.max() + 1, dtype=np.int64)[orbits]
+        points = np.unique(sums[:, ::-1], axis=0)[:, ::-1].astype(float)
+        hull = polytope._hull_vertices(points)
+        probes = polytope._extreme_points(points) if hull is None else None
+        monkeypatch.setattr(polytope, "_BLOCK_ROWS", block_rows)
+        reduction = polytope._orbit_reduction(ms, vertices)
+        assert np.array_equal(reduction.orbits, orbits)
+        for found, expected in (
+            (reduction.points, points), (reduction.hull, hull), (reduction.probes, probes)
+        ):
+            if expected is None:
+                assert found is None
+            else:
+                assert found.dtype == expected.dtype and found.tobytes() == expected.tobytes()
 
     def test_xxz12_window_reflection(self):
         ms = read_measurement_file(XXZ12_WINDOW)
