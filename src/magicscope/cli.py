@@ -42,7 +42,7 @@ from .rom import (
 from .spinchain import (
     SpinChainSpec,
     hamiltonian_measurement_set,
-    sweep,
+    sweep_records,
 )
 
 EXIT_OK = 0
@@ -190,9 +190,14 @@ def _cmd_rom(args) -> int:
         raise CliError("expectations lie outside the affine hull", EXIT_INFEASIBLE)
     if result.status != "optimal":
         raise CliError(f"LP solver failed: {result.cause}", EXIT_SOLVER)
-    payload = result.to_json_dict()
-    payload["witnessed"] = not result.member
-    payload["sample_bound"] = sample_complexity(max(1.0, result.rom), 0.1, 0.05)
+    payload = {
+        "rom": result.rom,
+        "member": result.member,
+        "status": result.status,
+        "path": result.path,
+        "witnessed": not result.member,
+        "sample_bound": sample_complexity(max(1.0, result.rom), 0.1, 0.05),
+    }
     print(json.dumps(payload, indent=1))
     return EXIT_OK
 
@@ -274,13 +279,16 @@ def _cmd_scan(args) -> int:
     mode = "a" if (args.resume and done) else "w"
     failed = 0
     with _open_output(args.out, mode, newline="") as fh:
-        vset = v_representation(measurements)
-        records = sweep(
-            spec, pending, measurements, vset, threads=args.threads, lp_tolerance=args.lp_tol
-        )
         writer = csv.writer(fh)
         if mode == "w":
             writer.writerow(columns)
+            fh.flush()
+        vset = v_representation(measurements)
+        records = sweep_records(
+            spec, pending, measurements, vset, threads=args.threads, lp_tolerance=args.lp_tol
+        )
+        # each row reaches the file as its point finishes, in grid order, so
+        # a killed scan leaves a prefix of the grid for --resume to extend
         for record in records:
             if record.solver_status != "optimal":
                 failed += 1
@@ -293,6 +301,7 @@ def _cmd_scan(args) -> int:
             row += list(record.expectations) if record.expectations else [""] * len(measurements)
             row += [record.rom, record.degenerate_flag, record.solver_status]
             writer.writerow(row)
+            fh.flush()
     if failed:
         print(f"{failed} grid points failed", file=sys.stderr)
         return EXIT_SOLVER

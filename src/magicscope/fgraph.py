@@ -2,44 +2,25 @@
 
 Vertices are measurement indices; an edge joins every anticommuting
 pair, so independent sets are exactly the pairwise-commuting subsets.
-Maximal independent sets are enumerated as maximal cliques of the
-complement graph (Bron-Kerbosch with pivoting on bitmask sets) and
-emitted in lexicographic order of their sorted index tuples.
+The graph is its adjacency tuple: bit j of entry i is set iff i and j
+anticommute.  Maximal independent sets are enumerated as maximal cliques
+of the complement graph (Bron-Kerbosch with pivoting on bitmask sets)
+and returned in lexicographic order of their sorted index tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 from .pauli import MeasurementSet, commutes
 
 __all__ = [
-    "FrustrationGraph",
     "build_frustration_graph",
     "enumerate_maximal_independent_sets",
 ]
 
 
-@dataclass(frozen=True)
-class FrustrationGraph:
-    m: int
-    adjacency: Tuple[int, ...]  # adjacency[i] bit j set iff i,j anticommute
-
-    def __post_init__(self):
-        for i, row in enumerate(self.adjacency):
-            if (row >> i) & 1:
-                raise ValueError("self-loop in frustration graph")
-        for i in range(self.m):
-            for j in range(i):
-                if ((self.adjacency[i] >> j) & 1) != ((self.adjacency[j] >> i) & 1):
-                    raise ValueError("adjacency not symmetric")
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool((self.adjacency[i] >> j) & 1)
-
-
-def build_frustration_graph(measurements: MeasurementSet) -> FrustrationGraph:
+def build_frustration_graph(measurements: MeasurementSet) -> Tuple[int, ...]:
     m = len(measurements)
     adjacency = [0] * m
     for i in range(m):
@@ -47,7 +28,7 @@ def build_frustration_graph(measurements: MeasurementSet) -> FrustrationGraph:
             if not commutes(measurements[i], measurements[j]):
                 adjacency[i] |= 1 << j
                 adjacency[j] |= 1 << i
-    return FrustrationGraph(m, tuple(adjacency))
+    return tuple(adjacency)
 
 
 def _bron_kerbosch(r: int, p: int, x: int, nbr: List[int], out: List[int]) -> None:
@@ -74,15 +55,15 @@ def _bron_kerbosch(r: int, p: int, x: int, nbr: List[int], out: List[int]) -> No
         cand ^= low
 
 
-def enumerate_maximal_independent_sets(g: FrustrationGraph) -> Iterator[Tuple[int, ...]]:
-    """Yield every maximal independent set, sorted lexicographically."""
-    full = (1 << g.m) - 1
+def enumerate_maximal_independent_sets(adjacency: Tuple[int, ...]) -> List[Tuple[int, ...]]:
+    """Every maximal independent set of the graph, sorted lexicographically."""
+    m = len(adjacency)
+    full = (1 << m) - 1
     # complement adjacency: commuting pairs become clique edges
-    nbr = [(~g.adjacency[i]) & full & ~(1 << i) for i in range(g.m)]
+    nbr = [(~adjacency[i]) & full & ~(1 << i) for i in range(m)]
     masks: List[int] = []
     _bron_kerbosch(0, full, 0, nbr, masks)
-    sets = sorted(_mask_to_tuple(mask) for mask in masks)
-    return iter(sets)
+    return sorted(_mask_to_tuple(mask) for mask in masks)
 
 
 def _mask_to_tuple(mask: int) -> Tuple[int, ...]:

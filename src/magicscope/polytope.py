@@ -380,7 +380,7 @@ def admissible_signs(
 def v_representation(measurements: MeasurementSet) -> VertexSet:
     """Enumerate every (maximal commuting subset, admissible signs) vertex."""
     m = len(measurements)
-    subsets = list(enumerate_maximal_independent_sets(build_frustration_graph(measurements)))
+    subsets = enumerate_maximal_independent_sets(build_frustration_graph(measurements))
     # A row's support is its whole subset (every sign is +-1) and the rows of one
     # block differ on its pivots, so a vertex repeats only if a subset does.
     if any(a >= b for a, b in zip(subsets, subsets[1:])):

@@ -100,15 +100,6 @@ class RomResult:
     path: str  # "symmetric" (orbit-sum LP) or "full"
     cause: str = ""  # why the solver failed; empty unless status is "numerically-degenerate"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rom": self.rom,
-            "member": self.member,
-            "status": self.status,
-            "negativity": self.rom,
-            "path": self.path,
-        }
-
 
 def _row_products(rows: np.ndarray, vector: np.ndarray) -> np.ndarray:
     """rows @ vector in float64, _BLOCK_ROWS rows at a time.

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,6 +48,7 @@ __all__ = [
     "ground_state",
     "hamiltonian_measurement_set",
     "sweep",
+    "sweep_records",
     "EIG_TOLERANCE",
     "DEGENERACY_THRESHOLD",
     "GROUND_SPACE_CAP",
@@ -393,15 +394,16 @@ class SweepRecord:
     cause: str = ""  # why the LP solver failed (RomResult.cause); not a CSV column
 
 
-def sweep(
+def sweep_records(
     spec: SpinChainSpec,
     grid: Sequence[Dict[str, float]],
     measurements: MeasurementSet,
     vset: VertexSet,
     threads: int = 1,
     lp_tolerance: float = LP_TOLERANCE,
-) -> List[SweepRecord]:
-    """One record per grid point; eigensolver failures are recorded, not raised.
+) -> Iterator[SweepRecord]:
+    """One record per grid point, yielded in grid order as each finishes;
+    eigensolver failures are recorded, not raised.
 
     A point's expectations come from one ``GroundStateResult.expectations``
     pass: the ground state's at a non-degenerate point, the ground-space
@@ -435,7 +437,20 @@ def sweep(
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, grid))
-    # in the caller: a pool worker's own glibc malloc arena raised the peak RSS
-    # of a one-thread ANNNI n=10 sweep from 195 to 215 MB (Linux, 2 vCPUs)
-    return [run(point) for point in grid]
+            yield from pool.map(run, grid)  # in grid order
+    else:
+        # in the caller: a pool worker's own glibc malloc arena raised the peak RSS
+        # of a one-thread ANNNI n=10 sweep from 195 to 215 MB (Linux, 2 vCPUs)
+        yield from map(run, grid)
+
+
+def sweep(
+    spec: SpinChainSpec,
+    grid: Sequence[Dict[str, float]],
+    measurements: MeasurementSet,
+    vset: VertexSet,
+    threads: int = 1,
+    lp_tolerance: float = LP_TOLERANCE,
+) -> List[SweepRecord]:
+    """``sweep_records`` as a list."""
+    return list(sweep_records(spec, grid, measurements, vset, threads, lp_tolerance))

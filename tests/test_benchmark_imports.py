@@ -14,7 +14,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from magicscope.pauli import MeasurementSet
+from magicscope.fgraph import build_frustration_graph, enumerate_maximal_independent_sets
+from magicscope.pauli import MeasurementSet, read_measurement_file
 from magicscope.polytope import v_representation
 from magicscope.rom import ExpectationVector, reduced_rom
 from magicscope.spinchain import SpinChainSpec, SweepRecord, build_hamiltonian, ground_state
@@ -98,3 +99,10 @@ def test_every_attribute_read_off_a_result_exists():
             assert hasattr(results[kind], name), f"{kind} has no {name}"
     fields = tuple(f.name for f in dataclasses.fields(SweepRecord))
     assert fields[:len(SWEEP_RECORD_FIELDS)] == SWEEP_RECORD_FIELDS
+
+
+def test_the_traced_build_enumerates_every_subset():
+    # run.py's traced build times the enumeration on the graph it builds
+    ms = read_measurement_file(PERFBENCH / "data" / "xxz9_all_terms.txt")
+    subsets = list(enumerate_maximal_independent_sets(build_frustration_graph(ms)))
+    assert len(subsets) == len(v_representation(ms).starts) == 978

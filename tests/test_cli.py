@@ -4,6 +4,10 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -19,7 +23,8 @@ from magicscope.cli import (
 )
 from magicscope.cli import CliError
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def write(path, text):
@@ -274,6 +279,35 @@ class TestScan:
         assert main(args + ["--resume"]) == EXIT_OK
         assert out.read_bytes() == full
 
+    def test_a_killed_scan_resumes_to_the_uninterrupted_file(self, tmp_path):
+        # each row reaches the file as its point finishes, so a scan killed
+        # mid-grid leaves rows for --resume to keep
+        scan = ["scan", "--model", "annni", "--n", "10", "--measurements", "all-terms",
+                "--grid", "k=0:1:4,g=0:2:10", "--threads", "2"]
+        whole = tmp_path / "whole.csv"
+        assert main(scan + ["--out", str(whole)]) == EXIT_OK
+        out = tmp_path / "scan.csv"
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        child = subprocess.Popen(
+            [sys.executable, "-m", "magicscope.cli"] + scan + ["--out", str(out)],
+            env={**os.environ, "PYTHONPATH": path},
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            # the header and one whole row
+            while not (out.exists() and out.read_bytes().count(b"\n") >= 2):
+                assert child.poll() is None, "the scan ended before any row was on disk"
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+        finally:
+            child.kill()
+            child.wait(timeout=60)
+        assert out.read_bytes().count(b"\n") < whole.read_bytes().count(b"\n")
+        assert main(scan + ["--out", str(out), "--resume"]) == EXIT_OK
+        assert out.read_bytes() == whole.read_bytes()
+
     @pytest.mark.parametrize(
         "other",
         [["--model", "annni", "--grid", "g=0:1:3"], ["--model", "tfim", "--grid", "h=0:1:3"]],
@@ -325,7 +359,7 @@ class TestScan:
             raise AssertionError("the scan started work it should have refused")
 
         monkeypatch.setattr(cli, "v_representation", refuse)
-        monkeypatch.setattr(cli, "sweep", refuse)
+        monkeypatch.setattr(cli, "sweep_records", refuse)
 
     @pytest.mark.parametrize("n", ["2", "15"])
     def test_out_of_range_n_is_usage_error(self, tmp_path, capsys, no_work, n):

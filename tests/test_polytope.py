@@ -257,9 +257,9 @@ class TestVRepresentation:
         # the check reads the subset list, not the rows: a subset enumerated
         # twice gives its whole block of vertices twice
         ms = MeasurementSet.from_strings(["X", "Y", "Z"])
-        subsets = list(enumerate_maximal_independent_sets(build_frustration_graph(ms)))
+        subsets = enumerate_maximal_independent_sets(build_frustration_graph(ms))
         monkeypatch.setattr(
-            polytope, "enumerate_maximal_independent_sets", lambda g: iter(subsets[:1] + subsets)
+            polytope, "enumerate_maximal_independent_sets", lambda g: subsets[:1] + subsets
         )
         with pytest.raises(AssertionError, match="duplicate vertices from distinct contexts"):
             v_representation(ms)

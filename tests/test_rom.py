@@ -96,11 +96,6 @@ class TestReducedRom:
         result = reduced_rom(vset, ExpectationVector.of([0.8, 0.8]))
         assert abs(result.rom - 1.6) < 1e-9
 
-    def test_negativity_equals_rom(self):
-        vset = v_representation(OCTAHEDRON)
-        result = reduced_rom(vset, ExpectationVector.of(T_BLOCH))
-        assert result.to_json_dict()["negativity"] == result.rom
-
     def test_rom_is_optimal_near_a_vertex(self):
         # the dual objective is rom: at HiGHS's default 1e-7 dual tolerance it read
         # 0.99999994 here, with coefficients of 1-norm 1.00000012
