@@ -19,7 +19,7 @@ from scipy.optimize import linprog
 
 from .pauli import MeasurementSet, PauliString, apply_pauli, hermitian, identity, multiply
 from .polytope import _isotropic_subspace_count
-from .rom import LP_TOLERANCE
+from .rom import DECISION_TOLERANCE, LP_TOLERANCE
 
 __all__ = [
     "StabilizerGroup",
@@ -37,7 +37,6 @@ __all__ = [
 ]
 
 ORACLE_MAX_QUBITS = 4
-HULL_TOLERANCE = 1e-7
 
 
 @dataclass(frozen=True)
@@ -201,10 +200,13 @@ def full_rom(pauli_table: Sequence[float], n: int, lp_tolerance: float = LP_TOLE
 def hull_contains(
     points: Iterable[Sequence[float]],
     hull_points: Sequence[Sequence[float]],
-    tolerance: float = HULL_TOLERANCE,
     lp_tolerance: float = LP_TOLERANCE,
 ) -> bool:
-    """Every point expressible as a convex combination of hull_points."""
+    """Every point within DECISION_TOLERANCE (inf-norm) of the convex hull of hull_points.
+
+    One dense LP over every hull point per point, at the tolerance of
+    ``RomResult.member``.
+    """
     hull = np.asarray(list(hull_points), dtype=float)
     n_vert, dim = hull.shape
     cost = np.zeros(n_vert + 1)
@@ -227,7 +229,7 @@ def hull_contains(
             method="highs",
             options={"primal_feasibility_tolerance": lp_tolerance},
         )
-        if res.status != 0 or float(res.fun) > tolerance:
+        if res.status != 0 or float(res.fun) > DECISION_TOLERANCE:
             return False
     return True
 
@@ -235,14 +237,11 @@ def hull_contains(
 def hull_equal(
     a: Iterable[Sequence[float]],
     b: Iterable[Sequence[float]],
-    tolerance: float = HULL_TOLERANCE,
     lp_tolerance: float = LP_TOLERANCE,
 ) -> bool:
     a = [tuple(p) for p in a]
     b = [tuple(p) for p in b]
-    return hull_contains(a, b, tolerance, lp_tolerance) and hull_contains(
-        b, a, tolerance, lp_tolerance
-    )
+    return hull_contains(a, b, lp_tolerance) and hull_contains(b, a, lp_tolerance)
 
 
 def measurement_expectations(

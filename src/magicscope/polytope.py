@@ -56,9 +56,7 @@ _PROBE_ROWS = 512
 
 
 def _json_list(items: Sequence[str], depth: int) -> str:
-    """The JSON list of encoded items as ``json.dumps(indent=1)`` lays it out at this depth."""
-    if not items:
-        return "[]"
+    """The non-empty list of encoded items as ``json.dumps(indent=1)`` lays it out at this depth."""
     pad = "\n" + " " * (depth + 1)
     return "[" + pad + ("," + pad).join(items) + "\n" + " " * depth + "]"
 
@@ -111,21 +109,6 @@ class VertexSet:
     vertices: np.ndarray
     starts: Tuple[int, ...]
 
-    def _blocks(self):
-        """(first row, end row, support) of each maximal commuting subset's block."""
-        starts = self.starts
-        for a, b in zip(starts, starts[1:] + (len(self.vertices),)):
-            yield a, b, np.flatnonzero(self.vertices[a])
-
-    def contexts(self) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-        """(support, signs on the support) of every row, in row order."""
-        found = []
-        for a, b, support in self._blocks():
-            s = tuple(support.tolist())
-            signs = self.vertices[a:b, support].tolist()
-            found.extend((s, tuple(f)) for f in signs)
-        return found
-
     def write_json(self, fh: TextIO) -> None:
         """Write the JSON vertex file (see the class docstring) to ``fh``."""
         ms = self.measurements
@@ -136,7 +119,9 @@ class VertexSet:
             heads = ("\n  [" if a == 0 else ",\n  [", ",\n  [")
             fh.write(_token_rows(block, heads, "\n   %d,", "\n   %d\n  ]"))
         fh.write('\n ],\n "contexts": [')
-        for a, b, support in self._blocks():
+        starts = self.starts
+        for a, b in zip(starts, starts[1:] + (len(self.vertices),)):
+            support = np.flatnonzero(self.vertices[a])
             s = _json_list([str(c) for c in support.tolist()], 3)
             head = f'\n  {{\n   "set": {s},\n   "signs": ['
             heads = (head if a == 0 else "," + head, "," + head)
@@ -405,11 +390,13 @@ def _isotropic_subspace_count(n: int) -> int:
 
 
 def size_bound(n: int, m: int) -> int:
-    """Computable envelope on the vertex count for any set with these n, m."""
+    """Computable envelope on the vertex count for any set with these n, m.
+
+    A subset has at most 2^min(n, m) sign assignments.  The maximal
+    commuting subsets number at most 3^(m//3 + 1), and at most the count
+    of maximal isotropic subspaces: each lies in one, and two in the same
+    one would commute with each other, against their maximality.
+    """
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive")
-    if n <= 4:
-        independent_sets = min(3 ** (m // 3 + 1), _isotropic_subspace_count(n))
-    else:
-        independent_sets = 3 ** (m // 3 + 1)
-    return 2 ** min(n, m) * independent_sets
+    return 2 ** min(n, m) * min(3 ** (m // 3 + 1), _isotropic_subspace_count(n))

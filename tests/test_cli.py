@@ -1,10 +1,13 @@
 """Command-line interface: subcommands, file formats, exit codes."""
 
+import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -19,6 +22,7 @@ from magicscope.cli import (
     EXIT_SOLVER,
     EXIT_USAGE,
     _parse_grid,
+    build_parser,
     main,
 )
 from magicscope.cli import CliError
@@ -465,6 +469,24 @@ class TestOracleCommand:
 
 class TestGlobalFlags:
     """Flags on the subcommands that read them, and the errors every command shares."""
+
+    def test_readme_flag_table_names_the_subcommands_that_take_each_flag(self):
+        (subcommands,) = [
+            a.choices for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        lines = (ROOT / "README.md").read_text().splitlines()
+        first = lines.index("| flag | subcommands | accepted values |") + 2
+        rows = [line.split(" | ") for line in itertools.takewhile(str.strip, lines[first:])]
+        assert rows
+        for flag, named, _ in rows:
+            flag = flag.strip("| `")
+            taking = {
+                name for name, p in subcommands.items()
+                if any(flag in a.option_strings for a in p._actions)
+            }
+            assert taking, flag
+            assert set(re.findall(r"`([^`]+)`", named)) & set(subcommands) == taking, flag
 
     def test_usage_exit_code(self):
         assert main(["no-such-command"]) == EXIT_USAGE

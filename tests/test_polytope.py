@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 from magicscope import polytope
 from magicscope.fgraph import build_frustration_graph, enumerate_maximal_independent_sets
 from magicscope.oracle import hull_contains, hull_equal, topdown_vertices
-from magicscope.pauli import MeasurementSet, PauliString, identity, identity_sign, multiply
+from magicscope.pauli import (
+    MeasurementSet,
+    PauliString,
+    hermitian,
+    identity,
+    identity_sign,
+    multiply,
+)
 from magicscope.polytope import admissible_signs, size_bound, v_representation
 from magicscope.spinchain import SpinChainSpec, hamiltonian_measurement_set
 from util import span_rank, vertex_json, vertex_txt
@@ -176,7 +183,9 @@ class TestVRepresentation:
         base = v_representation(ms)
         padded = v_representation(ms.padded(ms.n + 2))
         assert base.to_txt() == padded.to_txt()
-        assert [s for s, _ in base.contexts()] == [s for s, _ in padded.contexts()]
+        assert [c["set"] for c in json.loads(base.to_json())["contexts"]] == [
+            c["set"] for c in json.loads(padded.to_json())["contexts"]
+        ]
 
     @given(measurement_sets(max_n=2, max_m=4))
     @settings(max_examples=25, deadline=None)
@@ -207,12 +216,12 @@ class TestVRepresentation:
             marginal_set(2),
         ):
             expected = [
-                (subset, f)
+                {"set": list(subset), "signs": list(f)}
                 for subset in enumerate_maximal_independent_sets(build_frustration_graph(ms))
                 for f in admissible_signs(ms, subset)
             ]
             vset = v_representation(ms)
-            assert vset.contexts() == expected
+            assert json.loads(vset.to_json())["contexts"] == expected
             assert not vset.vertices.flags.writeable
 
     # sha256 of (to_json(), to_txt()): vertex files are the program's output,
@@ -288,8 +297,9 @@ class TestVRepresentation:
         # the build writes the signs in place; _sign_block expands the same
         # elimination into an array of its own
         vset = v_representation(ms)
-        for a, b, support in vset._blocks():
+        for a, b in zip(vset.starts, vset.starts[1:] + (len(vset.vertices),)):
             block = vset.vertices[a:b]
+            support = np.flatnonzero(block[0])
             signs = polytope._sign_block(ms, tuple(support.tolist()))
             assert np.array_equal(block[:, support], signs)
             assert not np.delete(block, support, axis=1).any()
@@ -353,6 +363,31 @@ class TestSizeBound:
         assert size_bound(1, 3) >= 6
         assert size_bound(2, 6) >= 36
         assert size_bound(1, 1) >= 2
+
+    # (set, n, m, vertex count, bound) above n = 4: the all-terms chains and a
+    # random set, where the cap 2^n prod_k (2^k + 1) on the maximal isotropic
+    # subspaces binds (it does at n = 5 from m = 30 on)
+    @pytest.mark.parametrize("model, n, m, count, bound", [
+        ("annni", 5, 15, 448, 23328),
+        ("annni", 6, 18, 1792, 139968),
+        ("annni", 7, 21, 6912, 839808),
+        ("annni", 8, 24, 25984, 5038848),
+        ("annni", 10, 30, 362240, 181398528),
+        ("xxz", 5, 20, 864, 69984),
+        ("xxz", 6, 24, 3616, 1259712),
+        ("xxz", 7, 28, 14592, 7558272),
+        ("xxz", 8, 32, 57856, 45349632),
+        ("random", 5, 36, 6336, 2**5 * 75735),
+    ])
+    def test_above_four_qubits(self, model, n, m, count, bound):
+        if model == "random":
+            codes = np.random.default_rng(m).choice(np.arange(1, 4**n), size=m, replace=False)
+            ms = MeasurementSet(tuple(hermitian(n, c >> n, c & (2**n - 1)) for c in codes.tolist()))
+        else:
+            ms = hamiltonian_measurement_set(SpinChainSpec(model, n, {}))
+        assert ms.m == m
+        assert len(v_representation(ms).vertices) == count
+        assert size_bound(n, m) == bound
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

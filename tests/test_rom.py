@@ -320,6 +320,35 @@ class TestSymmetricPath:
         b = ExpectationVector.of([0.5, 0.0, 0.0, 0.2] + [0.0] * 5)
         assert reduced_rom(vset, b).path == "full"
 
+    @pytest.mark.parametrize("fault", ["fails", "misses b"])
+    def test_a_bad_reduced_solve_falls_back(self, monkeypatch, fault):
+        ms, b, _ = all_terms_ground_state("annni", 6, {"k": 0.3, "g": 0.9})
+        vset = v_representation(ms)
+        assert reduced_rom(vset, b).path == "symmetric"
+        points = vset.symmetry.points
+        solve = rom._solve_l1_column_generation
+        reduced = []
+
+        def faulty(vmat, *args):
+            fun, weights, status, cause = solve(vmat, *args)
+            if vmat is not points:
+                return fun, weights, status, cause
+            reduced.append(status)
+            if fault == "fails":
+                return math.nan, None, 4, "injected"
+            weights = weights.copy()
+            weights[0] += 1e-6  # the weights' sum is then 1 + 1e-6, not 1
+            return fun, weights, status, cause
+
+        monkeypatch.setattr(rom, "_solve_l1_column_generation", faulty)
+        result = reduced_rom(vset, b)
+        assert reduced == [0]
+        assert result.path == "full" and result.status == "optimal"
+        fun, coeffs, status, _ = solve(vset.vertices, np.append(b.values, 1.0))
+        assert status == 0
+        assert result.rom == fun
+        assert np.array_equal(result.coefficients, coeffs)
+
     def test_orbit_sums_beyond_two_to_the_53(self):
         # each of the 23 orbit sums takes 5 values, so the orbit-sum vectors
         # range over 5^23 > 2^53 values
@@ -546,9 +575,7 @@ class TestMembership:
         if abs(excess - DECISION_TOLERANCE) > margin:
             assert result.member == (excess <= DECISION_TOLERANCE)
         if excess < DECISION_TOLERANCE - margin or excess / 2 > DECISION_TOLERANCE + margin:
-            assert oracle.hull_contains(
-                [b], vset.vertices, tolerance=DECISION_TOLERANCE
-            ) == result.member
+            assert oracle.hull_contains([b], vset.vertices) == result.member
 
 
 class TestWitness:

@@ -292,6 +292,25 @@ class TestGroundState:
                         pauli_expectation(evecs[:, 0], parse_pauli(p)), abs=1e-6
                     )
 
+    @pytest.mark.parametrize("field", ["z", "y"])
+    def test_flip_odd_terms_match_dense(self, field):
+        # a field odd under the spin flip leaves one block, H itself: real with
+        # a longitudinal Z field, complex with a Y field
+        for n in range(3, 8):
+            terms = build_hamiltonian(SpinChainSpec("tfim", n, {"g": 0.8}))
+            bit = 1 << (n // 2)
+            odd = PauliString(n, 0, 0, bit) if field == "z" else PauliString(n, 1, bit, bit)
+            terms = terms + [(0.3, odd)]
+            assert SectorPattern(p for _, p in terms).signs == (1.0,)
+            h = dense_hamiltonian(terms)
+            evals = np.linalg.eigvalsh(h)
+            gs = ground_state(terms)
+            assert gs.energy == pytest.approx(evals[0], abs=1e-10)
+            assert gs.gap_estimate == pytest.approx(evals[1] - evals[0], abs=1e-10)
+            assert np.iscomplexobj(gs.state) == (field == "y")
+            assert abs(np.linalg.norm(gs.state) - 1.0) < 1e-12
+            assert np.linalg.norm(h @ gs.state - gs.energy * gs.state) < 1e-8
+
     @pytest.mark.parametrize("model, params", [
         ("xxz", {"delta": -1.1, "h": 0.0}),
         ("annni", {"k": 0.25, "g": 0.0}),
