@@ -320,7 +320,8 @@ def _random_measurement_set(n: int, m: int, rng: np.random.Generator) -> Measure
 
 
 def _cmd_oracle(args) -> int:
-    cap = oracle_mod.ORACLE_MAX_QUBITS if args.check == "counts" else 3
+    counts = args.check == "counts"
+    cap = oracle_mod.ORACLE_MAX_QUBITS if counts else oracle_mod.ORACLE_PROJECTION_MAX_QUBITS
     if args.n > cap:
         raise CliError(f"oracle --check {args.check} takes --n in 1-{cap}", EXIT_USAGE)
     rng = np.random.default_rng(args.seed)

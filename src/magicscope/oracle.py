@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Sequence, Set, Tuple
 import numpy as np
 from scipy.optimize import linprog
 
-from .pauli import MeasurementSet, PauliString, apply_pauli, hermitian, identity, multiply
+from .pauli import MeasurementSet, PauliString, hermitian, identity, multiply, pauli_expectations
 from .polytope import _isotropic_subspace_count
 from .rom import DECISION_TOLERANCE, LP_TOLERANCE
 
@@ -34,9 +34,13 @@ __all__ = [
     "full_pauli_table",
     "random_pure_state",
     "ORACLE_MAX_QUBITS",
+    "ORACLE_PROJECTION_MAX_QUBITS",
 ]
 
 ORACLE_MAX_QUBITS = 4
+# cap of topdown_vertices and full_rom, which project every stabilizer state;
+# the CLI's oracle checks other than counts take it too
+ORACLE_PROJECTION_MAX_QUBITS = 3
 
 
 @dataclass(frozen=True)
@@ -129,8 +133,8 @@ def stabilizer_expectation(group: StabilizerGroup, p: PauliString) -> int:
 def topdown_vertices(measurements: MeasurementSet) -> Set[Tuple[int, ...]]:
     """Project every pure stabilizer state onto the measurement set (n <= 3)."""
     n = measurements.n
-    if n > 3:
-        raise ValueError("top-down projection capped at n <= 3")
+    if n > ORACLE_PROJECTION_MAX_QUBITS:
+        raise ValueError(f"top-down projection capped at n <= {ORACLE_PROJECTION_MAX_QUBITS}")
     vectors = set()
     for group in enumerate_stabilizer_groups(n):
         vectors.add(tuple(stabilizer_expectation(group, p) for p in measurements))
@@ -151,13 +155,7 @@ def full_pauli_table(state: np.ndarray) -> np.ndarray:
     n = int(math.log2(state.size))
     if 2**n != state.size:
         raise ValueError("state length is not a power of two")
-    table = np.empty(4**n)
-    for i, p in enumerate(pauli_basis(n)):
-        val = np.vdot(state, apply_pauli(p, state))
-        if abs(val.imag) > 1e-10:
-            raise ValueError("non-real expectation; state not normalized?")
-        table[i] = val.real
-    return table
+    return np.array(pauli_expectations(state, pauli_basis(n)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -173,8 +171,8 @@ def _full_lp_matrix(n: int) -> np.ndarray:
 
 def full_rom(pauli_table: Sequence[float], n: int, lp_tolerance: float = LP_TOLERANCE) -> float:
     """Robustness over the complete stabilizer polytope (Eq.-4-style LP)."""
-    if n > 3:
-        raise ValueError("full robustness oracle capped at n <= 3")
+    if n > ORACLE_PROJECTION_MAX_QUBITS:
+        raise ValueError(f"full robustness oracle capped at n <= {ORACLE_PROJECTION_MAX_QUBITS}")
     b = np.asarray(pauli_table, dtype=float)
     if b.size != 4**n:
         raise ValueError("expectation table must have length 4^n")
@@ -205,7 +203,7 @@ def hull_contains(
     """Every point within DECISION_TOLERANCE (inf-norm) of the convex hull of hull_points.
 
     One dense LP over every hull point per point, at the tolerance of
-    ``RomResult.member``.
+    ``RomResult.member``; a failed LP raises a RuntimeError, not a verdict.
     """
     hull = np.asarray(list(hull_points), dtype=float)
     n_vert, dim = hull.shape
@@ -213,12 +211,12 @@ def hull_contains(
     cost[-1] = 1.0
     a_eq = np.zeros((1, n_vert + 1))
     a_eq[0, :n_vert] = 1.0
+    a_ub = np.zeros((2 * dim, n_vert + 1))
+    a_ub[:dim, :n_vert] = hull.T
+    a_ub[dim:, :n_vert] = -hull.T
+    a_ub[:, -1] = -1.0
     for point in points:
         b = np.asarray(point, dtype=float)
-        a_ub = np.zeros((2 * dim, n_vert + 1))
-        a_ub[:dim, :n_vert] = hull.T
-        a_ub[dim:, :n_vert] = -hull.T
-        a_ub[:, -1] = -1.0
         res = linprog(
             cost,
             A_ub=a_ub,
@@ -229,7 +227,9 @@ def hull_contains(
             method="highs",
             options={"primal_feasibility_tolerance": lp_tolerance},
         )
-        if res.status != 0 or float(res.fun) > DECISION_TOLERANCE:
+        if res.status != 0:
+            raise RuntimeError(f"hull membership LP failed with status {res.status}: {res.message}")
+        if float(res.fun) > DECISION_TOLERANCE:
             return False
     return True
 

@@ -11,11 +11,11 @@ Every other module takes these conventions from here:
 
 - ``hermitian(n, xbits, zbits, negative)`` builds the Hermitian
   ``+-P``, each Y counted as iXZ;
-- ``apply_pauli`` and ``pauli_expectation`` act on a state vector of
-  length 2^n (basis index bit ``i`` = qubit ``i+1``),
-  ``pauli_expectations`` evaluates a list of Paulis on a state or on the
-  orthonormal columns of a ground space in one pass, and ``z_signs``
-  gives the (-1)^(z . s) sign of basis states s;
+- ``pauli_expectations`` evaluates a list of Paulis on a state vector of
+  length 2^n (basis index bit ``i`` = qubit ``i+1``) or on the
+  orthonormal columns of a ground space in one pass,
+  ``pauli_expectation`` evaluates one, and ``z_signs`` gives the
+  (-1)^(z . s) sign of basis states s;
 - a ``PauliString`` is frozen and hashable, so it is its own dict or
   set key.
 """
@@ -41,7 +41,6 @@ __all__ = [
     "pad",
     "read_measurement_file",
     "z_signs",
-    "apply_pauli",
     "pauli_expectation",
     "pauli_expectations",
 ]
@@ -239,9 +238,12 @@ def read_measurement_file(path) -> MeasurementSet:
     return MeasurementSet(tuple(paulis))
 
 
-# Paulis whose action ``apply_pauli`` keeps: a sweep's measurement set, up to 42
+# Paulis whose odd table ``_action`` keeps: a sweep's measurement set, up to 42
 # terms on 14 qubits, at one byte a basis state
 _ACTION_CACHE = 64
+# i^k as Python complex numbers, whose arithmetic costs less than numpy
+# scalars'; the zero parts are all +0.0
+_PHASES = (1 + 0j, 1j, -1 + 0j, complex(0, -1))
 
 
 def z_signs(indices: np.ndarray, zbits: int) -> np.ndarray:
@@ -250,27 +252,16 @@ def z_signs(indices: np.ndarray, zbits: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=_ACTION_CACHE)
-def _action(p: PauliString) -> Tuple[np.ndarray, complex, complex]:
-    """(odd, even_phase, odd_phase): P|s ^ x> = phase |s>, odd_phase where odd[s].
+def _action(p: PauliString) -> Tuple[np.ndarray, complex]:
+    """(odd, phase): P|s ^ x> = phase |s>, or -phase where odd[s].
 
-    The phases are i^k times +1 and -1, as complex numbers.  A table of
-    the 2^n complex phases themselves, and of the indices s ^ x, raised
-    the peak memory of an XXZ n=12 sweep by 1.5 MB, against 0.1 MB for
-    this bool table.
+    phase is i^k.  A table of the 2^n complex phases themselves, and of
+    the indices s ^ x, raised the peak memory of an XXZ n=12 sweep by
+    1.5 MB, against 0.1 MB for this bool table.
     """
     odd = z_signs(np.arange(1 << p.n) ^ p.xbits, p.zbits) < 0
     odd.setflags(write=False)
-    # as Python complex numbers, whose arithmetic costs less than numpy scalars'
-    even_phase, odd_phase = ((1j**p.phase_k) * np.array([1.0, -1.0])).tolist()
-    return odd, even_phase, odd_phase
-
-
-def apply_pauli(p: PauliString, vec: np.ndarray) -> np.ndarray:
-    """P @ vec for a state vector of length 2^n."""
-    if vec.size != 1 << p.n:
-        raise ValueError("state length does not match qubit count")
-    odd, even_phase, odd_phase = _action(p)
-    return np.where(odd, odd_phase, even_phase) * vec[np.arange(vec.size) ^ p.xbits]
+    return odd, _PHASES[p.phase_k]
 
 
 def pauli_expectations(state: np.ndarray, paulis: Iterable[PauliString]) -> Tuple[float, ...]:
@@ -300,8 +291,8 @@ def pauli_expectations(state: np.ndarray, paulis: Iterable[PauliString]) -> Tupl
                 g = g.sum(axis=1)
             overlaps[p.xbits] = g, g.sum().item()
         g, total = overlaps[p.xbits]
-        odd, even_phase, _ = _action(p)
-        val = even_phase * (total - 2 * np.dot(odd, g).item()) / d
+        odd, phase = _action(p)
+        val = phase * (total - 2 * np.dot(odd, g).item()) / d
         if abs(val.imag) > 1e-10:
             raise ValueError("imaginary residue in Hermitian expectation")
         values.append(float(min(1.0, max(-1.0, val.real))))

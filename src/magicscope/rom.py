@@ -123,6 +123,11 @@ def _aligned_rows(vmat: np.ndarray, b_eq: np.ndarray) -> np.ndarray:
     return np.unique(np.concatenate([order[:seed], order[-seed:]]))
 
 
+def _failure(cause: str):
+    """A "numerically-degenerate" solve: NaN, no coefficients, and why."""
+    return math.nan, np.empty(0), "numerically-degenerate", cause
+
+
 def _solve_l1_column_generation(
     vmat: np.ndarray,
     b_eq: np.ndarray,
@@ -130,6 +135,9 @@ def _solve_l1_column_generation(
     warm: Optional[np.ndarray] = None,
 ):
     """Solve the 1-norm LP by dual cutting planes; returns (fun, coefficients, status, cause).
+
+    status and cause are ``RomResult``'s; unless status is "optimal", fun
+    is inf ("infeasible") or NaN and the coefficients are empty.
 
     The dual is max b_eq . y subject to |v_j . y[:m] + y[m]| <= 1 for
     every vertex j, inside the box |y| <= bound.  Constraints are
@@ -141,10 +149,11 @@ def _solve_l1_column_generation(
     the primal is read from the last solve's row marginals,
     x = lambda_plus - lambda_minus over the active vertices.  If that x
     reproduces b_eq and its 1-norm equals the dual objective to
-    DECISION_TOLERANCE, the optimum is found; a larger duality gap, as a
-    loose lp_tolerance leaves, is a solver failure (status 4).  If x does not reproduce b_eq the box is binding, so it
-    is widened, and past 1e12 the primal is reported infeasible (status
-    2).  cause says why a status other than 0 or 2 was returned.
+    DECISION_TOLERANCE, the optimum is found.  If x does not reproduce
+    b_eq the box is binding, so it is widened, and past 1e12 the primal
+    is infeasible.  The dual is always feasible at y = 0, so any HiGHS
+    failure, a larger duality gap (as a loose lp_tolerance leaves) and
+    no optimum after 200 rounds are solver failures, not infeasibility.
     """
     n_vert, m = vmat.shape
     active = _aligned_rows(vmat, b_eq) if warm is None else warm
@@ -171,7 +180,7 @@ def _solve_l1_column_generation(
             },
         )
         if res.status != 0:
-            return math.nan, None, res.status, f"HiGHS: {res.message}"
+            return _failure(f"HiGHS status {res.status}: {res.message}")
         y = res.x
         violation = np.abs(_row_products(vmat, y[:m]) + y[m]) - 1.0
         violated = np.flatnonzero(violation > 1e-9)
@@ -186,26 +195,25 @@ def _solve_l1_column_generation(
             fun = -float(res.fun)
             gap = abs(float(np.abs(x_active).sum()) - fun)
             if gap > DECISION_TOLERANCE:
-                return math.nan, None, 4, f"duality gap {gap:.3g} with dual objective {fun!r}"
+                return _failure(f"duality gap {gap:.3g} with dual objective {fun!r}")
             coeffs = np.zeros(n_vert)
             coeffs[active] = x_active
-            return fun, coeffs, 0, ""
+            return fun, coeffs, "optimal", ""
         # The box is binding: either the dual is unbounded (primal
         # infeasible) or the box was too tight.
         if bound > 1e12:
-            return math.inf, None, 2, ""
+            return math.inf, np.empty(0), "infeasible", ""
         bound *= 1e3
-    return math.nan, None, 1, "no optimum after 200 column-generation rounds"
+    return _failure("no optimum after 200 column-generation rounds")
 
 
 def _solve_symmetric(vset: VertexSet, b_eq: np.ndarray, lp_tolerance: float):
     """The 1-norm LP over the orbit-sum points.
 
-    Returns (fun, weights over the points, 0, "") like
-    ``_solve_l1_column_generation``, or None when the group is trivial,
-    b_eq is not constant on every orbit to SYMMETRY_TOLERANCE, the
-    reduced LP fails, or the weights' spread over the fibres would not
-    reproduce b_eq to 1e-8.
+    Returns ``_solve_l1_column_generation``'s optimal result, one weight
+    per point, or None when the group is trivial, b_eq is not constant on
+    every orbit to SYMMETRY_TOLERANCE, the reduced LP fails, or the
+    weights' spread over the fibres would not reproduce b_eq to 1e-8.
     """
     reduction = vset.symmetry
     if reduction is None:
@@ -219,16 +227,15 @@ def _solve_symmetric(vset: VertexSet, b_eq: np.ndarray, lp_tolerance: float):
     warm = reduction.hull
     if warm is None:
         warm = np.union1d(reduction.probes, _aligned_rows(reduction.points, target))
-    fun, weights, status, _ = _solve_l1_column_generation(
-        reduction.points, target, lp_tolerance, warm
-    )
-    if status != 0:
+    solved = _solve_l1_column_generation(reduction.points, target, lp_tolerance, warm)
+    _, weights, status, _ = solved
+    if status != "optimal":
         return None
     # the spread's value on measurement i of orbit o: (points.T @ weights)[o] / |o|
     spread = (reduction.points.T @ weights / np.bincount(orbits))[orbits]
     if np.max(np.abs(np.append(spread, weights.sum()) - b_eq)) > 1e-8:
         return None
-    return fun, weights, 0, ""
+    return solved
 
 
 def reduced_rom(
@@ -244,9 +251,10 @@ def reduced_rom(
     reproduce b; those marginals, scattered over all vertices, are the
     coefficients.  A binding dual box past 1e12 means b lies outside the
     affine hull ("infeasible").  lp_tolerance is the LP solver's primal and
-    dual feasibility tolerance; a solve whose coefficients' 1-norm and dual
-    objective differ by more than DECISION_TOLERANCE is a solver failure
-    ("numerically-degenerate", with the gap in ``cause``), not an optimum.
+    dual feasibility tolerance.  A HiGHS failure, a solve whose
+    coefficients' 1-norm and dual objective differ by more than
+    DECISION_TOLERANCE, or no optimum after 200 rounds is a solver failure
+    ("numerically-degenerate", with its cause in ``cause``), not a verdict.
 
     If the set has a non-trivial qubit symmetry group and every orbit
     spread of b is at most SYMMETRY_TOLERANCE (1e-8), the LP runs over
@@ -263,13 +271,9 @@ def reduced_rom(
     if solved is None:
         solved = _solve_l1_column_generation(vset.vertices, b_eq, lp_tolerance)
         path = "full"
-    fun, coeffs, status, cause = solved
-    if status == 2:
-        return RomResult(math.inf, np.empty(0), False, "infeasible", path)
-    if status != 0:
-        return RomResult(math.nan, np.empty(0), False, "numerically-degenerate", path, cause)
-    rom = float(fun)
-    return RomResult(rom, coeffs, rom <= 1.0 + decision_tolerance, "optimal", path)
+    rom, coeffs, status, cause = solved
+    member = status == "optimal" and rom <= 1.0 + decision_tolerance
+    return RomResult(rom, coeffs, member, status, path, cause)
 
 
 def sample_complexity(rom: float, delta: float, epsilon: float) -> int:

@@ -26,6 +26,7 @@ from magicscope.cli import (
     main,
 )
 from magicscope.cli import CliError
+from util import fail_highs
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -211,6 +212,24 @@ class TestRom:
         assert captured.out == "" and "duality gap 0.5" in captured.err
         assert main(["rom", octahedron_file, b, "--lp-tol", "0.5"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["rom"] == pytest.approx(1.5, abs=1e-9)
+
+    def test_a_highs_failure_exits_4_with_its_status(
+        self, octahedron_file, tmp_path, capsys, monkeypatch
+    ):
+        import magicscope.rom as rom
+
+        fail_highs(monkeypatch, rom, 2)
+        b = write(tmp_path / "b.txt", "0.5\n0.5\n0.5\n")
+        assert main(["rom", octahedron_file, b]) == EXIT_SOLVER
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "LP solver failed: HiGHS status 2: injected\n"
+
+    def test_unreadable_expectations_are_usage_errors(self, octahedron_file, tmp_path, capsys):
+        for b in (tmp_path / "missing.txt", tmp_path):  # absent, and a directory
+            assert main(["rom", octahedron_file, str(b)]) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == "" and str(b) in captured.err
 
 
 class TestScan:

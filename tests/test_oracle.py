@@ -15,7 +15,7 @@ from magicscope.pauli import (
     multiply,
     parse_pauli,
 )
-from util import pauli_matrix
+from util import fail_highs, pauli_matrix
 
 
 class TestEnumeration:
@@ -163,6 +163,21 @@ class TestHulls:
         assert not oracle.hull_equal(diamond, square)
         assert oracle.hull_contains(diamond, square)
         assert not oracle.hull_contains(square, diamond)
+
+    def test_a_failed_lp_raises(self, monkeypatch):
+        fail_highs(monkeypatch, oracle, 4)
+        with pytest.raises(RuntimeError, match="status 4: injected"):
+            oracle.hull_contains([(0, 0, 0)], self.OCT)
+
+
+def test_projection_cap():
+    cap = oracle.ORACLE_PROJECTION_MAX_QUBITS
+    assert cap == 3
+    wide = MeasurementSet((PauliString(cap + 1, 0, 0, 1),))
+    with pytest.raises(ValueError, match=f"capped at n <= {cap}"):
+        oracle.topdown_vertices(wide)
+    with pytest.raises(ValueError, match=f"capped at n <= {cap}"):
+        oracle.full_rom([1.0] + [0.0] * (4 ** (cap + 1) - 1), cap + 1)
 
 
 class TestPauliTable:

@@ -24,6 +24,23 @@ from magicscope.pauli import (
 from util import pauli_matrix, pauli_pairs, pauli_strings
 
 
+class TestPauliString:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0, 0, 0, 0), "qubit count must be positive"),
+            ((-1, 0, 0, 0), "qubit count must be positive"),
+            ((2, 4, 0, 0), "phase exponent"),
+            ((2, -1, 0, 0), "phase exponent"),
+            ((2, 0, 0b100, 0), "bit-vectors longer than qubit count"),
+            ((2, 0, 0, 0b100), "bit-vectors longer than qubit count"),
+        ],
+    )
+    def test_rejects_invalid_fields(self, args, message):
+        with pytest.raises(PauliError, match=message):
+            PauliString(*args)
+
+
 class TestParseFormat:
     def test_parse_plus_xiz(self):
         p = parse_pauli("+XIZ")
@@ -169,6 +186,10 @@ class TestCommutes:
         assert not commutes(parse_pauli("X"), parse_pauli("Z"))
         assert commutes(parse_pauli("XX"), parse_pauli("ZZ"))
         assert not commutes(parse_pauli("ZZI"), parse_pauli("XII"))
+
+    def test_mismatched_n(self):
+        with pytest.raises(PauliError, match="qubit counts differ"):
+            commutes(parse_pauli("X"), parse_pauli("XX"))
 
     @given(pauli_pairs())
     @settings(max_examples=200)

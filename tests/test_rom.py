@@ -27,7 +27,7 @@ from magicscope.spinchain import (
     ground_state,
     hamiltonian_measurement_set,
 )
-from util import fibres, lift, random_clifford, solve_l1_dense
+from util import fail_highs, fibres, lift, random_clifford, solve_l1_dense
 
 XXZ12_WINDOW = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "xxz12_window.txt"
 
@@ -190,7 +190,7 @@ class TestColumnGeneration:
                 b_eq = np.concatenate([b, [1.0]])
                 f_dense, x_dense, s_dense = solve_l1_dense(vmat, b_eq)
                 f_cg, x_cg, s_cg, _ = _solve_l1_column_generation(vmat, b_eq)
-                assert s_dense == s_cg == 0, texts
+                assert s_dense == 0 and s_cg == "optimal", texts
                 assert abs(f_dense - f_cg) < 1e-7, texts
                 assert np.max(np.abs(vmat.T @ x_cg - b)) < 1e-8, texts
                 assert abs(x_cg.sum() - 1.0) < 1e-8, texts
@@ -231,7 +231,45 @@ class TestColumnGeneration:
         fun, coeffs, status, _ = _solve_l1_column_generation(
             vmat, np.array([1.0, 1.0, 1.0])
         )
-        assert status == 2 and coeffs is None
+        assert status == "infeasible" and coeffs.size == 0 and fun == math.inf
+
+
+class TestSolverFailures:
+    @pytest.mark.parametrize("status", [2, 4])
+    def test_a_highs_failure_is_not_a_verdict(self, monkeypatch, status):
+        # the dual is feasible at y = 0, so even HiGHS's "infeasible" (2) is a failure
+        fail_highs(monkeypatch, rom, status)
+        result = reduced_rom(v_representation(OCTAHEDRON), ExpectationVector.of(T_BLOCH))
+        assert result.status == "numerically-degenerate"
+        assert math.isnan(result.rom) and not result.member
+        assert result.coefficients.size == 0
+        assert result.cause == f"HiGHS status {status}: injected"
+
+    def test_a_failed_symmetric_solve_fails_on_the_full_path(self, monkeypatch):
+        ms, b, _ = all_terms_ground_state("annni", 6, {"k": 0.3, "g": 0.9})
+        vset = v_representation(ms)
+        assert reduced_rom(vset, b).path == "symmetric"
+        fail_highs(monkeypatch, rom, 2)
+        result = reduced_rom(vset, b)
+        assert result.path == "full" and result.status == "numerically-degenerate"
+        assert result.cause == "HiGHS status 2: injected"
+
+    def test_no_optimum_after_200_rounds(self, monkeypatch):
+        # every dual solve returns twice its optimum, which violates a binding vertex
+        calls = []
+
+        def overshooting(*args, **kwargs):
+            calls.append(None)
+            res = linprog(*args, **kwargs)
+            res.x = 2.0 * res.x
+            return res
+
+        monkeypatch.setattr(rom, "linprog", overshooting)
+        result = reduced_rom(v_representation(OCTAHEDRON), ExpectationVector.of(T_BLOCH))
+        assert len(calls) == 200
+        assert result.status == "numerically-degenerate" and not result.member
+        assert math.isnan(result.rom) and result.coefficients.size == 0
+        assert result.cause == "no optimum after 200 column-generation rounds"
 
 
 def all_terms_ground_state(model, n, params):
@@ -259,7 +297,7 @@ class TestSymmetricPath:
         result = reduced_rom(vset, b)
         assert result.path == "symmetric" and result.status == "optimal"
         fun, _, status, _ = _solve_l1_column_generation(vset.vertices, np.append(b.values, 1.0))
-        assert status == 0
+        assert status == "optimal"
         assert abs(result.rom - fun) < 1e-7
         assert result.coefficients.shape == (len(vset.symmetry.points),)
         x = lift(vset, result.coefficients)
@@ -335,17 +373,17 @@ class TestSymmetricPath:
                 return fun, weights, status, cause
             reduced.append(status)
             if fault == "fails":
-                return math.nan, None, 4, "injected"
+                return math.nan, np.empty(0), "numerically-degenerate", "injected"
             weights = weights.copy()
             weights[0] += 1e-6  # the weights' sum is then 1 + 1e-6, not 1
             return fun, weights, status, cause
 
         monkeypatch.setattr(rom, "_solve_l1_column_generation", faulty)
         result = reduced_rom(vset, b)
-        assert reduced == [0]
+        assert reduced == ["optimal"]
         assert result.path == "full" and result.status == "optimal"
         fun, coeffs, status, _ = solve(vset.vertices, np.append(b.values, 1.0))
-        assert status == 0
+        assert status == "optimal"
         assert result.rom == fun
         assert np.array_equal(result.coefficients, coeffs)
 
@@ -384,7 +422,7 @@ class TestSymmetricPath:
         target = np.append(sums, 1.0)
         del calls[:]
         fun, _, status, _ = _solve_l1_column_generation(reduction.points, target)
-        assert status == 0 and len(calls) > 1
+        assert status == "optimal" and len(calls) > 1
         assert abs(result.rom - fun) <= 1e-9
         # drop one hull vertex at a time: pricing over every point adds back one
         # that binds, so some drops cost a second solve and none moves the rom
@@ -394,7 +432,7 @@ class TestSymmetricPath:
             fun, _, status, _ = _solve_l1_column_generation(
                 reduction.points, target, warm=np.delete(reduction.hull, dropped)
             )
-            assert status == 0 and abs(result.rom - fun) <= 1e-9
+            assert status == "optimal" and abs(result.rom - fun) <= 1e-9
             repriced += len(calls) > 1
         assert repriced
 
@@ -448,7 +486,7 @@ class TestSymmetricPath:
             sums = np.bincount(reduction.orbits, weights=values, minlength=reduction.points.shape[1])
             # from the most and least aligned points alone
             fun, _, status, _ = _solve_l1_column_generation(reduction.points, np.append(sums, 1.0))
-            assert status == 0 and abs(result.rom - fun) <= 1e-9
+            assert status == "optimal" and abs(result.rom - fun) <= 1e-9
             del calls[counted:]
         assert len(calls) / queries <= 1.3
 

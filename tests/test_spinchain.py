@@ -6,11 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magicscope import oracle, spinchain
+from magicscope import spinchain
 from magicscope.pauli import (
     MeasurementSet,
     PauliString,
-    apply_pauli,
     format_pauli,
     parse_pauli,
     pauli_expectation,
@@ -134,17 +133,6 @@ class TestBuildHamiltonian:
 
 
 class TestApplyPauli:
-    def test_matches_dense(self):
-        rng = np.random.default_rng(12)
-        for n in (1, 2, 3):
-            state = oracle.random_pure_state(n, rng)
-            for _ in range(8):
-                x = int(rng.integers(0, 1 << n))
-                z = int(rng.integers(0, 1 << n))
-                k = ((x & z).bit_count() + 2 * int(rng.integers(0, 2))) % 4
-                p = PauliString(n, k, x, z)
-                assert np.allclose(apply_pauli(p, state), pauli_matrix(p) @ state)
-
     def test_expectation_examples(self):
         zero4 = np.zeros(16, dtype=complex)
         zero4[0] = 1.0
@@ -324,6 +312,18 @@ class TestGroundState:
     def test_empty_terms_rejected(self):
         with pytest.raises(ValueError):
             ground_state([])
+
+    def test_fifteen_qubits_rejected(self):
+        # refused before any 2^15 array is built
+        with pytest.raises(ValueError, match="capped at 14 qubits"):
+            ground_state([(1.0, PauliString(15, 0, 0, 0b11))])
+
+    def test_diagonal_ground_space_rejects_non_hermitian_paulis(self):
+        gs = ground_state(build_hamiltonian(SpinChainSpec("tfim", 4, {"g": 0.0})))
+        assert gs.ground_space.ndim == 1  # basis-state indices, not columns
+        assert gs.expectations([PauliString(4, 0, 0, 0b11)]) == (1.0,)
+        with pytest.raises(ValueError, match="Hermitian"):
+            gs.expectations([PauliString(4, 1, 0, 0b1)])  # iZ
 
 
 class TestGroundSpace:

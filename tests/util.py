@@ -1,4 +1,5 @@
-"""Shared test helpers: dense matrices, a dense LP, Clifford circuits and hypothesis strategies.
+"""Shared test helpers: dense matrices, a dense LP, an injected LP failure,
+Clifford circuits and hypothesis strategies.
 
 The dense constructions here are deliberately independent of the
 package's own bit tricks so that tests compare two different codepaths.
@@ -63,6 +64,18 @@ def solve_l1_dense(vmat: np.ndarray, b_eq: np.ndarray, lp_tolerance: float = 1e-
     if res.status != 0:
         return math.nan, None, res.status
     return float(res.fun), res.x[:n_vert] - res.x[n_vert:], 0
+
+
+def fail_highs(monkeypatch, module, status: int) -> None:
+    """Patch ``module.linprog`` so that every solve reports HiGHS status ``status``."""
+    solve = module.linprog
+
+    def failing(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        res.status, res.message = status, "injected"
+        return res
+
+    monkeypatch.setattr(module, "linprog", failing)
 
 
 def span_rank(paulis) -> int:
