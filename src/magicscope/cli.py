@@ -284,9 +284,7 @@ def _cmd_scan(args) -> int:
             writer.writerow(columns)
             fh.flush()
         vset = v_representation(measurements)
-        records = sweep_records(
-            spec, pending, measurements, vset, threads=args.threads, lp_tolerance=args.lp_tol
-        )
+        records = sweep_records(spec, pending, vset, threads=args.threads, lp_tolerance=args.lp_tol)
         # each row reaches the file as its point finishes, in grid order, so
         # a killed scan leaves a prefix of the grid for --resume to extend
         for record in records:
@@ -339,22 +337,20 @@ def _cmd_oracle(args) -> int:
         if args.check == "hulls":
             bottom = v_representation(measurements).vertices
             top = list(oracle_mod.topdown_vertices(measurements))
-            if not oracle_mod.hull_equal(bottom, top, lp_tolerance=args.lp_tol):
-                failures.append([format_pauli(p) for p in measurements])
+            failed = not oracle_mod.hull_equal(bottom, top, lp_tolerance=args.lp_tol)
         elif args.check == "lemma1":
             base = v_representation(measurements).to_txt()
-            padded = v_representation(measurements.padded(measurements.n + 2)).to_txt()
-            if base != padded:
-                failures.append([format_pauli(p) for p in measurements])
+            failed = base != v_representation(measurements.padded(measurements.n + 2)).to_txt()
         else:  # rom-bound
             state = oracle_mod.random_pure_state(args.n, rng)
             table = oracle_mod.full_pauli_table(state)
             full = oracle_mod.full_rom(table, args.n, lp_tolerance=args.lp_tol)
             vset = v_representation(measurements)
             b = ExpectationVector.of(oracle_mod.measurement_expectations(table, measurements))
-            reduced = reduced_rom(vset, b, lp_tolerance=args.lp_tol).rom
-            if reduced > full + 1e-6:
-                failures.append([format_pauli(p) for p in measurements])
+            # a failed LP's NaN rom fails the bound too
+            failed = not reduced_rom(vset, b, lp_tolerance=args.lp_tol).rom <= full + 1e-6
+        if failed:
+            failures.append([format_pauli(p) for p in measurements])
     report = {
         "check": args.check,
         "n": args.n,

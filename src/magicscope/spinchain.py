@@ -55,7 +55,8 @@ __all__ = [
 ]
 
 EIG_TOLERANCE = 1e-10
-_SEED = 1234  # of the Lanczos starts, in ground_state and sweep
+_SEED = 1234  # of every Lanczos start
+_MAX_QUBITS = 14  # of a chain, and of an H that ground_state diagonalizes
 DEGENERACY_THRESHOLD = 1e-8
 # the largest ground space a non-diagonal H deflates out, one Lanczos solve
 # per level: it holds the XXZ ferromagnetic multiplet at delta = -1, h = 0,
@@ -77,8 +78,8 @@ class SpinChainSpec:
     def __post_init__(self):
         if self.model not in COUPLINGS:
             raise ValueError(f"unknown model {self.model!r}")
-        if not 3 <= self.n <= 14:
-            raise ValueError("qubit count must be in [3, 14]")
+        if not 3 <= self.n <= _MAX_QUBITS:
+            raise ValueError(f"qubit count must be in [3, {_MAX_QUBITS}]")
         if self.boundary not in ("periodic", "open"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
         for key, val in self.params.items():
@@ -200,8 +201,8 @@ class SectorPattern:
     def __init__(self, paulis: Iterable[PauliString]):
         self.slot = {p: j for j, p in enumerate(dict.fromkeys(paulis))}
         n = next(iter(self.slot)).n
-        if n > 14:
-            raise ValueError("exact diagonalization capped at 14 qubits")
+        if n > _MAX_QUBITS:
+            raise ValueError(f"exact diagonalization capped at {_MAX_QUBITS} qubits")
         even = all(p.zbits.bit_count() % 2 == 0 for p in self.slot)
         self.signs = (1.0, -1.0) if even else (1.0,)
         top = 1 << (n - 1) if even else 0
@@ -295,10 +296,10 @@ def _diagonal_ground_state(diagonal: np.ndarray) -> GroundStateResult:
     return GroundStateResult(e0, state, gap, np.flatnonzero(diagonal < e0 + DEGENERACY_THRESHOLD))
 
 
-def _ground_state(pattern: SectorPattern, terms: TermList, seed: int) -> GroundStateResult:
+def _ground_state(pattern: SectorPattern, terms: TermList) -> GroundStateResult:
     if all(p.xbits == 0 for _, p in terms):
         return _diagonal_ground_state(pattern.diagonal(terms))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SEED)
     blocks = pattern.blocks(terms)
     lowest = [_lowest(_SectorOperator(h), rng.normal(size=h.shape[0])) for h in blocks]
     levels = [level for level, _ in lowest]
@@ -335,7 +336,7 @@ def _ground_state(pattern: SectorPattern, terms: TermList, seed: int) -> GroundS
     return GroundStateResult(e0, state, gap, np.hstack(space))
 
 
-def ground_state(terms: TermList, seed: int = _SEED) -> GroundStateResult:
+def ground_state(terms: TermList) -> GroundStateResult:
     """Lowest level, gap estimate and ground space of a Pauli-term H.
 
     A diagonal H (every term a Z-string) takes its ground space exactly,
@@ -356,7 +357,7 @@ def ground_state(terms: TermList, seed: int = _SEED) -> GroundStateResult:
     """
     if not terms:
         raise ValueError("empty term list")
-    return _ground_state(SectorPattern(p for _, p in terms), terms, seed)
+    return _ground_state(SectorPattern(p for _, p in terms), terms)
 
 
 def hamiltonian_measurement_set(spec: SpinChainSpec, scope: str = "all-terms") -> MeasurementSet:
@@ -397,7 +398,6 @@ class SweepRecord:
 def sweep_records(
     spec: SpinChainSpec,
     grid: Sequence[Dict[str, float]],
-    measurements: MeasurementSet,
     vset: VertexSet,
     threads: int = 1,
     lp_tolerance: float = LP_TOLERANCE,
@@ -405,10 +405,11 @@ def sweep_records(
     """One record per grid point, yielded in grid order as each finishes;
     eigensolver failures are recorded, not raised.
 
-    A point's expectations come from one ``GroundStateResult.expectations``
-    pass: the ground state's at a non-degenerate point, the ground-space
-    average tr(P Pi)/d at a flagged one.  A ground space above
-    GROUND_SPACE_CAP gives an error record.
+    A point's expectations are those of ``vset.measurements``, the set
+    whose polytope the LP solves over, from one
+    ``GroundStateResult.expectations`` pass: the ground state's at a
+    non-degenerate point, the ground-space average tr(P Pi)/d at a flagged
+    one.  A ground space above GROUND_SPACE_CAP gives an error record.
     """
 
     # every point's H fills the pattern of the model's structural terms
@@ -417,8 +418,8 @@ def sweep_records(
     def run(point: Dict[str, float]) -> SweepRecord:
         try:
             terms = build_hamiltonian(spec.with_params(point))
-            gs = _ground_state(pattern, terms, _SEED)
-            expectations = gs.expectations(measurements)
+            gs = _ground_state(pattern, terms)
+            expectations = gs.expectations(vset.measurements)
             result = reduced_rom(
                 vset, ExpectationVector.of(expectations), lp_tolerance=lp_tolerance
             )
@@ -450,7 +451,8 @@ def sweep(
     measurements: MeasurementSet,
     vset: VertexSet,
     threads: int = 1,
-    lp_tolerance: float = LP_TOLERANCE,
 ) -> List[SweepRecord]:
-    """``sweep_records`` as a list."""
-    return list(sweep_records(spec, grid, measurements, vset, threads, lp_tolerance))
+    """``sweep_records`` as a list; ``measurements`` must be ``vset.measurements``."""
+    if measurements != vset.measurements:
+        raise ValueError("measurements differ from the vertex set's")
+    return list(sweep_records(spec, grid, vset, threads))

@@ -5,13 +5,16 @@ break the benchmark while every other test passes.  This reads the
 scripts' import statements, and the attributes they read off the package
 modules they import (``rom_module.linprog``, ``cli.main``), with ``ast``
 and runs none of them.  It also checks the attributes ``run.py`` reads
-off the objects the package returns, on small objects of each type.
+off the objects the package returns, on small objects of each type, and
+binds every call the scripts make to a package name, or an attribute of
+one, to that callee's signature.
 """
 
 import ast
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 from magicscope.fgraph import build_frustration_graph, enumerate_maximal_independent_sets
@@ -34,10 +37,10 @@ SWEEP_RECORD_FIELDS = (
 
 
 def package_imports(script):
-    """(module, name) for every ``from magicscope... import name`` in script."""
+    """(module, name, alias) for every ``from magicscope... import name [as alias]`` in script."""
     tree = ast.parse(script.read_text(encoding="utf-8"), filename=str(script))
     return [
-        (node.module, alias.name)
+        (node.module, alias.name, alias.asname or alias.name)
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "magicscope"
         for alias in node.names
@@ -63,17 +66,56 @@ def module_attributes(script):
     ]
 
 
+def imported_objects(script):
+    """The object that each package import in script binds, by the name it binds."""
+    objects = {}
+    for module, name, alias in package_imports(script):
+        package = importlib.import_module(module)
+        # ``from magicscope import cli`` names a submodule, not an attribute
+        submodule = f"{module}.{name}"
+        objects[alias] = (
+            importlib.import_module(submodule)
+            if hasattr(package, "__path__") and importlib.util.find_spec(submodule)
+            else getattr(package, name)
+        )
+    return objects
+
+
+def package_calls(script, objects):
+    """(line, callee, positional count, keyword names, callable) for each call in
+    script to a dotted name that starts with a key of ``objects``."""
+    tree = ast.parse(script.read_text(encoding="utf-8"), filename=str(script))
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        chain, func = [], node.func
+        while isinstance(func, ast.Attribute):
+            chain.insert(0, func.attr)
+            func = func.value
+        if not isinstance(func, ast.Name):
+            continue
+        chain.insert(0, func.id)
+        for cut in range(len(chain), 0, -1):
+            head = ".".join(chain[:cut])
+            if head in objects:
+                target = objects[head]
+                for attr in chain[cut:]:
+                    target = getattr(target, attr)
+                name = ".".join([head.split(".")[-1], *chain[cut:]])
+                keywords = tuple(k.arg for k in node.keywords)
+                calls.append((f"{script.name}:{node.lineno}", name, len(node.args), keywords, target))
+                break
+    return calls
+
+
 SCRIPTS = ("run.py", "make_reference.py")
 
 
 def test_every_imported_name_exists():
-    imports = [pair for script in SCRIPTS for pair in package_imports(PERFBENCH / script)]
-    assert imports  # run.py imports from the package at its top level
-    for module, name in imports:
-        package = importlib.import_module(module)
-        # ``from magicscope import cli`` names a submodule, not an attribute
-        submodule = hasattr(package, "__path__") and importlib.util.find_spec(f"{module}.{name}")
-        assert hasattr(package, name) or submodule, f"{module} has no {name}"
+    # resolving an import the package lacks raises AttributeError, naming it
+    objects = [imported_objects(PERFBENCH / script) for script in SCRIPTS]
+    assert objects[0]  # run.py imports from the package at its top level
 
 
 def test_every_module_attribute_read_exists():
@@ -99,6 +141,28 @@ def test_every_attribute_read_off_a_result_exists():
             assert hasattr(results[kind], name), f"{kind} has no {name}"
     fields = tuple(f.name for f in dataclasses.fields(SweepRecord))
     assert fields[:len(SWEEP_RECORD_FIELDS)] == SWEEP_RECORD_FIELDS
+
+
+def test_every_package_call_binds_to_its_signature():
+    names = imported_objects(PERFBENCH / "run.py")
+    # make_reference.py calls the package through run's names: run.sweep(...)
+    calls = package_calls(PERFBENCH / "run.py", names) + package_calls(
+        PERFBENCH / "make_reference.py", {f"run.{alias}": obj for alias, obj in names.items()}
+    )
+    shapes = {(name, positional, keywords) for _, name, positional, keywords, _ in calls}
+    assert {
+        ("sweep", 4, ("threads",)),
+        ("ground_state", 1, ()),
+        ("SweepRecord", 7, ()),
+        ("ExpectationVector.of", 1, ()),
+        ("cli.main", 1, ()),
+    } <= shapes
+    for where, name, positional, keywords, target in calls:
+        try:
+            inspect.signature(target).bind(*[None] * positional, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            raise AssertionError(f"{where}: {name} with {positional} positional "
+                                 f"arguments and keywords {keywords}: {exc}") from None
 
 
 def test_the_traced_build_enumerates_every_subset():

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,6 +27,7 @@ from magicscope.cli import (
     main,
 )
 from magicscope.cli import CliError
+from magicscope.pauli import format_pauli
 from util import fail_highs
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -461,6 +463,35 @@ class TestOracleCommand:
         assert main(["oracle", "--seed", "1", "--check", "rom-bound", "--n", "2",
                      "--trials", "10"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["pass"] is True
+
+    @pytest.mark.parametrize("check, broken", [
+        ("hulls", "hull_equal"),
+        ("lemma1", "v_representation"),
+        ("rom-bound", "full_rom"),
+        ("rom-bound", "reduced_rom"),
+    ])
+    def test_a_failing_set_is_reported(self, capsys, monkeypatch, check, broken):
+        import magicscope.cli as cli
+        import magicscope.oracle as oracle
+        import magicscope.rom as rom
+
+        if broken == "hull_equal":
+            monkeypatch.setattr(oracle, "hull_equal", lambda *args, **kwargs: False)
+        elif broken == "v_representation":  # the padded set's text names its qubit count
+            monkeypatch.setattr(cli, "v_representation",
+                                lambda ms: SimpleNamespace(to_txt=lambda: str(ms.n)))
+        elif broken == "full_rom":  # a full robustness below every reduced one
+            monkeypatch.setattr(oracle, "full_rom", lambda *args, **kwargs: 0.0)
+        else:  # every reduced LP fails, so its rom is NaN
+            fail_highs(monkeypatch, rom, 4)
+        drawn = []
+        draw = cli._random_measurement_set
+        monkeypatch.setattr(cli, "_random_measurement_set",
+                            lambda *args: drawn.append(draw(*args)) or drawn[-1])
+        assert main(["oracle", "--check", check, "--n", "2", "--trials", "2"]) == EXIT_INFEASIBLE
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["pass"] is False and len(drawn) == 2
+        assert payload["failures"] == [[format_pauli(p) for p in ms] for ms in drawn]
 
     def test_n_cap(self, capsys, monkeypatch):
         import magicscope.cli as cli

@@ -80,6 +80,10 @@ class TestStabilizerExpectation:
         group = self._group(["XX", "ZZ"])
         assert oracle.stabilizer_expectation(group, parse_pauli("YY")) == -1
 
+    def test_rejects_another_qubit_count(self):
+        with pytest.raises(ValueError, match="qubit counts differ"):
+            oracle.stabilizer_expectation(self._group(["Z"]), parse_pauli("ZZ"))
+
     def test_matches_dense_projector(self):
         # projector onto the stabilizer state = average of group elements
         for group in oracle.enumerate_stabilizer_groups(2)[:20]:
@@ -147,6 +151,18 @@ class TestFullRom:
         with pytest.raises(ValueError):
             oracle.full_rom([1.0, 0.0], 1)
 
+    # a stabilizer table spans the whole Pauli space, so only an injected
+    # HiGHS status reaches the infeasible and failed branches
+    def test_an_infeasible_lp_raises_value_error(self, monkeypatch):
+        fail_highs(monkeypatch, oracle, 2)
+        with pytest.raises(ValueError, match="not consistent with any state"):
+            oracle.full_rom([1.0, 0.0, 0.0, 1.0], 1)
+
+    def test_a_failed_lp_raises(self, monkeypatch):
+        fail_highs(monkeypatch, oracle, 4)
+        with pytest.raises(RuntimeError, match="failed with status 4"):
+            oracle.full_rom([1.0, 0.0, 0.0, 1.0], 1)
+
 
 class TestHulls:
     OCT = [tuple(s if i == a else 0 for i in range(3)) for a in range(3) for s in (1, -1)]
@@ -190,6 +206,10 @@ class TestPauliTable:
             assert np.all(np.abs(table) <= 1 + 1e-12)
             # purity: sum of squared Pauli expectations is 2^n for pure states
             assert np.sum(table**2) == pytest.approx(2**n)
+
+    def test_rejects_a_length_not_a_power_of_two(self):
+        with pytest.raises(ValueError, match="not a power of two"):
+            oracle.full_pauli_table(np.ones(3, dtype=complex) / math.sqrt(3))
 
     def test_measurement_expectations_signs(self):
         bell = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)

@@ -380,12 +380,13 @@ class TestGroundSpace:
         (record,) = sweep(spec, [{"k": 0.3, "g": 0.9}], ms, v_representation(ms))
         assert record.expectations == tuple(pauli_expectation(gs.state, p) for p in ms)
 
-    def test_seed_independent(self):
+    def test_seed_independent(self, monkeypatch):
         terms = build_hamiltonian(SpinChainSpec("xxz", 9, {"delta": 0.0, "h": 0.0}))
         ms = hamiltonian_measurement_set(SpinChainSpec("xxz", 9, {}), "all-terms")
         values = []
         for seed in (1234, 1, 2):
-            gs = ground_state(terms, seed)
+            monkeypatch.setattr(spinchain, "_SEED", seed)
+            gs = ground_state(terms)
             assert gs.dimension == 4
             values.append(gs.expectations(ms))
         assert np.ptp(values, axis=0).max() < 1e-9
@@ -414,14 +415,15 @@ class TestZeroFieldAnnni:
     basis states, stabilizer states all, so rom is 1 whatever the seed."""
 
     @pytest.mark.parametrize("n", [8, 10])
-    def test_rom_one_for_every_seed(self, n):
+    def test_rom_one_for_every_seed(self, monkeypatch, n):
         spec = SpinChainSpec("annni", n, {})
         ms = hamiltonian_measurement_set(spec, "all-terms")
         vset = v_representation(ms)
         for k in (0.0, 0.25, 0.5, 0.75, 1.0):
             terms = build_hamiltonian(spec.with_params({"k": k, "g": 0.0}))
             for seed in (1234, 1, 2):
-                gs = ground_state(terms, seed)
+                monkeypatch.setattr(spinchain, "_SEED", seed)
+                gs = ground_state(terms)
                 b = ExpectationVector.of(gs.expectations(ms))
                 result = reduced_rom(vset, b)
                 assert result.path == "symmetric", (k, seed)
@@ -554,6 +556,22 @@ class TestSweep:
         assert vset.symmetry.probes is not None
         assert threaded == sweep(spec, grid, ms, v_representation(ms), threads=1)
         assert all(r.solver_status == "optimal" for r in threaded)
+
+    def test_expectations_are_those_of_the_vertex_set(self):
+        # the same 18 Paulis in reverse order: the LP's polytope decides
+        # which expectation goes in which coordinate
+        spec = SpinChainSpec("annni", 6, {})
+        ms = hamiltonian_measurement_set(spec, "all-terms")
+        backwards = MeasurementSet(ms.paulis[::-1])
+        point = {"k": 0.3, "g": 0.9}
+        with pytest.raises(ValueError, match="vertex set"):
+            sweep(spec, [point], ms, v_representation(backwards))
+        (forward,) = sweep(spec, [point], ms, v_representation(ms))
+        (reverse,) = spinchain.sweep_records(spec, [point], v_representation(backwards))
+        assert reverse.expectations == forward.expectations[::-1]
+        assert forward.rom == pytest.approx(1.246, abs=1e-3)
+        assert reverse.solver_status == "optimal"
+        assert reverse.rom == pytest.approx(forward.rom, abs=1e-9)
 
     def test_failures_recorded_not_raised(self):
         spec = SpinChainSpec("tfim", 6, {})
