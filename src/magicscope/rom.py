@@ -116,11 +116,16 @@ def _row_products(rows: np.ndarray, vector: np.ndarray) -> np.ndarray:
 
 
 def _aligned_rows(vmat: np.ndarray, b_eq: np.ndarray) -> np.ndarray:
-    """The 2(m+1) rows most and the 2(m+1) least aligned with b_eq, ascending."""
+    """The 2(m+1) rows least and most aligned with b_eq, ascending; O(N), ties as a stable sort."""
     m = vmat.shape[1]
-    order = np.argsort(_row_products(vmat, b_eq[:m]), kind="stable")
-    seed = 2 * (m + 1)
-    return np.unique(np.concatenate([order[:seed], order[-seed:]]))
+    dots, seed = _row_products(vmat, b_eq[:m]), 2 * (m + 1)
+    if len(dots) <= 2 * seed:  # the two ends cover every row
+        return np.arange(len(dots))
+    low, high = np.partition(dots, (seed - 1, len(dots) - seed))[[seed - 1, -seed]]
+    # a stable sort keeps a tie's lowest indices at the low cut and its highest at the high cut
+    at_low = np.flatnonzero(dots == low)[:seed - np.count_nonzero(dots < low)]
+    at_high = np.flatnonzero(dots == high)[::-1][:seed - np.count_nonzero(dots > high)]
+    return np.union1d(np.flatnonzero((dots < low) | (dots > high)), np.append(at_low, at_high))
 
 
 def _failure(cause: str):

@@ -4,13 +4,13 @@ Hamiltonians are kept as weighted Pauli-string term lists.  All three
 chain models commute with the spin flip X^n, so H splits into two real
 CSR blocks of size 2^(n-1), one per flip sector, whose index pattern
 (``SectorPattern``) a sweep builds once; each point only sums its terms'
-fixed entry arrays.  Seeded Lanczos (``eigsh``) runs on the blocks give
-the ground state at every chain size, then one deflation loop gives the
-gap and the ground space, lifted back to 2^n; a diagonal H (every term a
-Z-string) has its ground space read off its diagonal.  Every ``eigsh``
-run sees one operator, ``_SectorOperator``, whose product calls scipy's
-CSR kernel on the block's arrays directly and adds the deflation's
-rank-1 terms.
+fixed entry arrays.  Seeded Lanczos runs on the blocks give the ground
+state at every chain size, then one deflation loop gives the gap and the
+ground space, lifted back to 2^n; a diagonal H (every term a Z-string)
+has its ground space read off its diagonal.  A run (``_lowest``) is the
+plain three-term recurrence, without restarts or reorthogonalisation, on
+scipy's CSR kernel (4 us a product at ANNNI n = 10, 28 us at XXZ n = 12);
+it stops by ARPACK's rule, and one more product checks its residual.
 
 The expectations are those of the T -> 0 Gibbs state, tr(P Pi)/d over
 the d-dimensional ground space: the ground state's own at d = 1, and at
@@ -25,13 +25,14 @@ across a parameter grid and reports one record per grid point.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dstemr
 from scipy.sparse._sparsetools import csr_matvec
 
 from .pauli import MeasurementSet, PauliString, hermitian, pauli_expectations, z_signs
@@ -63,6 +64,13 @@ DEGENERACY_THRESHOLD = 1e-8
 # d = n + 1 = 15 at n = 14 (0.7 s, 8 levels in one flip sector and 7 in the
 # other); the test and benchmark grids reach d = 4
 GROUND_SPACE_CAP = 16
+# _lowest tests its Ritz pair every _CHECK_EVERY steps: a test took 0.37 j us at step j,
+# a step 10-40 us, and 6 to 12 took the same time on both benchmark grids (4: +10%)
+_CHECK_EVERY = 8
+_KRYLOV_CAP = 1000  # its steps: no solve on both grids or at five n = 14 points took over 168
+_CHUNK_ROWS = 16  # its vectors allocated at a time
+_RESIDUAL_SLACK = 10.0  # over the stop rule's bound: the residual read at most 1.00 x on both grids
+_EPS23 = np.finfo(float).eps ** (2 / 3)  # ARPACK's floor under |theta| in its stop rule
 COUPLINGS = {"tfim": ("g",), "annni": ("k", "g"), "xxz": ("delta", "h")}
 
 TermList = List[Tuple[float, PauliString]]
@@ -219,6 +227,7 @@ class SectorPattern:
             ((1j**p.phase_k).real if real else 1j**p.phase_k) * z_signs(self.cols[:, g], p.zbits)
             for p, g in zip(self.slot, self.group)
         ])
+        self.krylov = threading.local()  # _lowest's chunks, one list per thread of a scan
 
     def _entries(self, terms: TermList) -> np.ndarray:
         """sum_j w_j D_j as a rows x width array, one column per X-part."""
@@ -255,36 +264,52 @@ class SectorPattern:
         return np.concatenate([vecs, sign * vecs[::-1]]) / math.sqrt(2.0)
 
 
-class _SectorOperator(spla.LinearOperator):
-    """B + sigma Q on a CSR block B, Q projecting onto the orthonormal rows of ``basis``.
+def _lowest(block: sp.csr_matrix, v0: np.ndarray, chunks: List[np.ndarray],
+            deflation: Sequence[np.ndarray] = (), sigma: float = 0.0) -> Tuple[float, np.ndarray]:
+    """Lowest eigenpair (theta, unit x) of B + sigma Q, Q projecting onto the orthonormal
+    ``deflation`` rows, by Lanczos from v0 (module docstring) in the rows of ``chunks``."""
+    rows = block.shape[0]
 
-    ARPACK asks for one product per Lanczos iteration.  This one calls
-    ``csr_matvec`` on B's arrays, as ``B @ v`` does behind scipy's sparse
-    dispatch, which ``eigsh`` on a bare CSR block also pays: about half of
-    a 512-row product.  The arithmetic is that of ``B @ v``, so the
-    eigenpairs are bit for bit those of ``eigsh`` on B.
-    """
-
-    def __init__(self, block: sp.csr_matrix, basis: Sequence[np.ndarray] = (), sigma: float = 0.0):
-        super().__init__(block.dtype, block.shape)
-        self.block = block
-        self.basis = basis
-        self.sigma = sigma
-
-    def _matvec(self, v):
-        v = v.ravel()
-        rows, cols = self.shape
-        h = self.block
-        out = np.zeros(rows, np.result_type(self.dtype, v.dtype))
-        csr_matvec(rows, cols, h.indptr, h.indices, h.data, v, out)
-        for f in self.basis:  # rank-1 terms: a block matmul costs more per matvec at d = 1
-            out += (self.sigma * np.vdot(f, v)) * f
+    def product(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        out.fill(0)  # csr_matvec adds to out
+        csr_matvec(rows, rows, block.indptr, block.indices, block.data, v, out)
+        for f in deflation:  # rank-1 terms: a block matmul costs more per step at d = 1
+            out += (sigma * np.vdot(f, v)) * f
         return out
 
+    def row(j: int) -> np.ndarray:
+        if j == len(chunks) * _CHUNK_ROWS:
+            chunks.append(np.empty((_CHUNK_ROWS, rows), block.dtype))
+        return chunks[j // _CHUNK_ROWS][j % _CHUNK_ROWS]
 
-def _lowest(op: _SectorOperator, v0: np.ndarray) -> Tuple[float, np.ndarray]:
-    evals, evecs = spla.eigsh(op, k=1, which="SA", tol=EIG_TOLERANCE, v0=v0, maxiter=5000)
-    return float(evals[0]), evecs[:, 0]
+    q, previous, alphas, betas, scale = row(0), 0.0, [], [0.0], 0.0  # betas[j + 1]: beta_j
+    q[:] = v0 / np.linalg.norm(v0)  # every row read below is written first
+    for j in range(min(rows, _KRYLOV_CAP)):
+        w = product(q, row(j + 1))
+        w -= betas[-1] * previous
+        alphas.append(np.vdot(q, w).real)
+        w -= alphas[-1] * q
+        betas.append(math.sqrt(np.vdot(w, w).real))
+        scale = max(scale, abs(alphas[-1]), betas[-1])
+        stop = j + 1 == rows or betas[-1] <= EIG_TOLERANCE * scale  # the end, or a breakdown
+        if stop or (j + 1) % _CHECK_EVERY == 0:  # dstemr ignores the last beta
+            _, theta, s, _ = dstemr(np.array(alphas), np.array(betas[1:]), 2, 0.0, 0.0, 1, 1)
+            theta, s = float(theta[0]), s[:, 0]
+            bound = EIG_TOLERANCE * max(_EPS23, abs(theta))
+            if stop or betas[-1] * abs(s[-1]) <= bound:
+                break
+        w *= 1.0 / betas[-1]
+        q, previous = w, q
+    else:
+        raise ValueError(f"Lanczos found no eigenpair within its cap of {_KRYLOV_CAP} steps")
+    parts = np.split(s, range(_CHUNK_ROWS, len(s), _CHUNK_ROWS))
+    x = sum(part @ chunk[:len(part)] for part, chunk in zip(parts, chunks))
+    x /= np.linalg.norm(x)
+    residual = np.linalg.norm(product(x, np.empty_like(x)) - theta * x)
+    limit = _RESIDUAL_SLACK * max(bound, np.finfo(float).eps * scale)  # rounding at theta ~ 0
+    if not residual <= limit:  # NaN fails
+        raise ValueError(f"Lanczos eigen-residual {residual:.3g} exceeds {limit:.3g}")
+    return theta, x
 
 
 def _diagonal_ground_state(diagonal: np.ndarray) -> GroundStateResult:
@@ -301,7 +326,8 @@ def _ground_state(pattern: SectorPattern, terms: TermList) -> GroundStateResult:
         return _diagonal_ground_state(pattern.diagonal(terms))
     rng = np.random.default_rng(_SEED)
     blocks = pattern.blocks(terms)
-    lowest = [_lowest(_SectorOperator(h), rng.normal(size=h.shape[0])) for h in blocks]
+    chunks = vars(pattern.krylov).setdefault("chunks", [])  # this thread's
+    lowest = [_lowest(h, rng.normal(size=h.shape[0]), chunks) for h in blocks]
     levels = [level for level, _ in lowest]
     e0 = min(levels)
     # sigma exceeds the spectral width: E_max <= sum |w| and E0 >= -sum |w|
@@ -319,7 +345,7 @@ def _ground_state(pattern: SectorPattern, terms: TermList) -> GroundStateResult:
             basis = np.linalg.qr(np.column_stack(found[i]))[0].T
             # a fresh start each round: Lanczos from the first one only reaches
             # psi0 inside the ground space, so it would miss a degenerate partner
-            level, vec = _lowest(_SectorOperator(h, basis, sigma), rng.normal(size=h.shape[0]))
+            level, vec = _lowest(h, rng.normal(size=h.shape[0]), chunks, basis, sigma)
             levels.append(level)
             live[i] = level - e0 < DEGENERACY_THRESHOLD
             if live[i]:
@@ -327,8 +353,7 @@ def _ground_state(pattern: SectorPattern, terms: TermList) -> GroundStateResult:
     # levels holds every level within the threshold and each block's first above it
     gap = max(0.0, sorted(levels)[1] - e0)
     first = levels.index(e0)
-    psi0 = lowest[first][1]
-    state = pattern.lift(psi0 / np.linalg.norm(psi0), pattern.signs[first])
+    state = pattern.lift(lowest[first][1], pattern.signs[first])
     if sum(map(len, found)) == 1:
         return GroundStateResult(e0, state, gap, state[:, None])
     space = [pattern.lift(np.linalg.qr(np.column_stack(f))[0], sign)
@@ -344,7 +369,7 @@ def ground_state(terms: TermList) -> GroundStateResult:
     DEGENERACY_THRESHOLD of the minimum, with no eigensolver.  Any other
     H is split into its spin-flip sector blocks (``SectorPattern``; one
     block when a term is odd under the flip) and takes seeded Lanczos
-    runs on them at every chain size: one for each block's lowest level,
+    runs (``_lowest``) on them: one for each block's lowest level,
     E0 the lower of the two, then one deflation loop over the blocks
     whose lowest level lies within DEGENERACY_THRESHOLD of E0.  Each
     round solves such a block's B + sigma Q, where Q projects onto the
@@ -352,8 +377,8 @@ def ground_state(terms: TermList) -> GroundStateResult:
     spectrum; a block leaves the loop at its first level that clears the
     threshold.  The gap is the next level above E0 across the blocks, so
     a degeneracy between the sectors is found from the two minima alone.
-    The ground-space columns are the blocks' vectors lifted back to 2^n;
-    one larger than GROUND_SPACE_CAP raises a ValueError that names d.
+    The ground-space columns are the blocks' vectors lifted back to 2^n; a
+    ValueError names d above GROUND_SPACE_CAP, or a run's residual or cap.
     """
     if not terms:
         raise ValueError("empty term list")

@@ -226,6 +226,27 @@ class TestColumnGeneration:
             assert compact.rom == reference.rom
             assert np.max(np.abs(compact.coefficients - reference.coefficients)) <= 1e-12
 
+    def test_aligned_rows_are_the_ends_of_a_stable_sort(self):
+        # the warm set as a stable argsort of the row products picks it, on
+        # int8 rows whose products tie heavily at both cuts
+        def by_sort(vmat, b_eq):
+            m = vmat.shape[1]
+            order = np.argsort(vmat.astype(float) @ b_eq[:m], kind="stable")
+            seed = 2 * (m + 1)
+            return np.unique(np.concatenate([order[:seed], order[-seed:]]))
+
+        rng = np.random.default_rng(5)
+        m = 3
+        seed = 2 * (m + 1)
+        # below one end's size, at it, at both ends' size, and past them
+        for rows in (1, seed - 1, seed, seed + 1, 2 * seed, 2 * seed + 1, 40, 3000):
+            for _ in range(20):
+                vmat = rng.integers(-1, 2, size=(rows, m)).astype(np.int8)
+                b_eq = np.append(rng.integers(-1, 2, size=m).astype(float), 1.0)
+                expected = by_sort(vmat, b_eq)
+                got = rom._aligned_rows(vmat, b_eq)
+                assert got.dtype == expected.dtype and np.array_equal(got, expected), rows
+
     def test_detects_infeasibility(self):
         vmat = np.array([[-1.0, 1.0], [1.0, -1.0]])
         fun, coeffs, status, _ = _solve_l1_column_generation(

@@ -183,51 +183,73 @@ class TestHamiltonianMatrix:
         assert np.allclose(h.toarray(), dense_hamiltonian(terms), atol=1e-14)
 
 
-class TestSectorOperator:
+class TestLowest:
+    """``spinchain._lowest``, the plain Lanczos recurrence, against dense ``eigh`` of the block."""
+
     @pytest.mark.parametrize("terms", [
         build_hamiltonian(SpinChainSpec("annni", 8, {"k": 0.3, "g": 0.9})),
         build_hamiltonian(SpinChainSpec("xxz", 9, {"delta": -0.6, "h": 0.4})),
         lone_y_field_terms(),
     ], ids=["annni8", "xxz9", "lone-y"])
-    def test_bitwise_the_csr_block(self, terms):
+    def test_matches_dense(self, terms):
         rng = np.random.default_rng(3)
         pattern = SectorPattern(p for _, p in terms)
+        chunks = []  # one list of Lanczos rows for every solve, as in a sweep
         for h in pattern.blocks(terms):
-            rows = h.shape[0]
+            evals, evecs = np.linalg.eigh(h.toarray())
+            level, vec = spinchain._lowest(h, rng.normal(size=h.shape[0]), chunks)
+            assert level == pytest.approx(evals[0], abs=1e-12)
+            assert vec.dtype == h.dtype and abs(np.linalg.norm(vec) - 1.0) < 1e-12
+            # up to phase, or, where the block's lowest level is degenerate
+            # (xxz9, lone-y), inside its eigenspace
+            space = evecs[:, evals < evals[0] + DEGENERACY_THRESHOLD]
+            assert np.linalg.norm(vec - space @ (space.conj().T @ vec)) < 1e-9
+            # B + sigma Q, Q onto the dense lowest vector: the dense second level
+            sigma = evals[-1] - evals[0] + 1.0
+            deflated, _ = spinchain._lowest(
+                h, rng.normal(size=h.shape[0]), chunks, evecs[:, :1].T, sigma
+            )
+            assert deflated == pytest.approx(evals[1], abs=1e-12)
 
-            def draw(*shape):
-                real = rng.normal(size=shape)
-                return real + 1j * rng.normal(size=shape) if np.iscomplexobj(h.data) else real
+    @pytest.mark.parametrize("g", [
+        0.7,
+        1.0,  # the deflated level is 0, where the stop rule's bound is 4e-21
+    ])
+    def test_four_row_sectors_break_down(self, monkeypatch, g):
+        # at n = 3 each 4-row flip sector of the TFIM holds a degenerate pair
+        # (momenta +-2pi/3), so the Krylov space closes after 3 steps; a cap
+        # of 3 raises unless the breakdown stops the recurrence, and no Ritz
+        # test runs before it
+        monkeypatch.setattr(spinchain, "_KRYLOV_CAP", 3)
+        monkeypatch.setattr(spinchain, "_CHECK_EVERY", 100)
+        terms = build_hamiltonian(SpinChainSpec("tfim", 3, {"g": g}))
+        pattern = SectorPattern(p for _, p in terms)
+        assert [h.shape[0] for h in pattern.blocks(terms)] == [4, 4]
+        gs = ground_state(terms)
+        evals = np.linalg.eigvalsh(dense_hamiltonian(terms))
+        assert gs.energy == pytest.approx(evals[0], abs=1e-12)
+        assert gs.dimension == np.count_nonzero(evals < evals[0] + DEGENERACY_THRESHOLD)
 
-            v = draw(rows)
-            op = spinchain._SectorOperator(h)
-            out = op.matvec(v)
-            assert out.dtype == (h @ v).dtype and np.array_equal(out, h @ v)
-            # B + sigma Q on two orthonormal rows: the rank-1 terms in their order
-            basis = np.linalg.qr(draw(rows, 2))[0].T
-            sigma = 7.25
-            expected = h @ v
-            for f in basis:
-                expected += (sigma * np.vdot(f, v)) * f
-            assert np.array_equal(spinchain._SectorOperator(h, basis, sigma).matvec(v), expected)
-            # eigsh through the operator takes the same steps as on the block itself
-            v0 = rng.normal(size=rows)
-            level, vec = spinchain._lowest(op, v0)
-            assert level == spinchain._lowest(h, v0)[0]
-            assert np.array_equal(vec, spinchain._lowest(h, v0)[1])
+    def test_the_krylov_cap_gives_an_error_record(self, monkeypatch):
+        monkeypatch.setattr(spinchain, "_KRYLOV_CAP", 5)
+        spec = SpinChainSpec("annni", 6, {})
+        ms = hamiltonian_measurement_set(spec, "first-cell")
+        (record,) = sweep(spec, [{"k": 0.3, "g": 0.9}], ms, v_representation(ms))
+        assert record.solver_status.startswith("error") and "cap of 5 steps" in record.solver_status
+        assert record.energy is None and record.rom is None
 
-    def test_eigsh_sees_only_the_operator(self, monkeypatch):
-        seen = []
-        eigsh = spinchain.spla.eigsh
+    def test_a_doublet_takes_four_solves(self, monkeypatch):
+        solves = []
+        lowest = spinchain._lowest
 
-        def recording(op, *args, **kwargs):
-            seen.append(type(op))
-            return eigsh(op, *args, **kwargs)
+        def recording(block, *args):
+            solves.append(block.shape[0])
+            return lowest(block, *args)
 
-        monkeypatch.setattr(spinchain.spla, "eigsh", recording)
+        monkeypatch.setattr(spinchain, "_lowest", recording)
         gs = ground_state(build_hamiltonian(SpinChainSpec("xxz", 6, {"delta": -1.1, "h": 0.0})))
         assert gs.dimension == 2  # minima of both blocks, then a deflated solve in each
-        assert seen == [spinchain._SectorOperator] * 4
+        assert solves == [32] * 4
 
 
 class TestGroundState:
@@ -572,6 +594,27 @@ class TestSweep:
         assert forward.rom == pytest.approx(1.246, abs=1e-3)
         assert reverse.solver_status == "optimal"
         assert reverse.rom == pytest.approx(forward.rom, abs=1e-9)
+
+    def test_a_record_does_not_depend_on_the_lanczos_rows_before_it(self):
+        # each thread keeps its Lanczos vectors across solves and points, so
+        # a point's record must not depend on what they held before
+        spec = SpinChainSpec("xxz", 8, {})
+        ms = hamiltonian_measurement_set(spec, "all-terms")
+        vset = v_representation(ms)
+        point = {"delta": 0.3, "h": 0.7}
+        (alone,) = spinchain.sweep_records(spec, [point], vset)
+        # other chain sizes first, in this thread
+        for other in (SpinChainSpec("annni", 10, {}), SpinChainSpec("tfim", 5, {})):
+            others = hamiltonian_measurement_set(other, "first-cell")
+            grid = [{"g": 1.2}] if other.model == "tfim" else [{"k": 0.4, "g": 0.8}]
+            list(spinchain.sweep_records(other, grid, v_representation(others)))
+        # after longer recurrences in the same sweep: the doublet's deflated
+        # solves and a point near the critical line
+        grid = [{"delta": -1.1, "h": 0.0}, {"delta": 0.9, "h": 0.1}, point]
+        *_, after = spinchain.sweep_records(spec, grid, vset)
+        threaded = list(spinchain.sweep_records(spec, grid + grid, vset, threads=2))
+        assert alone.solver_status == "optimal"
+        assert after == alone and threaded[2] == alone and threaded[5] == alone
 
     def test_failures_recorded_not_raised(self):
         spec = SpinChainSpec("tfim", 6, {})

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -39,6 +40,14 @@ def pauli_matrix(p: PauliString) -> np.ndarray:
 def dense_hamiltonian(terms) -> np.ndarray:
     """Dense sum of weighted Pauli-term matrices built from Kronecker factors."""
     return sum(weight * pauli_matrix(p) for weight, p in terms)
+
+
+def sparse_pauli_matrix(p: PauliString) -> sp.csr_matrix:
+    """``pauli_matrix`` as a sparse matrix, from the same Kronecker factors."""
+    full = sp.identity(1, dtype=complex, format="csr")
+    for i in reversed(range(p.n)):
+        full = sp.kron(full, _SINGLE[((p.xbits >> i) & 1, (p.zbits >> i) & 1)], format="csr")
+    return (1j**p.phase_k) * full
 
 
 def solve_l1_dense(vmat: np.ndarray, b_eq: np.ndarray, lp_tolerance: float = 1e-9):
