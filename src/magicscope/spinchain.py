@@ -8,9 +8,8 @@ fixed entry arrays.  Seeded Lanczos runs on the blocks give the ground
 state at every chain size, then one deflation loop gives the gap and the
 ground space, lifted back to 2^n; a diagonal H (every term a Z-string)
 has its ground space read off its diagonal.  A run (``_lowest``) is the
-plain three-term recurrence, without restarts or reorthogonalisation, on
-scipy's CSR kernel (4 us a product at ANNNI n = 10, 28 us at XXZ n = 12);
-it stops by ARPACK's rule, and one more product checks its residual.
+plain three-term recurrence on scipy's CSR kernel, with no restart or
+reorthogonalisation; ARPACK's rule stops it, one more product checks it.
 
 The expectations are those of the T -> 0 Gibbs state, tr(P Pi)/d over
 the d-dimensional ground space: the ground state's own at d = 1, and at
@@ -32,6 +31,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import get_blas_funcs  # in place: a numpy update costs 2-6 times more
 from scipy.linalg.lapack import dstemr
 from scipy.sparse._sparsetools import csr_matvec
 
@@ -64,13 +64,12 @@ DEGENERACY_THRESHOLD = 1e-8
 # d = n + 1 = 15 at n = 14 (0.7 s, 8 levels in one flip sector and 7 in the
 # other); the test and benchmark grids reach d = 4
 GROUND_SPACE_CAP = 16
-# _lowest tests its Ritz pair every _CHECK_EVERY steps: a test took 0.37 j us at step j,
-# a step 10-40 us, and 6 to 12 took the same time on both benchmark grids (4: +10%)
+# _lowest tests its Ritz pair every _CHECK_EVERY steps: a test took 0.37 j us at step j, a
+# step 17-50 us, and 6 to 16 steps ran within 5% on both benchmark grids (4: 10% slower)
 _CHECK_EVERY = 8
 _KRYLOV_CAP = 1000  # its steps: no solve on both grids or at five n = 14 points took over 168
 _CHUNK_ROWS = 16  # its vectors allocated at a time
-_RESIDUAL_SLACK = 10.0  # over the stop rule's bound: the residual read at most 1.00 x on both grids
-_EPS23 = np.finfo(float).eps ** (2 / 3)  # ARPACK's floor under |theta| in its stop rule
+_RESIDUAL_SLACK = 10.0  # over the stop rule's bound: residuals read at most 1.00 x on both grids
 COUPLINGS = {"tfim": ("g",), "annni": ("k", "g"), "xxz": ("delta", "h")}
 
 TermList = List[Tuple[float, PauliString]]
@@ -269,12 +268,13 @@ def _lowest(block: sp.csr_matrix, v0: np.ndarray, chunks: List[np.ndarray],
     """Lowest eigenpair (theta, unit x) of B + sigma Q, Q projecting onto the orthonormal
     ``deflation`` rows, by Lanczos from v0 (module docstring) in the rows of ``chunks``."""
     rows = block.shape[0]
+    axpy, dotc, nrm2, scal = get_blas_funcs(("axpy", "dotc", "nrm2", "scal"), (block.data,))
 
     def product(v: np.ndarray, out: np.ndarray) -> np.ndarray:
         out.fill(0)  # csr_matvec adds to out
         csr_matvec(rows, rows, block.indptr, block.indices, block.data, v, out)
         for f in deflation:  # rank-1 terms: a block matmul costs more per step at d = 1
-            out += (sigma * np.vdot(f, v)) * f
+            axpy(f, out, a=sigma * dotc(f, v))
         return out
 
     def row(j: int) -> np.ndarray:
@@ -282,23 +282,23 @@ def _lowest(block: sp.csr_matrix, v0: np.ndarray, chunks: List[np.ndarray],
             chunks.append(np.empty((_CHUNK_ROWS, rows), block.dtype))
         return chunks[j // _CHUNK_ROWS][j % _CHUNK_ROWS]
 
-    q, previous, alphas, betas, scale = row(0), 0.0, [], [0.0], 0.0  # betas[j + 1]: beta_j
+    q, previous, alphas, betas, scale = row(0), None, [], [], 0.0
     q[:] = v0 / np.linalg.norm(v0)  # every row read below is written first
     for j in range(min(rows, _KRYLOV_CAP)):
         w = product(q, row(j + 1))
-        w -= betas[-1] * previous
-        alphas.append(np.vdot(q, w).real)
-        w -= alphas[-1] * q
-        betas.append(math.sqrt(np.vdot(w, w).real))
+        if j:
+            axpy(previous, w, a=-betas[-1])
+        alphas.append(dotc(q, w).real)
+        axpy(q, w, a=-alphas[-1])
+        betas.append(nrm2(w))
         scale = max(scale, abs(alphas[-1]), betas[-1])
         stop = j + 1 == rows or betas[-1] <= EIG_TOLERANCE * scale  # the end, or a breakdown
         if stop or (j + 1) % _CHECK_EVERY == 0:  # dstemr ignores the last beta
-            _, theta, s, _ = dstemr(np.array(alphas), np.array(betas[1:]), 2, 0.0, 0.0, 1, 1)
+            _, theta, s, _ = dstemr(np.array(alphas), np.array(betas), 2, 0.0, 0.0, 1, 1)
             theta, s = float(theta[0]), s[:, 0]
-            bound = EIG_TOLERANCE * max(_EPS23, abs(theta))
-            if stop or betas[-1] * abs(s[-1]) <= bound:
+            if stop or betas[-1] * abs(s[-1]) <= EIG_TOLERANCE * abs(theta):  # ARPACK's rule
                 break
-        w *= 1.0 / betas[-1]
+        scal(1.0 / betas[-1], w)
         q, previous = w, q
     else:
         raise ValueError(f"Lanczos found no eigenpair within its cap of {_KRYLOV_CAP} steps")
@@ -306,8 +306,8 @@ def _lowest(block: sp.csr_matrix, v0: np.ndarray, chunks: List[np.ndarray],
     x = sum(part @ chunk[:len(part)] for part, chunk in zip(parts, chunks))
     x /= np.linalg.norm(x)
     residual = np.linalg.norm(product(x, np.empty_like(x)) - theta * x)
-    limit = _RESIDUAL_SLACK * max(bound, np.finfo(float).eps * scale)  # rounding at theta ~ 0
-    if not residual <= limit:  # NaN fails
+    limit = _RESIDUAL_SLACK * max(EIG_TOLERANCE * abs(theta), np.finfo(float).eps * scale)
+    if not residual <= limit:  # NaN fails; rounding passes where theta ~ 0
         raise ValueError(f"Lanczos eigen-residual {residual:.3g} exceeds {limit:.3g}")
     return theta, x
 
@@ -342,7 +342,7 @@ def _ground_state(pattern: SectorPattern, terms: TermList) -> GroundStateResult:
         for i, h in enumerate(blocks):
             if not live[i]:
                 continue
-            basis = np.linalg.qr(np.column_stack(found[i]))[0].T
+            basis = np.linalg.qr(np.column_stack(found[i]))[0].T.copy()  # rows for BLAS
             # a fresh start each round: Lanczos from the first one only reaches
             # psi0 inside the ground space, so it would miss a degenerate partner
             level, vec = _lowest(h, rng.normal(size=h.shape[0]), chunks, basis, sigma)

@@ -213,7 +213,7 @@ class TestLowest:
 
     @pytest.mark.parametrize("g", [
         0.7,
-        1.0,  # the deflated level is 0, where the stop rule's bound is 4e-21
+        1.0,  # the deflated level is 0, where only rounding can meet the stop rule
     ])
     def test_four_row_sectors_break_down(self, monkeypatch, g):
         # at n = 3 each 4-row flip sector of the TFIM holds a degenerate pair
@@ -229,6 +229,17 @@ class TestLowest:
         evals = np.linalg.eigvalsh(dense_hamiltonian(terms))
         assert gs.energy == pytest.approx(evals[0], abs=1e-12)
         assert gs.dimension == np.count_nonzero(evals < evals[0] + DEGENERACY_THRESHOLD)
+
+    @pytest.mark.parametrize("terms", [
+        [(0.82, parse_pauli("X"))],  # two 1-row flip sectors
+        [(0.32, parse_pauli("YZ")), (-0.3, parse_pauli("XX")), (-0.63, parse_pauli("IX"))],
+    ], ids=["one-qubit", "two-qubit"])
+    def test_blocks_of_one_and_two_rows(self, terms):
+        # below ARPACK's smallest size, which eigsh refused on an operator
+        evals = np.linalg.eigvalsh(dense_hamiltonian(terms))
+        gs = ground_state(terms)
+        assert gs.energy == pytest.approx(evals[0], abs=1e-12)
+        assert gs.gap_estimate == pytest.approx(evals[1] - evals[0], abs=1e-12)
 
     def test_the_krylov_cap_gives_an_error_record(self, monkeypatch):
         monkeypatch.setattr(spinchain, "_KRYLOV_CAP", 5)
