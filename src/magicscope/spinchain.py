@@ -24,6 +24,7 @@ across a parameter grid and reports one record per grid point.
 from __future__ import annotations
 
 import math
+import mmap
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -67,8 +68,7 @@ GROUND_SPACE_CAP = 16
 # _lowest tests its Ritz pair every _CHECK_EVERY steps: a test took 0.37 j us at step j, a
 # step 17-50 us, and 6 to 16 steps ran within 5% on both benchmark grids (4: 10% slower)
 _CHECK_EVERY = 8
-_KRYLOV_CAP = 1000  # its steps: no solve on both grids or at five n = 14 points took over 168
-_CHUNK_ROWS = 16  # its vectors allocated at a time
+_KRYLOV_CAP = 1000  # its steps: no run on both grids or at five n = 14 points took over 168
 _RESIDUAL_SLACK = 10.0  # over the stop rule's bound: residuals read at most 1.00 x on both grids
 COUPLINGS = {"tfim": ("g",), "annni": ("k", "g"), "xxz": ("delta", "h")}
 
@@ -226,7 +226,7 @@ class SectorPattern:
             ((1j**p.phase_k).real if real else 1j**p.phase_k) * z_signs(self.cols[:, g], p.zbits)
             for p, g in zip(self.slot, self.group)
         ])
-        self.krylov = threading.local()  # _lowest's chunks, one list per thread of a scan
+        self.krylov = threading.local()  # Lanczos rows, one set per thread of a scan
 
     def _entries(self, terms: TermList) -> np.ndarray:
         """sum_j w_j D_j as a rows x width array, one column per X-part."""
@@ -263,10 +263,10 @@ class SectorPattern:
         return np.concatenate([vecs, sign * vecs[::-1]]) / math.sqrt(2.0)
 
 
-def _lowest(block: sp.csr_matrix, v0: np.ndarray, chunks: List[np.ndarray],
+def _lowest(block: sp.csr_matrix, v0: np.ndarray, basis: np.ndarray,
             deflation: Sequence[np.ndarray] = (), sigma: float = 0.0) -> Tuple[float, np.ndarray]:
     """Lowest eigenpair (theta, unit x) of B + sigma Q, Q projecting onto the orthonormal
-    ``deflation`` rows, by Lanczos from v0 (module docstring) in the rows of ``chunks``."""
+    ``deflation`` rows, by Lanczos from v0 (module docstring) in the rows of ``basis``."""
     rows = block.shape[0]
     axpy, dotc, nrm2, scal = get_blas_funcs(("axpy", "dotc", "nrm2", "scal"), (block.data,))
 
@@ -277,15 +277,10 @@ def _lowest(block: sp.csr_matrix, v0: np.ndarray, chunks: List[np.ndarray],
             axpy(f, out, a=sigma * dotc(f, v))
         return out
 
-    def row(j: int) -> np.ndarray:
-        if j == len(chunks) * _CHUNK_ROWS:
-            chunks.append(np.empty((_CHUNK_ROWS, rows), block.dtype))
-        return chunks[j // _CHUNK_ROWS][j % _CHUNK_ROWS]
-
-    q, previous, alphas, betas, scale = row(0), None, [], [], 0.0
+    q, previous, alphas, betas, scale = basis[0], None, [], [], 0.0
     q[:] = v0 / np.linalg.norm(v0)  # every row read below is written first
-    for j in range(min(rows, _KRYLOV_CAP)):
-        w = product(q, row(j + 1))
+    for j in range(min(rows, len(basis) - 1)):
+        w = product(q, basis[j + 1])
         if j:
             axpy(previous, w, a=-betas[-1])
         alphas.append(dotc(q, w).real)
@@ -301,9 +296,8 @@ def _lowest(block: sp.csr_matrix, v0: np.ndarray, chunks: List[np.ndarray],
         scal(1.0 / betas[-1], w)
         q, previous = w, q
     else:
-        raise ValueError(f"Lanczos found no eigenpair within its cap of {_KRYLOV_CAP} steps")
-    parts = np.split(s, range(_CHUNK_ROWS, len(s), _CHUNK_ROWS))
-    x = sum(part @ chunk[:len(part)] for part, chunk in zip(parts, chunks))
+        raise ValueError(f"Lanczos found no eigenpair within its cap of {len(basis) - 1} steps")
+    x = s @ basis[:len(s)]
     x /= np.linalg.norm(x)
     residual = np.linalg.norm(product(x, np.empty_like(x)) - theta * x)
     limit = _RESIDUAL_SLACK * max(EIG_TOLERANCE * abs(theta), np.finfo(float).eps * scale)
@@ -326,8 +320,12 @@ def _ground_state(pattern: SectorPattern, terms: TermList) -> GroundStateResult:
         return _diagonal_ground_state(pattern.diagonal(terms))
     rng = np.random.default_rng(_SEED)
     blocks = pattern.blocks(terms)
-    chunks = vars(pattern.krylov).setdefault("chunks", [])  # this thread's
-    lowest = [_lowest(h, rng.normal(size=h.shape[0]), chunks) for h in blocks]
+    local, rows, dtype = vars(pattern.krylov), len(pattern.cols), pattern.per_term.dtype
+    if "lanczos" not in local:  # this thread's Lanczos rows, in an anonymous mapping whose 4 KB
+        # pages cost memory once a run writes them (numpy would ask for 2 MB pages)
+        size = (min(rows, _KRYLOV_CAP) + 1) * rows * dtype.itemsize
+        local["lanczos"] = np.frombuffer(mmap.mmap(-1, size), dtype).reshape(-1, rows)
+    lowest = [_lowest(h, rng.normal(size=h.shape[0]), local["lanczos"]) for h in blocks]
     levels = [level for level, _ in lowest]
     e0 = min(levels)
     # sigma exceeds the spectral width: E_max <= sum |w| and E0 >= -sum |w|
@@ -345,7 +343,7 @@ def _ground_state(pattern: SectorPattern, terms: TermList) -> GroundStateResult:
             basis = np.linalg.qr(np.column_stack(found[i]))[0].T.copy()  # rows for BLAS
             # a fresh start each round: Lanczos from the first one only reaches
             # psi0 inside the ground space, so it would miss a degenerate partner
-            level, vec = _lowest(h, rng.normal(size=h.shape[0]), chunks, basis, sigma)
+            level, vec = _lowest(h, rng.normal(size=h.shape[0]), local["lanczos"], basis, sigma)
             levels.append(level)
             live[i] = level - e0 < DEGENERACY_THRESHOLD
             if live[i]:

@@ -194,10 +194,13 @@ class TestLowest:
     def test_matches_dense(self, terms):
         rng = np.random.default_rng(3)
         pattern = SectorPattern(p for _, p in terms)
-        chunks = []  # one list of Lanczos rows for every solve, as in a sweep
+        # one set of Lanczos rows for every solve, as in a sweep, and NaN where
+        # no solve has written: no row a solve did not write may reach a result
+        rows = len(pattern.cols)
+        basis = np.full((rows + 1, rows), np.nan, pattern.per_term.dtype)
         for h in pattern.blocks(terms):
             evals, evecs = np.linalg.eigh(h.toarray())
-            level, vec = spinchain._lowest(h, rng.normal(size=h.shape[0]), chunks)
+            level, vec = spinchain._lowest(h, rng.normal(size=h.shape[0]), basis)
             assert level == pytest.approx(evals[0], abs=1e-12)
             assert vec.dtype == h.dtype and abs(np.linalg.norm(vec) - 1.0) < 1e-12
             # up to phase, or, where the block's lowest level is degenerate
@@ -207,7 +210,7 @@ class TestLowest:
             # B + sigma Q, Q onto the dense lowest vector: the dense second level
             sigma = evals[-1] - evals[0] + 1.0
             deflated, _ = spinchain._lowest(
-                h, rng.normal(size=h.shape[0]), chunks, evecs[:, :1].T, sigma
+                h, rng.normal(size=h.shape[0]), basis, evecs[:, :1].T, sigma
             )
             assert deflated == pytest.approx(evals[1], abs=1e-12)
 
