@@ -62,7 +62,7 @@ _MAX_QUBITS = 14  # of a chain, and of an H that ground_state diagonalizes
 DEGENERACY_THRESHOLD = 1e-8
 # the largest ground space a non-diagonal H deflates out, one Lanczos solve
 # per level: it holds the XXZ ferromagnetic multiplet at delta = -1, h = 0,
-# d = n + 1 = 15 at n = 14 (0.7 s, 8 levels in one flip sector and 7 in the
+# d = n + 1 = 15 at n = 14 (0.25 s, 8 levels in one flip sector and 7 in the
 # other); the test and benchmark grids reach d = 4
 GROUND_SPACE_CAP = 16
 # _lowest tests its Ritz pair every _CHECK_EVERY steps: a test took 0.37 j us at step j, a
