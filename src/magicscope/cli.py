@@ -10,8 +10,9 @@ exits 1 before any file is read:
   oracle     brute-force cross-checks at small qubit counts: --check,
              --n in 1-4 (counts) or 1-3 (others), --trials >= 1, --seed >= 0, --lp-tol
 
-Exit codes: 0 success, 1 usage, 2 parse, 3 infeasible/inconsistent
-data, 4 solver failure.
+Exit codes: 0 success, 1 usage (or a vertex file's reader that closed
+the pipe early), 2 parse, 3 infeasible/inconsistent data, 4 solver
+failure.
 """
 
 from __future__ import annotations
@@ -165,15 +166,26 @@ def _cmd_polytope(args) -> int:
         start = time.perf_counter()
         vset = v_representation(measurements)
         elapsed = time.perf_counter() - start
-        if args.format == "txt":
-            vset.write_txt(fh)
-        else:
-            vset.write_json(fh)
-            if args.out == "-":
-                fh.write("\n")
+        try:
+            if args.format == "txt":
+                vset.write_txt(fh)
+            else:
+                vset.write_json(fh)
+                if args.out == "-":
+                    fh.write("\n")
+            fh.flush()
+        except BrokenPipeError:
+            # The reader left early (``| head``).  What the file still buffers,
+            # and stdout's flush at exit, go to devnull: the "Note on SIGPIPE"
+            # in the ``signal`` docs.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fh.fileno())
+            os.close(devnull)
+            return EXIT_USAGE
+        write = time.perf_counter() - start - elapsed
     print(
         f"|stab(M)| = {len(vset.vertices)}  |I_max| = {len(vset.starts)}  "
-        f"elapsed = {elapsed:.3f}s",
+        f"elapsed = {elapsed:.3f}s  write = {write:.3f}s",
         file=sys.stderr,
     )
     return EXIT_OK

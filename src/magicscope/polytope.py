@@ -19,9 +19,10 @@ first robustness query that asks for it, and cached on the vertex set.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
@@ -43,6 +44,10 @@ __all__ = [
 # Rows per block that the writers format and write, the LP prices and the orbit
 # reduction sums at once.
 _BLOCK_ROWS = 4096
+# Entries whose text the writers take as one token, and the base-3 digit weights
+# that number a group (in int16, exact for groups of up to ten entries).
+_GROUP = 5
+_DIGITS = 3 ** np.arange(_GROUP - 1, -1, -1, dtype=np.int16)
 # Most orbits whose points get a convex hull: qhull took 13 ms at 5 orbits, 52 ms
 # at 6, 0.49 s at 7 and over a minute at 8 (projections of the XXZ n=12 window).
 _HULL_MAX_ORBITS = 6
@@ -61,25 +66,52 @@ def _json_list(items: Sequence[str], depth: int) -> str:
     return "[" + pad + ("," + pad).join(items) + "\n" + " " * depth + "]"
 
 
+@lru_cache(maxsize=None)  # keyed by the writers' few formats and the tail sizes 1.._GROUP
+def _group_tokens(entry: str, last: str, tail: int) -> np.ndarray:
+    """The text of every group of _GROUP entries, then of every tail group of ``tail`` entries.
+
+    A group's text is ``entry % v`` for each of its entries, a tail
+    group's the same but ``last % v`` for its last entry, and a group of
+    entries v_0, v_1, ... sits at its base-3 number sum_k (v_k + 1) 3^(size-1-k)
+    among the groups of its size.  Read-only, since the cache shares it.
+    """
+
+    def texts(size: int, end: str) -> List[str]:
+        return [
+            "".join([entry % v for v in values[:-1]] + [end % values[-1]])
+            for values in itertools.product((-1, 0, 1), repeat=size)
+        ]
+
+    tokens = np.array(texts(_GROUP, entry) + texts(tail, last), dtype=object)
+    tokens.setflags(write=False)
+    return tokens
+
+
 def _token_rows(block: np.ndarray, heads: Tuple[str, str], entry: str, last: str) -> str:
     """The text of a block of int8 rows with entries -1, 0 and 1, joined from a token table.
 
     A row is its head (``heads[0]`` for the block's first row, ``heads[1]``
     for the others), then ``entry % v`` for each of its entries but the
-    last and ``last % v`` for the last.
+    last and ``last % v`` for the last.  One token holds the text of
+    _GROUP consecutive entries, so a row of m entries is its head, its
+    (m - 1) // _GROUP full groups and a tail group of the 1.._GROUP
+    entries left, each group found in ``_group_tokens`` by its base-3
+    number: the product of its int8 entries with the digit weights,
+    shifted by the weights' sum so that a group of -1s is number 0.
     """
     rows, width = block.shape
-    values = (-1, 0, 1)
-    table = np.array(
-        [entry % v for v in values] + [last % v for v in values] + list(heads), dtype=object
-    )
-    codes = np.empty((rows, width + 1), dtype=np.intp)
-    codes[:, 0] = 7
-    codes[:1, 0] = 6
-    codes[:, 1:] = block
-    codes[:, 1:] += 1
-    codes[:, -1] += 3
-    return "".join(table[codes].ravel().tolist())
+    groups, tail = divmod(width - 1, _GROUP)
+    tail += 1
+    table = np.concatenate([_group_tokens(entry, last, tail), np.array(heads, dtype=object)])
+    codes = np.empty((rows, groups + 2), dtype=np.intp)
+    codes[:, 0] = len(table) - 1
+    codes[:1, 0] = len(table) - 2
+    full = block[:, :groups * _GROUP].reshape(rows, groups, _GROUP)
+    np.matmul(full, _DIGITS, out=codes[:, 1:-1])
+    np.matmul(block[:, groups * _GROUP:], _DIGITS[_GROUP - tail:], out=codes[:, -1])
+    codes[:, 1:-1] += (3**_GROUP - 1) // 2
+    codes[:, -1] += 3**_GROUP + (3**tail - 1) // 2
+    return "".join(np.take(table, codes).ravel().tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,9 +129,10 @@ class VertexSet:
     text file, byte for byte the text of ``json.dumps(indent=1)`` of
     {m, measurements, vertices, contexts} and of one space-separated
     line per row.  They format the rows a block of a few thousand at a
-    time: each entry becomes a code (its value, whether it ends its row,
-    and a head for the first row and one for later rows) that indexes a
-    small table of tokens, and the joined block goes to the file.  The
+    time: each group of _GROUP (5) consecutive entries of a row becomes one
+    code (its values, and whether it ends the row), as does the row's
+    head (one for the block's first row, one for later rows), and the
+    codes index a cached table of tokens, whose join goes to the file.  The
     contexts come one maximal commuting subset at a time, with its
     ``"set"`` text formatted once; only the sign tokens change from row
     to row.  So the whole text and the nested lists never exist at once.

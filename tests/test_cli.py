@@ -28,6 +28,7 @@ from magicscope.cli import (
 )
 from magicscope.cli import CliError
 from magicscope.pauli import format_pauli
+from magicscope.spinchain import SpinChainSpec, hamiltonian_measurement_set
 from util import fail_highs
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -91,7 +92,51 @@ class TestPolytope:
         assert len(built) == 1
         assert built[0].starts == (0, 2, 4)
         assert len(json.loads(out.read_text())["vertices"]) == 6
-        assert "|I_max| = 3" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "|I_max| = 3" in err
+        # the build's and the write's own seconds
+        assert re.search(r"elapsed = \d+\.\d{3}s  write = \d+\.\d{3}s$", err.strip())
+
+    def test_closed_stdout_exits_1_into_devnull(self, octahedron_file, tmp_path, monkeypatch):
+        class ClosedPipe:
+            """A stdout whose reader has gone; its descriptor is a file's."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return self.fh.fileno()
+
+        with open(tmp_path / "stdout", "w") as fh:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(fh))
+            assert main(["polytope", octahedron_file, "--format", "txt"]) == EXIT_USAGE
+            # what stdout still buffers goes to devnull at exit
+            assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+
+    def test_reader_that_leaves_early_gets_no_traceback(self, tmp_path):
+        # about 1 MB of rows, far more than a pipe holds
+        ms = hamiltonian_measurement_set(SpinChainSpec("xxz", 7, {}))
+        path = write(tmp_path / "xxz7.txt", "\n".join(format_pauli(p) for p in ms) + "\n")
+        env_path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        with subprocess.Popen(
+            [sys.executable, "-m", "magicscope.cli", "polytope", path, "--format", "txt"],
+            env={**os.environ, "PYTHONPATH": env_path},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        ) as child:
+            try:
+                first = child.stdout.readline()
+                child.stdout.close()
+                err = child.stderr.read()
+                code = child.wait(timeout=60)
+            finally:
+                child.kill()  # does nothing once the child has exited
+        assert first.count(b" ") == ms.m - 1
+        assert code == EXIT_USAGE
+        assert err == b""
 
     def test_txt_output_file(self, octahedron_file, tmp_path, capsys):
         out = tmp_path / "v.txt"
