@@ -6,7 +6,7 @@ exits 1 before any file is read:
   rom        measurement file + expectations -> robustness verdict:
              --lp-tol in [1e-10, 1), --decision-tol finite and > 0
   scan       spin-chain parameter sweep -> CSV: --model, --n, --grid,
-             --measurements, --boundary, --out, --resume, --lp-tol, --threads >= 1
+             --measurements, --boundary, --out, --resume, --lp-tol
   oracle     brute-force cross-checks at small qubit counts: --check,
              --n in 1-4 (counts) or 1-3 (others), --trials >= 1, --seed >= 0, --lp-tol
 
@@ -98,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--boundary", choices=("periodic", "open"), default="periodic")
     p_scan.add_argument("--out", required=True)
     p_scan.add_argument("--resume", action="store_true")
-    p_scan.add_argument("--threads", type=at_least_one, default=os.cpu_count() or 1)
 
     p_oracle = sub.add_parser("oracle", help="brute-force cross checks")
     p_oracle.add_argument("--check", required=True,
@@ -296,7 +295,7 @@ def _cmd_scan(args) -> int:
             writer.writerow(columns)
             fh.flush()
         vset = v_representation(measurements)
-        records = sweep_records(spec, pending, vset, threads=args.threads, lp_tolerance=args.lp_tol)
+        records = sweep_records(spec, pending, vset, lp_tolerance=args.lp_tol)
         # each row reaches the file as its point finishes, in grid order, so
         # a killed scan leaves a prefix of the grid for --resume to extend
         for record in records:

@@ -294,7 +294,7 @@ def _extreme_points(points: np.ndarray) -> np.ndarray:
     """``OrbitReduction.probes`` of these points.
 
     The directions come from a fixed seed and a tie goes to the first
-    point, so every build, in any thread, finds the same indices.
+    point, so every build finds the same indices.
     """
     directions = np.random.default_rng(0).standard_normal((_PROBE_DIRECTIONS, points.shape[1]))
     rows = np.arange(_PROBE_DIRECTIONS)

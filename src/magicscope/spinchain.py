@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import math
 import mmap
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -226,7 +225,14 @@ class SectorPattern:
             ((1j**p.phase_k).real if real else 1j**p.phase_k) * z_signs(self.cols[:, g], p.zbits)
             for p, g in zip(self.slot, self.group)
         ])
-        self.krylov = threading.local()  # Lanczos rows, one set per thread of a scan
+
+    @cached_property
+    def krylov(self) -> np.ndarray:
+        """The Lanczos rows of every run on the blocks, in an anonymous mapping whose
+        4 KB pages cost memory once a run writes them (numpy would ask for 2 MB pages)."""
+        rows, dtype = len(self.cols), self.per_term.dtype
+        size = (min(rows, _KRYLOV_CAP) + 1) * rows * dtype.itemsize
+        return np.frombuffer(mmap.mmap(-1, size), dtype).reshape(-1, rows)
 
     def _entries(self, terms: TermList) -> np.ndarray:
         """sum_j w_j D_j as a rows x width array, one column per X-part."""
@@ -320,12 +326,7 @@ def _ground_state(pattern: SectorPattern, terms: TermList) -> GroundStateResult:
         return _diagonal_ground_state(pattern.diagonal(terms))
     rng = np.random.default_rng(_SEED)
     blocks = pattern.blocks(terms)
-    local, rows, dtype = vars(pattern.krylov), len(pattern.cols), pattern.per_term.dtype
-    if "lanczos" not in local:  # this thread's Lanczos rows, in an anonymous mapping whose 4 KB
-        # pages cost memory once a run writes them (numpy would ask for 2 MB pages)
-        size = (min(rows, _KRYLOV_CAP) + 1) * rows * dtype.itemsize
-        local["lanczos"] = np.frombuffer(mmap.mmap(-1, size), dtype).reshape(-1, rows)
-    lowest = [_lowest(h, rng.normal(size=h.shape[0]), local["lanczos"]) for h in blocks]
+    lowest = [_lowest(h, rng.normal(size=h.shape[0]), pattern.krylov) for h in blocks]
     levels = [level for level, _ in lowest]
     e0 = min(levels)
     # sigma exceeds the spectral width: E_max <= sum |w| and E0 >= -sum |w|
@@ -343,7 +344,7 @@ def _ground_state(pattern: SectorPattern, terms: TermList) -> GroundStateResult:
             basis = np.linalg.qr(np.column_stack(found[i]))[0].T.copy()  # rows for BLAS
             # a fresh start each round: Lanczos from the first one only reaches
             # psi0 inside the ground space, so it would miss a degenerate partner
-            level, vec = _lowest(h, rng.normal(size=h.shape[0]), local["lanczos"], basis, sigma)
+            level, vec = _lowest(h, rng.normal(size=h.shape[0]), pattern.krylov, basis, sigma)
             levels.append(level)
             live[i] = level - e0 < DEGENERACY_THRESHOLD
             if live[i]:
@@ -422,11 +423,10 @@ def sweep_records(
     spec: SpinChainSpec,
     grid: Sequence[Dict[str, float]],
     vset: VertexSet,
-    threads: int = 1,
     lp_tolerance: float = LP_TOLERANCE,
 ) -> Iterator[SweepRecord]:
-    """One record per grid point, yielded in grid order as each finishes;
-    eigensolver failures are recorded, not raised.
+    """One record per grid point, yielded in grid order as each finishes, on
+    the caller's thread; eigensolver failures are recorded, not raised.
 
     A point's expectations are those of ``vset.measurements``, the set
     whose polytope the LP solves over, from one
@@ -459,13 +459,9 @@ def sweep_records(
         except Exception as exc:  # per-point failures must not kill the sweep
             return SweepRecord(dict(point), None, None, None, None, None, f"error: {exc}")
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            yield from pool.map(run, grid)  # in grid order
-    else:
-        # in the caller: a pool worker's own glibc malloc arena raised the peak RSS
-        # of a one-thread ANNNI n=10 sweep from 195 to 215 MB (Linux, 2 vCPUs)
-        yield from map(run, grid)
+    # one thread: a point's CSR products and Lanczos steps mostly hold the
+    # GIL, and a second thread slowed ANNNI n = 10 sweeps (README)
+    yield from map(run, grid)
 
 
 def sweep(
@@ -475,7 +471,10 @@ def sweep(
     vset: VertexSet,
     threads: int = 1,
 ) -> List[SweepRecord]:
-    """``sweep_records`` as a list; ``measurements`` must be ``vset.measurements``."""
+    """``sweep_records`` as a list; ``measurements`` must be ``vset.measurements``
+    and ``threads`` 1, the one thread every sweep runs on."""
     if measurements != vset.measurements:
         raise ValueError("measurements differ from the vertex set's")
-    return list(sweep_records(spec, grid, vset, threads))
+    if threads != 1:
+        raise ValueError(f"a sweep runs on one thread, not {threads!r}")
+    return list(sweep_records(spec, grid, vset))

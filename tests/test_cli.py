@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -340,7 +341,7 @@ class TestScan:
     def test_resume_after_a_cut_inside_a_row(self, tmp_path):
         # a killed scan can leave its last row without its line end: that point is not done
         out = tmp_path / "scan.csv"
-        args = ["scan", "--model", "tfim", "--n", "4", "--grid", "g=0:2:5", "--threads", "1",
+        args = ["scan", "--model", "tfim", "--n", "4", "--grid", "g=0:2:5",
                 "--out", str(out)]
         assert main(args) == EXIT_OK
         full = out.read_bytes()
@@ -353,7 +354,7 @@ class TestScan:
         # each row reaches the file as its point finishes, so a scan killed
         # mid-grid leaves rows for --resume to keep
         scan = ["scan", "--model", "annni", "--n", "10", "--measurements", "all-terms",
-                "--grid", "k=0:1:4,g=0:2:10", "--threads", "2"]
+                "--grid", "k=0:1:4,g=0:2:10"]
         whole = tmp_path / "whole.csv"
         assert main(scan + ["--out", str(whole)]) == EXIT_OK
         out = tmp_path / "scan.csv"
@@ -583,6 +584,25 @@ class TestGlobalFlags:
             assert taking, flag
             assert set(re.findall(r"`([^`]+)`", named)) & set(subcommands) == taking, flag
 
+    def test_readme_commands_parse(self):
+        # every magicscope command in README's sh blocks, with \ continuations
+        # joined and a chain size for the loop's $n
+        text = (ROOT / "README.md").read_text()
+        blocks = re.findall(r"^```sh\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
+        commands = [
+            words[1:]
+            for block in blocks
+            for line in block.replace("\\\n", " ").replace("$n", "3").splitlines()
+            if (words := shlex.split(line, comments=True))[:1] == ["magicscope"]
+        ]
+        assert len(commands) >= 10
+        parser = build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README's magicscope {shlex.join(argv)} does not parse")
+
     def test_usage_exit_code(self):
         assert main(["no-such-command"]) == EXIT_USAGE
 
@@ -591,15 +611,6 @@ class TestGlobalFlags:
         assert main(["rom", octahedron_file, b, "--lp-tol", "-1"]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == "" and "--lp-tol" in captured.err
-
-    @pytest.mark.parametrize("threads", ["0", "-5"])
-    def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
-        out = tmp_path / "scan.csv"
-        assert main(["scan", "--model", "tfim", "--n", "4", "--grid", "g=0:1:2",
-                     "--out", str(out), "--threads", threads]) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == "" and "--threads" in captured.err
-        assert not out.exists()
 
     def test_non_utf8_measurement_file_is_parse_error(self, tmp_path, capsys):
         ms = tmp_path / "m.bin"
@@ -653,7 +664,6 @@ class TestGlobalFlags:
         [(c, "--lp-tol", v) for c in ("rom", "scan", "oracle")
          for v in ("nan", "inf", "-1", "0", "1e-12", "1")]
         + [("rom", "--decision-tol", v) for v in ("nan", "inf", "0", "-1")]
-        + [("scan", "--threads", v) for v in ("0", "-5")]
         + [("oracle", "--seed", "-1")],
     )
     def test_out_of_range_value_is_refused_before_any_work(
@@ -676,13 +686,13 @@ class TestGlobalFlags:
         [
             ("polytope", "--threads"), ("polytope", "--lp-tol"), ("polytope", "--decision-tol"),
             ("polytope", "--seed"), ("rom", "--threads"), ("rom", "--seed"),
-            ("scan", "--decision-tol"), ("scan", "--seed"),
+            ("scan", "--threads"), ("scan", "--decision-tol"), ("scan", "--seed"),
             ("oracle", "--decision-tol"), ("oracle", "--threads"),
         ],
     )
     @pytest.mark.parametrize("place", ["global", "subcommand"])
     def test_flag_off_its_subcommand_is_refused(
-        self, octahedron_file, capsys, linprog_tolerances, argv_of, place, command, flag
+        self, octahedron_file, tmp_path, capsys, linprog_tolerances, argv_of, place, command, flag
     ):
         argv = ["polytope", octahedron_file] if command == "polytope" else argv_of(command)
         value = "1e-6" if flag == "--decision-tol" else "2"
@@ -690,10 +700,11 @@ class TestGlobalFlags:
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().out == ""
         assert linprog_tolerances == []
+        assert not (tmp_path / "scan.csv").exists()
 
     @pytest.mark.parametrize(
         "command, flag",
-        [("rom", "--lp-tol"), ("rom", "--decision-tol"), ("scan", "--threads"), ("oracle", "--seed")],
+        [("rom", "--lp-tol"), ("rom", "--decision-tol"), ("scan", "--lp-tol"), ("oracle", "--seed")],
     )
     def test_flag_before_its_subcommand_is_refused(self, capsys, argv_of, command, flag):
         value = "1e-6" if "tol" in flag else "2"
@@ -705,7 +716,7 @@ class TestGlobalFlags:
         assert set(linprog_tolerances) == {("rom", 3e-8)}
 
     def test_lp_tol_reaches_scan_solver(self, argv_of, linprog_tolerances):
-        assert main(argv_of("scan", "--lp-tol", "2e-7", "--threads", "1")) == EXIT_OK
+        assert main(argv_of("scan", "--lp-tol", "2e-7")) == EXIT_OK
         assert len(linprog_tolerances) >= 2 and set(linprog_tolerances) == {("rom", 2e-7)}
 
     def test_lp_tol_reaches_oracle_solver(self, argv_of, capsys, linprog_tolerances):

@@ -1,7 +1,6 @@
 """Spin-chain Hamiltonians, exact diagonalization, and parameter sweeps."""
 
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from magicscope.pauli import (
     format_pauli,
     parse_pauli,
     pauli_expectation,
-    read_measurement_file,
 )
 from magicscope.polytope import v_representation
 from magicscope.rom import ExpectationVector, reduced_rom
@@ -28,8 +26,6 @@ from magicscope.spinchain import (
     sweep,
 )
 from util import dense_hamiltonian, pauli_matrix
-
-XXZ12_WINDOW = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "xxz12_window.txt"
 
 
 def term_dict(terms):
@@ -581,17 +577,12 @@ class TestSweep:
         assert records[1].rom > 1.0 + 1e-3
         assert records[2].rom < records[1].rom
 
-    def test_threads_build_the_window_probes_alike(self):
-        # the first query in the pool builds the lazy reduction and its probes
-        spec = SpinChainSpec("xxz", 12, {}, "periodic")
-        ms = read_measurement_file(XXZ12_WINDOW)
-        grid = [{"delta": d, "h": h} for d, h in ((-1.2, 0.4), (0.3, 1.1), (1.4, 2.5), (0.8, 0.2))]
-        vset = v_representation(ms)
-        assert "symmetry" not in vars(vset)
-        threaded = sweep(spec, grid, ms, vset, threads=2)
-        assert vset.symmetry.probes is not None
-        assert threaded == sweep(spec, grid, ms, v_representation(ms), threads=1)
-        assert all(r.solver_status == "optimal" for r in threaded)
+    @pytest.mark.parametrize("threads", [0, 2])
+    def test_sweep_runs_on_one_thread_only(self, threads):
+        spec = SpinChainSpec("tfim", 4, {})
+        ms = hamiltonian_measurement_set(spec, "first-cell")
+        with pytest.raises(ValueError, match="one thread"):
+            sweep(spec, [{"g": 1.0}], ms, v_representation(ms), threads=threads)
 
     def test_expectations_are_those_of_the_vertex_set(self):
         # the same 18 Paulis in reverse order: the LP's polytope decides
@@ -610,14 +601,14 @@ class TestSweep:
         assert reverse.rom == pytest.approx(forward.rom, abs=1e-9)
 
     def test_a_record_does_not_depend_on_the_lanczos_rows_before_it(self):
-        # each thread keeps its Lanczos vectors across solves and points, so
+        # a sweep keeps its Lanczos vectors across solves and points, so
         # a point's record must not depend on what they held before
         spec = SpinChainSpec("xxz", 8, {})
         ms = hamiltonian_measurement_set(spec, "all-terms")
         vset = v_representation(ms)
         point = {"delta": 0.3, "h": 0.7}
         (alone,) = spinchain.sweep_records(spec, [point], vset)
-        # other chain sizes first, in this thread
+        # other chain sizes first
         for other in (SpinChainSpec("annni", 10, {}), SpinChainSpec("tfim", 5, {})):
             others = hamiltonian_measurement_set(other, "first-cell")
             grid = [{"g": 1.2}] if other.model == "tfim" else [{"k": 0.4, "g": 0.8}]
@@ -626,9 +617,8 @@ class TestSweep:
         # solves and a point near the critical line
         grid = [{"delta": -1.1, "h": 0.0}, {"delta": 0.9, "h": 0.1}, point]
         *_, after = spinchain.sweep_records(spec, grid, vset)
-        threaded = list(spinchain.sweep_records(spec, grid + grid, vset, threads=2))
         assert alone.solver_status == "optimal"
-        assert after == alone and threaded[2] == alone and threaded[5] == alone
+        assert after == alone
 
     def test_failures_recorded_not_raised(self):
         spec = SpinChainSpec("tfim", 6, {})
@@ -638,19 +628,3 @@ class TestSweep:
         records = sweep(spec, grid, ms, vset)
         assert records[0].solver_status.startswith("error")
         assert records[0].rom is None
-
-    def test_threaded_matches_serial(self):
-        # concurrent Lanczos runs on a small and a larger chain
-        xxz_grid = [{"delta": d, "h": 0.3} for d in (-1.5, 0.0, 1.5)]
-        cases = [(SpinChainSpec("xxz", n, {}), "first-cell", xxz_grid) for n in (5, 8)]
-        # all-terms annni: concurrent first queries fill the lazy symmetry reduction
-        annni_grid = [{"k": k, "g": g} for k in (0.3, 0.7) for g in (0.5, 1.2)]
-        cases.append((SpinChainSpec("annni", 6, {}), "all-terms", annni_grid))
-        for spec, scope, grid in cases:
-            ms = hamiltonian_measurement_set(spec, scope)
-            serial = sweep(spec, grid, ms, v_representation(ms), threads=1)
-            threaded = sweep(spec, grid, ms, v_representation(ms), threads=3)
-            assert [r.params for r in serial] == [r.params for r in threaded]
-            for a, b in zip(serial, threaded):
-                assert b.solver_status == "optimal"
-                assert a.rom == pytest.approx(b.rom, abs=1e-9)
