@@ -3,8 +3,7 @@
 Subcommands and the flags that each reads; a value out of its range
 exits 1 before any file is read:
   polytope   measurement file -> vertex file (json or txt): --out, --format
-  rom        measurement file + expectations -> robustness verdict:
-             --lp-tol in [1e-10, 1), --decision-tol finite and > 0
+  rom        measurement file + expectations -> robustness verdict: --lp-tol in [1e-10, 1)
   scan       spin-chain parameter sweep -> CSV: --model, --n, --grid,
              --measurements, --boundary, --out, --resume, --lp-tol
   oracle     brute-force cross-checks at small qubit counts: --check,
@@ -33,7 +32,6 @@ from . import oracle as oracle_mod
 from .pauli import MeasurementSet, PauliError, format_pauli, hermitian, read_measurement_file
 from .polytope import v_representation
 from .rom import (
-    DECISION_TOLERANCE,
     LP_TOLERANCE,
     LP_TOLERANCE_RANGE,
     ExpectationVector,
@@ -85,9 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rom = sub.add_parser("rom", help="robustness verdict from expectations")
     p_rom.add_argument("measurements")
     p_rom.add_argument("expectations")
-    # the least positive float is where "> 0" starts
-    p_rom.add_argument("--decision-tol", default=DECISION_TOLERANCE,
-                       type=_in_range(float, math.ulp(0.0), math.inf, "a finite number > 0"))
 
     p_scan = sub.add_parser("scan", help="spin-chain parameter sweep")
     p_scan.add_argument("--model", required=True, choices=("tfim", "annni", "xxz"))
@@ -194,9 +189,7 @@ def _cmd_rom(args) -> int:
     measurements = _load_measurements(args.measurements)
     expectations = _read_expectations(args.expectations, measurements)
     vset = v_representation(measurements)
-    result = reduced_rom(
-        vset, expectations, decision_tolerance=args.decision_tol, lp_tolerance=args.lp_tol
-    )
+    result = reduced_rom(vset, expectations, lp_tolerance=args.lp_tol)
     if result.status == "infeasible":
         raise CliError("expectations lie outside the affine hull", EXIT_INFEASIBLE)
     if result.status != "optimal":

@@ -246,7 +246,6 @@ def _solve_symmetric(vset: VertexSet, b_eq: np.ndarray, lp_tolerance: float):
 def reduced_rom(
     vset: VertexSet,
     b: ExpectationVector,
-    decision_tolerance: float = DECISION_TOLERANCE,
     lp_tolerance: float = LP_TOLERANCE,
 ) -> RomResult:
     """min ||x||_1 s.t. sum_j x_j v_j = b, sum_j x_j = 1.
@@ -260,6 +259,8 @@ def reduced_rom(
     coefficients' 1-norm and dual objective differ by more than
     DECISION_TOLERANCE, or no optimum after 200 rounds is a solver failure
     ("numerically-degenerate", with its cause in ``cause``), not a verdict.
+    An optimal b is a ``member`` when rom <= 1 + DECISION_TOLERANCE, the
+    one membership rule; another margin t is rom > 1 + t on ``rom``.
 
     If the set has a non-trivial qubit symmetry group and every orbit
     spread of b is at most SYMMETRY_TOLERANCE (1e-8), the LP runs over
@@ -277,7 +278,7 @@ def reduced_rom(
         solved = _solve_l1_column_generation(vset.vertices, b_eq, lp_tolerance)
         path = "full"
     rom, coeffs, status, cause = solved
-    member = status == "optimal" and rom <= 1.0 + decision_tolerance
+    member = status == "optimal" and rom <= 1.0 + DECISION_TOLERANCE
     return RomResult(rom, coeffs, member, status, path, cause)
 
 

@@ -17,7 +17,7 @@ import pytest
 from magicscope import oracle
 from magicscope.pauli import MeasurementSet, PauliString, format_pauli, pauli_expectation
 from magicscope.polytope import size_bound, v_representation
-from magicscope.rom import ExpectationVector, reduced_rom
+from magicscope.rom import DECISION_TOLERANCE, ExpectationVector, reduced_rom
 from magicscope.spinchain import (
     SpinChainSpec,
     build_hamiltonian,
@@ -384,6 +384,6 @@ def test_criterion_12_membership_decision_contract():
         )
         rom = reduced_rom(vset, b).rom
         member = oracle.hull_contains([b.values], vset.vertices)
-        if member != (rom <= 1.0 + 1e-7):
+        if member != (rom <= 1.0 + DECISION_TOLERANCE):
             failures.append(f"trial {trial}: decision mismatch at rom {rom}")
     report(12, "membership decision agrees with the rom threshold", failures)

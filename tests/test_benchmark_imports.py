@@ -1,13 +1,16 @@
 """The benchmark's scripts import only names the package has.
 
-Tier-1 never runs ``perfbench``, so a rename inside ``magicscope`` could
-break the benchmark while every other test passes.  This reads the
-scripts' import statements, and the attributes they read off the package
-modules they import (``rom_module.linprog``, ``cli.main``), with ``ast``
-and runs none of them.  It also checks the attributes ``run.py`` reads
-off the objects the package returns, on small objects of each type, and
-binds every call the scripts make to a package name, or an attribute of
-one, to that callee's signature.
+The benchmark's timed runs are not run here, so a rename inside
+``magicscope`` could break them while every other test passes.  This
+reads the scripts' import statements, and the attributes they read off
+the package modules they import (``rom_module.linprog``, ``cli.main``),
+with ``ast``.  It also checks the attributes ``run.py`` reads off the
+objects the package returns, on small objects of each type, and binds
+every call the scripts make to a package name, or an attribute of one,
+to that callee's signature.  The one script it runs is ``run.py --trace
+1`` on each sweep workload: trace-only code (a ground state without the
+sweep's per-point guard, the counted ``linprog`` calls) raises where the
+untraced sweep records a failure, and the run exits 1.
 """
 
 import ast
@@ -15,7 +18,12 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from magicscope.fgraph import build_frustration_graph, enumerate_maximal_independent_sets
 from magicscope.pauli import MeasurementSet, read_measurement_file
@@ -170,3 +178,14 @@ def test_the_traced_build_enumerates_every_subset():
     ms = read_measurement_file(PERFBENCH / "data" / "xxz9_all_terms.txt")
     subsets = list(enumerate_maximal_independent_sets(build_frustration_graph(ms)))
     assert len(subsets) == len(v_representation(ms).starts) == 978
+
+
+@pytest.mark.parametrize("workload", ["annni10-sweep", "xxz12-window"])
+def test_a_traced_sweep_exits_0_with_a_correct_result(workload):
+    # one Latin square, about 2 s; the span file goes to the git-ignored perfbench/out/
+    argv = [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
+            "--seed", "1", "--seconds", "0", "--trace", "1"]
+    run = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr[-2000:]
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert (result["correct"], result["failed"]) == (True, 0)

@@ -663,7 +663,6 @@ class TestGlobalFlags:
         "command, flag, value",
         [(c, "--lp-tol", v) for c in ("rom", "scan", "oracle")
          for v in ("nan", "inf", "-1", "0", "1e-12", "1")]
-        + [("rom", "--decision-tol", v) for v in ("nan", "inf", "0", "-1")]
         + [("oracle", "--seed", "-1")],
     )
     def test_out_of_range_value_is_refused_before_any_work(
@@ -686,8 +685,8 @@ class TestGlobalFlags:
         [
             ("polytope", "--threads"), ("polytope", "--lp-tol"), ("polytope", "--decision-tol"),
             ("polytope", "--seed"), ("rom", "--threads"), ("rom", "--seed"),
-            ("scan", "--threads"), ("scan", "--decision-tol"), ("scan", "--seed"),
-            ("oracle", "--decision-tol"), ("oracle", "--threads"),
+            ("rom", "--decision-tol"), ("scan", "--threads"), ("scan", "--decision-tol"),
+            ("scan", "--seed"), ("oracle", "--decision-tol"), ("oracle", "--threads"),
         ],
     )
     @pytest.mark.parametrize("place", ["global", "subcommand"])
@@ -704,7 +703,7 @@ class TestGlobalFlags:
 
     @pytest.mark.parametrize(
         "command, flag",
-        [("rom", "--lp-tol"), ("rom", "--decision-tol"), ("scan", "--lp-tol"), ("oracle", "--seed")],
+        [("rom", "--lp-tol"), ("scan", "--lp-tol"), ("oracle", "--seed")],
     )
     def test_flag_before_its_subcommand_is_refused(self, capsys, argv_of, command, flag):
         value = "1e-6" if "tol" in flag else "2"
@@ -728,12 +727,3 @@ class TestGlobalFlags:
         argv[argv.index("rom-bound")] = "hulls"
         assert main(argv) == EXIT_OK
         assert linprog_tolerances and set(linprog_tolerances) == {("oracle", 4e-8)}
-
-    def test_decision_tol_reaches_the_verdict(self, octahedron_file, tmp_path, capsys):
-        # rom 1 + 5e-4 on the octahedron: witnessed at the default, a member at 1e-2
-        b = write(tmp_path / "b.txt", "0.5005\n0.5\n0\n")
-        verdicts = []
-        for extra in ([], ["--decision-tol", "1e-2"]):
-            assert main(["rom", octahedron_file, b] + extra) == EXIT_OK
-            verdicts.append(json.loads(capsys.readouterr().out)["witnessed"])
-        assert verdicts == [True, False]

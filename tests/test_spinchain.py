@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from magicscope import spinchain
+from magicscope.cli import EXIT_SOLVER, main
 from magicscope.pauli import (
     MeasurementSet,
     PauliString,
@@ -628,3 +629,24 @@ class TestSweep:
         records = sweep(spec, grid, ms, vset)
         assert records[0].solver_status.startswith("error")
         assert records[0].rom is None
+
+    def test_a_lanczos_residual_error_is_recorded_and_scan_exits_4(self, monkeypatch, tmp_path,
+                                                                     capsys):
+        # no residual meets a zero slack; g = 0.5:1.5:3 has no diagonal point,
+        # so every point's ground state comes from _lowest
+        monkeypatch.setattr(spinchain, "_RESIDUAL_SLACK", 0.0)
+        spec = SpinChainSpec("tfim", 6, {})
+        vset = v_representation(hamiltonian_measurement_set(spec, "first-cell"))
+        grid = [{"g": 0.5}, {"g": 1.0}, {"g": 1.5}]
+        records = list(spinchain.sweep_records(spec, grid, vset))
+        assert [r.params for r in records] == grid
+        for r in records:
+            assert r.solver_status.startswith("error: Lanczos eigen-residual")
+            assert r.rom is None
+        out = tmp_path / "scan.csv"
+        argv = ["scan", "--model", "tfim", "--n", "6", "--grid", "g=0.5:1.5:3", "--out", str(out)]
+        assert main(argv) == EXIT_SOLVER
+        err = capsys.readouterr().err
+        for g in (0.5, 1.0, 1.5):
+            assert f"g={g!r}: error: Lanczos eigen-residual" in err
+        assert "3 grid points failed" in err
