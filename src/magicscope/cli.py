@@ -7,7 +7,7 @@ exits 1 before any file is read:
   scan       spin-chain parameter sweep -> CSV: --model, --n, --grid,
              --measurements, --boundary, --out, --resume, --lp-tol
   oracle     brute-force cross-checks at small qubit counts: --check,
-             --n in 1-4 (counts) or 1-3 (others), --trials >= 1, --seed >= 0, --lp-tol
+             --n in 1-4 (counts) or 1-3 (others), --trials >= 1, --seed >= 0
 
 Exit codes: 0 success, 1 usage (or a vertex file's reader that closed
 the pipe early), 2 parse, 3 infeasible/inconsistent data, 4 solver
@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
                           default=0)
 
     lp_range = "a number in [{:g}, {:g})".format(*LP_TOLERANCE_RANGE)
-    for p in (p_rom, p_scan, p_oracle):
+    for p in (p_rom, p_scan):
         p.add_argument("--lp-tol", type=_in_range(float, *LP_TOLERANCE_RANGE, lp_range),
                        default=LP_TOLERANCE)
     return parser
@@ -335,26 +335,29 @@ def _cmd_oracle(args) -> int:
         print(json.dumps({"check": "counts", "n": args.n, "expected": expected,
                           "actual": actual, "pass": ok}))
         return EXIT_OK if ok else EXIT_INFEASIBLE
-    for trial in range(args.trials):
-        m = int(rng.integers(2, 7))
-        measurements = _random_measurement_set(args.n, m, rng)
-        if args.check == "hulls":
-            bottom = v_representation(measurements).vertices
-            top = list(oracle_mod.topdown_vertices(measurements))
-            failed = not oracle_mod.hull_equal(bottom, top, lp_tolerance=args.lp_tol)
-        elif args.check == "lemma1":
-            base = v_representation(measurements).to_txt()
-            failed = base != v_representation(measurements.padded(measurements.n + 2)).to_txt()
-        else:  # rom-bound
-            state = oracle_mod.random_pure_state(args.n, rng)
-            table = oracle_mod.full_pauli_table(state)
-            full = oracle_mod.full_rom(table, args.n, lp_tolerance=args.lp_tol)
-            vset = v_representation(measurements)
-            b = ExpectationVector.of(oracle_mod.measurement_expectations(table, measurements))
-            # a failed LP's NaN rom fails the bound too
-            failed = not reduced_rom(vset, b, lp_tolerance=args.lp_tol).rom <= full + 1e-6
-        if failed:
-            failures.append([format_pauli(p) for p in measurements])
+    try:
+        for trial in range(args.trials):
+            m = int(rng.integers(2, 7))
+            measurements = _random_measurement_set(args.n, m, rng)
+            if args.check == "hulls":
+                bottom = v_representation(measurements).vertices
+                top = list(oracle_mod.topdown_vertices(measurements))
+                failed = not oracle_mod.hull_equal(bottom, top)
+            elif args.check == "lemma1":
+                base = v_representation(measurements).to_txt()
+                failed = base != v_representation(measurements.padded(measurements.n + 2)).to_txt()
+            else:  # rom-bound
+                state = oracle_mod.random_pure_state(args.n, rng)
+                table = oracle_mod.full_pauli_table(state)
+                full = oracle_mod.full_rom(table, args.n)
+                vset = v_representation(measurements)
+                b = ExpectationVector.of(oracle_mod.measurement_expectations(table, measurements))
+                # a failed LP's NaN rom fails the bound too
+                failed = not reduced_rom(vset, b).rom <= full + 1e-6
+            if failed:
+                failures.append([format_pauli(p) for p in measurements])
+    except (RuntimeError, ValueError) as exc:  # the oracle's own LP failed
+        raise CliError(f"oracle --check {args.check}: {exc}", EXIT_SOLVER) from None
     report = {
         "check": args.check,
         "n": args.n,

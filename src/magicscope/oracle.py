@@ -62,16 +62,12 @@ def _symplectic_product(e1: int, e2: int, n: int) -> int:
 
 
 def _isotropic_subspaces(n: int) -> List[Tuple[int, ...]]:
-    """Canonical generator tuples of all maximal isotropic subspaces."""
+    """Canonical generator tuples of all maximal isotropic subspaces, one per subspace."""
     results: List[Tuple[int, ...]] = []
-    seen: Set[frozenset] = set()
 
     def extend(gens: List[int], span: Set[int]) -> None:
         if len(gens) == n:
-            fingerprint = frozenset(span)
-            if fingerprint not in seen:
-                seen.add(fingerprint)
-                results.append(tuple(gens))
+            results.append(tuple(gens))
             return
         start = gens[-1] + 1 if gens else 1
         for e in range(start, 1 << (2 * n)):
@@ -169,7 +165,7 @@ def _full_lp_matrix(n: int) -> np.ndarray:
     return a
 
 
-def full_rom(pauli_table: Sequence[float], n: int, lp_tolerance: float = LP_TOLERANCE) -> float:
+def full_rom(pauli_table: Sequence[float], n: int) -> float:
     """Robustness over the complete stabilizer polytope (Eq.-4-style LP)."""
     if n > ORACLE_PROJECTION_MAX_QUBITS:
         raise ValueError(f"full robustness oracle capped at n <= {ORACLE_PROJECTION_MAX_QUBITS}")
@@ -186,24 +182,23 @@ def full_rom(pauli_table: Sequence[float], n: int, lp_tolerance: float = LP_TOLE
         b_eq=b,
         bounds=(0, None),
         method="highs",
-        options={"primal_feasibility_tolerance": lp_tolerance},
+        options={"primal_feasibility_tolerance": LP_TOLERANCE},
     )
     if res.status == 2:
         raise ValueError("expectation table is not consistent with any state")
     if res.status != 0:
-        raise RuntimeError(f"full robustness LP failed with status {res.status}")
+        raise RuntimeError(f"full robustness LP failed with status {res.status}: {res.message}")
     return float(res.fun)
 
 
 def hull_contains(
-    points: Iterable[Sequence[float]],
-    hull_points: Sequence[Sequence[float]],
-    lp_tolerance: float = LP_TOLERANCE,
+    points: Iterable[Sequence[float]], hull_points: Sequence[Sequence[float]]
 ) -> bool:
     """Every point within DECISION_TOLERANCE (inf-norm) of the convex hull of hull_points.
 
-    One dense LP over every hull point per point, at the tolerance of
-    ``RomResult.member``; a failed LP raises a RuntimeError, not a verdict.
+    One dense LP over every hull point per point, solved at ``LP_TOLERANCE``
+    and decided at the tolerance of ``RomResult.member``; a failed LP raises
+    a RuntimeError, not a verdict.
     """
     hull = np.asarray(list(hull_points), dtype=float)
     n_vert, dim = hull.shape
@@ -225,7 +220,7 @@ def hull_contains(
             b_eq=[1.0],
             bounds=(0, None),
             method="highs",
-            options={"primal_feasibility_tolerance": lp_tolerance},
+            options={"primal_feasibility_tolerance": LP_TOLERANCE},
         )
         if res.status != 0:
             raise RuntimeError(f"hull membership LP failed with status {res.status}: {res.message}")
@@ -234,14 +229,10 @@ def hull_contains(
     return True
 
 
-def hull_equal(
-    a: Iterable[Sequence[float]],
-    b: Iterable[Sequence[float]],
-    lp_tolerance: float = LP_TOLERANCE,
-) -> bool:
+def hull_equal(a: Iterable[Sequence[float]], b: Iterable[Sequence[float]]) -> bool:
     a = [tuple(p) for p in a]
     b = [tuple(p) for p in b]
-    return hull_contains(a, b, lp_tolerance) and hull_contains(b, a, lp_tolerance)
+    return hull_contains(a, b) and hull_contains(b, a)
 
 
 def measurement_expectations(

@@ -29,6 +29,7 @@ from magicscope.cli import (
 )
 from magicscope.cli import CliError
 from magicscope.pauli import format_pauli
+from magicscope.rom import LP_TOLERANCE
 from magicscope.spinchain import SpinChainSpec, hamiltonian_measurement_set
 from util import fail_highs
 
@@ -539,6 +540,21 @@ class TestOracleCommand:
         assert payload["pass"] is False and len(drawn) == 2
         assert payload["failures"] == [[format_pauli(p) for p in ms] for ms in drawn]
 
+    @pytest.mark.parametrize("check, status, cause", [
+        ("hulls", 4, "status 4: injected"),
+        ("hulls", 2, "status 2: injected"),  # an infeasible hull LP is no verdict either
+        ("rom-bound", 4, "status 4: injected"),
+        ("rom-bound", 2, "not consistent with any state"),  # full_rom's ValueError
+    ])
+    def test_a_failed_oracle_lp_exits_4(self, capsys, monkeypatch, check, status, cause):
+        import magicscope.oracle as oracle
+
+        fail_highs(monkeypatch, oracle, status)
+        assert main(["oracle", "--check", check, "--n", "2", "--trials", "2"]) == EXIT_SOLVER
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"oracle --check {check}: ")
+        assert cause in captured.err
+
     def test_n_cap(self, capsys, monkeypatch):
         import magicscope.cli as cli
         import magicscope.oracle as oracle
@@ -661,7 +677,7 @@ class TestGlobalFlags:
 
     @pytest.mark.parametrize(
         "command, flag, value",
-        [(c, "--lp-tol", v) for c in ("rom", "scan", "oracle")
+        [(c, "--lp-tol", v) for c in ("rom", "scan")
          for v in ("nan", "inf", "-1", "0", "1e-12", "1")]
         + [("oracle", "--seed", "-1")],
     )
@@ -687,6 +703,7 @@ class TestGlobalFlags:
             ("polytope", "--seed"), ("rom", "--threads"), ("rom", "--seed"),
             ("rom", "--decision-tol"), ("scan", "--threads"), ("scan", "--decision-tol"),
             ("scan", "--seed"), ("oracle", "--decision-tol"), ("oracle", "--threads"),
+            ("oracle", "--lp-tol"),
         ],
     )
     @pytest.mark.parametrize("place", ["global", "subcommand"])
@@ -719,11 +736,11 @@ class TestGlobalFlags:
         assert len(linprog_tolerances) >= 2 and set(linprog_tolerances) == {("rom", 2e-7)}
 
     def test_lp_tol_reaches_oracle_solver(self, argv_of, capsys, linprog_tolerances):
-        assert main(argv_of("oracle", "--lp-tol", "4e-8", "--seed", "1")) == EXIT_OK
+        assert main(argv_of("oracle", "--seed", "1")) == EXIT_OK
         # rom-bound solves the reduced LP and the full one that bounds it
-        assert set(linprog_tolerances) == {("rom", 4e-8), ("oracle", 4e-8)}
+        assert set(linprog_tolerances) == {("rom", LP_TOLERANCE), ("oracle", LP_TOLERANCE)}
         linprog_tolerances.clear()
-        argv = argv_of("oracle", "--lp-tol", "4e-8", "--seed", "1")
+        argv = argv_of("oracle", "--seed", "1")
         argv[argv.index("rom-bound")] = "hulls"
         assert main(argv) == EXIT_OK
-        assert linprog_tolerances and set(linprog_tolerances) == {("oracle", 4e-8)}
+        assert linprog_tolerances and set(linprog_tolerances) == {("oracle", LP_TOLERANCE)}

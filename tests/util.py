@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from magicscope.pauli import MeasurementSet, PauliString, format_pauli
+from magicscope.rom import LP_TOLERANCE
 
 _SINGLE = {
     (0, 0): np.eye(2, dtype=complex),
@@ -50,7 +51,7 @@ def sparse_pauli_matrix(p: PauliString) -> sp.csr_matrix:
     return (1j**p.phase_k) * full
 
 
-def solve_l1_dense(vmat: np.ndarray, b_eq: np.ndarray, lp_tolerance: float = 1e-9):
+def solve_l1_dense(vmat: np.ndarray, b_eq: np.ndarray):
     """Full p - q split LP over every vertex; returns (fun, coefficients, status).
 
     The reference for the package's column-generation solver: one dense
@@ -68,7 +69,7 @@ def solve_l1_dense(vmat: np.ndarray, b_eq: np.ndarray, lp_tolerance: float = 1e-
         b_eq=b_eq,
         bounds=(0, None),
         method="highs",
-        options={"primal_feasibility_tolerance": lp_tolerance},
+        options={"primal_feasibility_tolerance": LP_TOLERANCE},
     )
     if res.status != 0:
         return math.nan, None, res.status
