@@ -3,9 +3,9 @@
 Subcommands and the flags that each reads; a value out of its range
 exits 1 before any file is read:
   polytope   measurement file -> vertex file (json or txt): --out, --format
-  rom        measurement file + expectations -> robustness verdict: --lp-tol in [1e-10, 1)
-  scan       spin-chain parameter sweep -> CSV: --model, --n, --grid,
-             --measurements, --boundary, --out, --resume, --lp-tol
+  rom        measurement file + expectations -> robustness verdict
+  scan       spin-chain parameter sweep -> CSV: --model, --n in 3-14, --grid,
+             --measurements, --boundary, --out, --resume
   oracle     brute-force cross-checks at small qubit counts: --check,
              --n in 1-4 (counts) or 1-3 (others), --trials >= 1, --seed >= 0
 
@@ -31,14 +31,9 @@ import numpy as np
 from . import oracle as oracle_mod
 from .pauli import MeasurementSet, PauliError, format_pauli, hermitian, read_measurement_file
 from .polytope import v_representation
-from .rom import (
-    LP_TOLERANCE,
-    LP_TOLERANCE_RANGE,
-    ExpectationVector,
-    reduced_rom,
-    sample_complexity,
-)
+from .rom import ExpectationVector, reduced_rom, sample_complexity
 from .spinchain import (
+    _MAX_QUBITS,
     SpinChainSpec,
     hamiltonian_measurement_set,
     sweep_records,
@@ -86,7 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="spin-chain parameter sweep")
     p_scan.add_argument("--model", required=True, choices=("tfim", "annni", "xxz"))
-    p_scan.add_argument("--n", required=True, type=int)
+    p_scan.add_argument("--n", required=True, type=_in_range(
+        int, 3, _MAX_QUBITS + 1, f"a qubit count in [3, {_MAX_QUBITS}]"))
     p_scan.add_argument("--grid", required=True, help="param=start:stop:steps[,...]")
     p_scan.add_argument("--measurements", default="first-cell",
                         help="first-cell, all-terms, or a measurement file path")
@@ -102,11 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--trials", type=at_least_one, default=20)
     p_oracle.add_argument("--seed", type=_in_range(int, 0, math.inf, "an integer >= 0"),
                           default=0)
-
-    lp_range = "a number in [{:g}, {:g})".format(*LP_TOLERANCE_RANGE)
-    for p in (p_rom, p_scan):
-        p.add_argument("--lp-tol", type=_in_range(float, *LP_TOLERANCE_RANGE, lp_range),
-                       default=LP_TOLERANCE)
     return parser
 
 
@@ -136,7 +127,8 @@ def _read_expectations(path: str, measurements: MeasurementSet) -> ExpectationVe
         else:
             values = [float(line) for line in text.splitlines() if line.strip()]
         expectations = ExpectationVector.of(values)
-    except (KeyError, TypeError, ValueError) as exc:  # JSON and UTF-8 errors are ValueErrors
+    # JSON and UTF-8 errors are ValueErrors; float() of a huge JSON integer overflows
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise CliError(f"{path}: {type(exc).__name__}: {exc}", EXIT_PARSE) from None
     if expectations.m != len(measurements):
         raise CliError(
@@ -189,7 +181,7 @@ def _cmd_rom(args) -> int:
     measurements = _load_measurements(args.measurements)
     expectations = _read_expectations(args.expectations, measurements)
     vset = v_representation(measurements)
-    result = reduced_rom(vset, expectations, lp_tolerance=args.lp_tol)
+    result = reduced_rom(vset, expectations)
     if result.status == "infeasible":
         raise CliError("expectations lie outside the affine hull", EXIT_INFEASIBLE)
     if result.status != "optimal":
@@ -288,7 +280,7 @@ def _cmd_scan(args) -> int:
             writer.writerow(columns)
             fh.flush()
         vset = v_representation(measurements)
-        records = sweep_records(spec, pending, vset, lp_tolerance=args.lp_tol)
+        records = sweep_records(spec, pending, vset)
         # each row reaches the file as its point finishes, in grid order, so
         # a killed scan leaves a prefix of the grid for --resume to extend
         for record in records:

@@ -48,14 +48,11 @@ __all__ = [
     "reduced_rom",
     "sample_complexity",
     "LP_TOLERANCE",
-    "LP_TOLERANCE_RANGE",
     "DECISION_TOLERANCE",
     "SYMMETRY_TOLERANCE",
 ]
 
 LP_TOLERANCE = 1e-9
-# [low, high) of the tolerances HiGHS takes: it drops a lower one, and fails at 1
-LP_TOLERANCE_RANGE = (1e-10, 1.0)
 DECISION_TOLERANCE = 1e-7
 INPUT_TOLERANCE = 1e-6
 # largest orbit spread of b that still takes the symmetric path; the same
@@ -136,7 +133,6 @@ def _failure(cause: str):
 def _solve_l1_column_generation(
     vmat: np.ndarray,
     b_eq: np.ndarray,
-    lp_tolerance: float = LP_TOLERANCE,
     warm: Optional[np.ndarray] = None,
 ):
     """Solve the 1-norm LP by dual cutting planes; returns (fun, coefficients, status, cause).
@@ -157,8 +153,8 @@ def _solve_l1_column_generation(
     DECISION_TOLERANCE, the optimum is found.  If x does not reproduce
     b_eq the box is binding, so it is widened, and past 1e12 the primal
     is infeasible.  The dual is always feasible at y = 0, so any HiGHS
-    failure, a larger duality gap (as a loose lp_tolerance leaves) and
-    no optimum after 200 rounds are solver failures, not infeasibility.
+    failure, a larger duality gap and no optimum after 200 rounds are
+    solver failures, not infeasibility.
     """
     n_vert, m = vmat.shape
     active = _aligned_rows(vmat, b_eq) if warm is None else warm
@@ -178,10 +174,10 @@ def _solve_l1_column_generation(
             bounds=(-bound, bound),
             method="highs",
             # the dual objective is the reported rom, so it must be optimal to
-            # lp_tolerance as well (HiGHS's default dual tolerance is 1e-7)
+            # LP_TOLERANCE as well (HiGHS's default dual tolerance is 1e-7)
             options={
-                "primal_feasibility_tolerance": lp_tolerance,
-                "dual_feasibility_tolerance": lp_tolerance,
+                "primal_feasibility_tolerance": LP_TOLERANCE,
+                "dual_feasibility_tolerance": LP_TOLERANCE,
             },
         )
         if res.status != 0:
@@ -212,7 +208,7 @@ def _solve_l1_column_generation(
     return _failure("no optimum after 200 column-generation rounds")
 
 
-def _solve_symmetric(vset: VertexSet, b_eq: np.ndarray, lp_tolerance: float):
+def _solve_symmetric(vset: VertexSet, b_eq: np.ndarray):
     """The 1-norm LP over the orbit-sum points.
 
     Returns ``_solve_l1_column_generation``'s optimal result, one weight
@@ -232,7 +228,7 @@ def _solve_symmetric(vset: VertexSet, b_eq: np.ndarray, lp_tolerance: float):
     warm = reduction.hull
     if warm is None:
         warm = np.union1d(reduction.probes, _aligned_rows(reduction.points, target))
-    solved = _solve_l1_column_generation(reduction.points, target, lp_tolerance, warm)
+    solved = _solve_l1_column_generation(reduction.points, target, warm)
     _, weights, status, _ = solved
     if status != "optimal":
         return None
@@ -243,20 +239,16 @@ def _solve_symmetric(vset: VertexSet, b_eq: np.ndarray, lp_tolerance: float):
     return solved
 
 
-def reduced_rom(
-    vset: VertexSet,
-    b: ExpectationVector,
-    lp_tolerance: float = LP_TOLERANCE,
-) -> RomResult:
+def reduced_rom(vset: VertexSet, b: ExpectationVector) -> RomResult:
     """min ||x||_1 s.t. sum_j x_j v_j = b, sum_j x_j = 1.
 
     Solved by column generation at every vertex count.  It stops once no
     vertex violates the dual and the last dual solve's marginals
     reproduce b; those marginals, scattered over all vertices, are the
     coefficients.  A binding dual box past 1e12 means b lies outside the
-    affine hull ("infeasible").  lp_tolerance is the LP solver's primal and
-    dual feasibility tolerance.  A HiGHS failure, a solve whose
-    coefficients' 1-norm and dual objective differ by more than
+    affine hull ("infeasible").  Every LP solves at LP_TOLERANCE, its
+    primal and dual feasibility tolerance.  A HiGHS failure, a solve
+    whose coefficients' 1-norm and dual objective differ by more than
     DECISION_TOLERANCE, or no optimum after 200 rounds is a solver failure
     ("numerically-degenerate", with its cause in ``cause``), not a verdict.
     An optimal b is a ``member`` when rom <= 1 + DECISION_TOLERANCE, the
@@ -272,10 +264,10 @@ def reduced_rom(
     if vset.measurements.m != b.m:
         raise ValueError("dimension mismatch between vertex set and expectations")
     b_eq = np.concatenate([np.asarray(b.values, dtype=float), [1.0]])
-    solved = _solve_symmetric(vset, b_eq, lp_tolerance)
+    solved = _solve_symmetric(vset, b_eq)
     path = "symmetric"
     if solved is None:
-        solved = _solve_l1_column_generation(vset.vertices, b_eq, lp_tolerance)
+        solved = _solve_l1_column_generation(vset.vertices, b_eq)
         path = "full"
     rom, coeffs, status, cause = solved
     member = status == "optimal" and rom <= 1.0 + DECISION_TOLERANCE

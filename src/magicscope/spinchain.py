@@ -38,7 +38,7 @@ from scipy.sparse._sparsetools import csr_matvec
 from .pauli import MeasurementSet, PauliString, hermitian, pauli_expectations, z_signs
 from .pauli import pauli_expectation  # re-exported: perfbench imports it from this module
 from .polytope import VertexSet
-from .rom import LP_TOLERANCE, ExpectationVector, reduced_rom
+from .rom import ExpectationVector, reduced_rom
 
 __all__ = [
     "SpinChainSpec",
@@ -423,7 +423,6 @@ def sweep_records(
     spec: SpinChainSpec,
     grid: Sequence[Dict[str, float]],
     vset: VertexSet,
-    lp_tolerance: float = LP_TOLERANCE,
 ) -> Iterator[SweepRecord]:
     """One record per grid point, yielded in grid order as each finishes, on
     the caller's thread; eigensolver failures are recorded, not raised.
@@ -443,9 +442,7 @@ def sweep_records(
             terms = build_hamiltonian(spec.with_params(point))
             gs = _ground_state(pattern, terms)
             expectations = gs.expectations(vset.measurements)
-            result = reduced_rom(
-                vset, ExpectationVector.of(expectations), lp_tolerance=lp_tolerance
-            )
+            result = reduced_rom(vset, ExpectationVector.of(expectations))
             return SweepRecord(
                 dict(point),
                 gs.energy,

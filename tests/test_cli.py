@@ -31,7 +31,7 @@ from magicscope.cli import CliError
 from magicscope.pauli import format_pauli
 from magicscope.rom import LP_TOLERANCE
 from magicscope.spinchain import SpinChainSpec, hamiltonian_measurement_set
-from util import fail_highs
+from util import fail_highs, loosen_highs
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -233,9 +233,10 @@ class TestRom:
             ("b.txt", b"\xff\xfe0\n0\n0\n"),
             ("b.json", b'{"expectations": [true, false, true]}'),
             ("b.json", b'{"expectations": ["0.5", "0.5", "0.5"]}'),
+            ("b.json", b'{"expectations": [%s, 0, 0]}' % (b"9" * 400)),
         ],
         ids=["non-numeric-line", "truncated-json", "no-expectations-key", "nan", "not-utf8",
-             "json-bool", "json-string"],
+             "json-bool", "json-string", "json-huge-int"],
     )
     def test_malformed_expectations_are_parse_errors(
         self, octahedron_file, tmp_path, capsys, name, data
@@ -252,14 +253,20 @@ class TestRom:
         assert main(["rom", ms, b]) == EXIT_INFEASIBLE
 
     def test_duality_gap_at_loose_tolerance_is_solver_failure(
-        self, octahedron_file, tmp_path, capsys
+        self, octahedron_file, tmp_path, capsys, monkeypatch
     ):
-        # rom 1.5; at --lp-tol 0.9 the dual objective reads 1.0, a false membership
+        import magicscope.rom as rom
+
+        # rom 1.5; at feasibility tolerance 0.9 the dual objective reads 1.0,
+        # a false membership
         b = write(tmp_path / "b.txt", "0.5\n0.5\n0.5\n")
-        assert main(["rom", octahedron_file, b, "--lp-tol", "0.9"]) == EXIT_SOLVER
+        with monkeypatch.context() as patch:
+            loosen_highs(patch, rom, 0.9)
+            assert main(["rom", octahedron_file, b]) == EXIT_SOLVER
         captured = capsys.readouterr()
         assert captured.out == "" and "duality gap 0.5" in captured.err
-        assert main(["rom", octahedron_file, b, "--lp-tol", "0.5"]) == EXIT_OK
+        loosen_highs(monkeypatch, rom, 0.5)
+        assert main(["rom", octahedron_file, b]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["rom"] == pytest.approx(1.5, abs=1e-9)
 
     def test_a_highs_failure_exits_4_with_its_status(
@@ -299,11 +306,14 @@ class TestScan:
         assert float(rows[0]["rom"]) == pytest.approx(1.0, abs=1e-6)
         assert all(r["solver_status"] == "optimal" for r in rows)
 
-    def test_failed_lps_exit_4_with_their_cause(self, tmp_path, capsys):
-        # at --lp-tol 0.9 every LP but the g = 0 one leaves a duality gap
+    def test_failed_lps_exit_4_with_their_cause(self, tmp_path, capsys, monkeypatch):
+        import magicscope.rom as rom
+
+        # at feasibility tolerance 0.9 every LP but the g = 0 one leaves a duality gap
+        loosen_highs(monkeypatch, rom, 0.9)
         out = tmp_path / "scan.csv"
         code = main(["scan", "--model", "tfim", "--n", "4", "--grid", "g=0:2:5",
-                     "--lp-tol", "0.9", "--out", str(out)])
+                     "--out", str(out)])
         assert code == EXIT_SOLVER
         err = capsys.readouterr().err
         with open(out, newline="") as fh:
@@ -622,12 +632,6 @@ class TestGlobalFlags:
     def test_usage_exit_code(self):
         assert main(["no-such-command"]) == EXIT_USAGE
 
-    def test_negative_tolerance_rejected(self, octahedron_file, tmp_path, capsys):
-        b = write(tmp_path / "b.txt", "0\n0\n0\n")
-        assert main(["rom", octahedron_file, b, "--lp-tol", "-1"]) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == "" and "--lp-tol" in captured.err
-
     def test_non_utf8_measurement_file_is_parse_error(self, tmp_path, capsys):
         ms = tmp_path / "m.bin"
         ms.write_bytes(b"\xff\xfeZZ\nXI\n")
@@ -649,7 +653,8 @@ class TestGlobalFlags:
 
     @pytest.fixture
     def linprog_tolerances(self, monkeypatch):
-        """(module, primal feasibility tolerance) of every LP that rom and oracle solve."""
+        """(module, option, value) of each feasibility tolerance that an LP of
+        rom or oracle sets, primal and dual."""
         import magicscope.oracle as oracle
         import magicscope.rom as rom
 
@@ -658,7 +663,9 @@ class TestGlobalFlags:
             name = module.__name__.rsplit(".", 1)[1]
 
             def recording(*args, _name=name, _original=module.linprog, **kwargs):
-                seen.append((_name, kwargs["options"]["primal_feasibility_tolerance"]))
+                for option in ("primal_feasibility_tolerance", "dual_feasibility_tolerance"):
+                    if option in kwargs["options"]:
+                        seen.append((_name, option, kwargs["options"][option]))
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(module, "linprog", recording)
@@ -677,9 +684,7 @@ class TestGlobalFlags:
 
     @pytest.mark.parametrize(
         "command, flag, value",
-        [(c, "--lp-tol", v) for c in ("rom", "scan")
-         for v in ("nan", "inf", "-1", "0", "1e-12", "1")]
-        + [("oracle", "--seed", "-1")],
+        [("scan", "--n", "2"), ("scan", "--n", "15"), ("oracle", "--seed", "-1")],
     )
     def test_out_of_range_value_is_refused_before_any_work(
         self, tmp_path, capsys, monkeypatch, linprog_tolerances, argv_of, command, flag, value
@@ -703,7 +708,7 @@ class TestGlobalFlags:
             ("polytope", "--seed"), ("rom", "--threads"), ("rom", "--seed"),
             ("rom", "--decision-tol"), ("scan", "--threads"), ("scan", "--decision-tol"),
             ("scan", "--seed"), ("oracle", "--decision-tol"), ("oracle", "--threads"),
-            ("oracle", "--lp-tol"),
+            ("oracle", "--lp-tol"), ("rom", "--lp-tol"), ("scan", "--lp-tol"),
         ],
     )
     @pytest.mark.parametrize("place", ["global", "subcommand"])
@@ -720,27 +725,27 @@ class TestGlobalFlags:
 
     @pytest.mark.parametrize(
         "command, flag",
-        [("rom", "--lp-tol"), ("scan", "--lp-tol"), ("oracle", "--seed")],
+        [("scan", "--boundary"), ("oracle", "--seed")],
     )
     def test_flag_before_its_subcommand_is_refused(self, capsys, argv_of, command, flag):
-        value = "1e-6" if "tol" in flag else "2"
+        value = "open" if flag == "--boundary" else "2"
         assert main([flag, value] + argv_of(command)) == EXIT_USAGE
         assert capsys.readouterr().out == ""
 
-    def test_lp_tol_reaches_rom_solver(self, argv_of, capsys, linprog_tolerances):
-        assert main(argv_of("rom", "--lp-tol", "3e-8")) == EXIT_OK
-        assert set(linprog_tolerances) == {("rom", 3e-8)}
-
-    def test_lp_tol_reaches_scan_solver(self, argv_of, linprog_tolerances):
-        assert main(argv_of("scan", "--lp-tol", "2e-7")) == EXIT_OK
-        assert len(linprog_tolerances) >= 2 and set(linprog_tolerances) == {("rom", 2e-7)}
-
-    def test_lp_tol_reaches_oracle_solver(self, argv_of, capsys, linprog_tolerances):
-        assert main(argv_of("oracle", "--seed", "1")) == EXIT_OK
-        # rom-bound solves the reduced LP and the full one that bounds it
-        assert set(linprog_tolerances) == {("rom", LP_TOLERANCE), ("oracle", LP_TOLERANCE)}
-        linprog_tolerances.clear()
-        argv = argv_of("oracle", "--seed", "1")
-        argv[argv.index("rom-bound")] = "hulls"
-        assert main(argv) == EXIT_OK
-        assert linprog_tolerances and set(linprog_tolerances) == {("oracle", LP_TOLERANCE)}
+    def test_every_lp_solves_at_lp_tolerance(self, argv_of, capsys, linprog_tolerances):
+        primal, dual = "primal_feasibility_tolerance", "dual_feasibility_tolerance"
+        hulls = argv_of("oracle", "--seed", "1")
+        hulls[hulls.index("rom-bound")] = "hulls"
+        reduced = {("rom", primal), ("rom", dual)}
+        # rom-bound solves the reduced LP and the full one that bounds it; the
+        # oracle's own LPs set only the primal tolerance
+        for argv, options in [
+            (argv_of("rom"), reduced),
+            (argv_of("scan"), reduced),
+            (argv_of("oracle", "--seed", "1"), reduced | {("oracle", primal)}),
+            (hulls, {("oracle", primal)}),
+        ]:
+            linprog_tolerances.clear()
+            assert main(argv) == EXIT_OK, argv
+            assert {(module, option) for module, option, _ in linprog_tolerances} == options
+            assert {value for *_, value in linprog_tolerances} == {LP_TOLERANCE}, argv

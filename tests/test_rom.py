@@ -27,7 +27,7 @@ from magicscope.spinchain import (
     ground_state,
     hamiltonian_measurement_set,
 )
-from util import fail_highs, fibres, lift, random_clifford, solve_l1_dense
+from util import fail_highs, fibres, lift, loosen_highs, random_clifford, solve_l1_dense
 
 XXZ12_WINDOW = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "xxz12_window.txt"
 
@@ -119,14 +119,13 @@ class TestReducedRom:
         assert result.status == "infeasible"
         assert not result.member
 
-    def test_failures_carry_no_coefficients(self):
+    def test_failures_carry_no_coefficients(self, monkeypatch):
         infeasible = reduced_rom(
             v_representation(MeasurementSet.from_strings(["+Z", "-Z"])),
             ExpectationVector.of([1.0, 1.0]),
         )
-        failed = reduced_rom(
-            v_representation(OCTAHEDRON), ExpectationVector.of([0.5, 0.5, 0.5]), lp_tolerance=0.9
-        )
+        loosen_highs(monkeypatch, rom, 0.9)  # a duality gap, as in test_duality_gap_is_a_failure
+        failed = reduced_rom(v_representation(OCTAHEDRON), ExpectationVector.of([0.5, 0.5, 0.5]))
         assert infeasible.status == "infeasible"
         assert failed.status == "numerically-degenerate"
         assert infeasible.coefficients.size == failed.coefficients.size == 0
@@ -196,16 +195,20 @@ class TestColumnGeneration:
                 assert abs(x_cg.sum() - 1.0) < 1e-8, texts
                 assert abs(np.abs(x_cg).sum() - f_cg) < 1e-8, texts
 
-    def test_duality_gap_is_a_failure(self):
-        # at lp_tolerance 0.9 the last dual solve reads 1.0 while its marginals,
-        # which reproduce b, have the true rom 1.5 as their 1-norm
+    def test_duality_gap_is_a_failure(self, monkeypatch):
+        # at feasibility tolerance 0.9 the last dual solve reads 1.0 while its
+        # marginals, which reproduce b, have the true rom 1.5 as their 1-norm
         vset = v_representation(OCTAHEDRON)
         b = ExpectationVector.of([0.5, 0.5, 0.5])
-        result = reduced_rom(vset, b, lp_tolerance=0.9)
+        with monkeypatch.context() as patch:
+            loosen_highs(patch, rom, 0.9)
+            result = reduced_rom(vset, b)
         assert result.status == "numerically-degenerate" and not result.member
         assert result.cause.startswith("duality gap 0.5")
         for tol in (1e-9, 1e-4, 0.5):
-            result = reduced_rom(vset, b, lp_tolerance=tol)
+            with monkeypatch.context() as patch:
+                loosen_highs(patch, rom, tol)
+                result = reduced_rom(vset, b)
             assert result.status == "optimal" and result.cause == ""
             assert abs(result.rom - 1.5) < 1e-9
 
@@ -253,6 +256,38 @@ class TestColumnGeneration:
             vmat, np.array([1.0, 1.0, 1.0])
         )
         assert status == "infeasible" and coeffs.size == 0 and fun == math.inf
+
+
+class TestClosedForms:
+    """Sets past n = 3 whose reduced robustness has a closed form, on both paths."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_majorana_strings_give_the_cross_polytope(self, n):
+        # the 2n Jordan-Wigner Majoranas Z..Z X_k, Z..Z Y_k and their parity Z..Z
+        # pairwise anticommute, so their polytope is the cross-polytope
+        texts = ["Z" * k + ch + "I" * (n - k - 1) for k in range(n) for ch in "XY"]
+        vset = v_representation(MeasurementSet.from_strings(texts + ["Z" * n]))
+        rng = np.random.default_rng(n)
+        for scale in (0.05, 0.2, 0.6, 1.0):  # inside the polytope and out
+            b = rng.uniform(-1, 1, 2 * n + 1) * scale
+            result = reduced_rom(vset, ExpectationVector.of(b))
+            assert result.status == "optimal" and result.path == "full"
+            assert abs(result.rom - max(1.0, np.abs(b).sum())) < 1e-9
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_single_qubit_paulis_give_the_worst_qubit(self, n):
+        # X, Y and Z on each qubit: a product of octahedra, whose rom is the worst qubit's
+        vset = v_representation(MeasurementSet.from_strings(marginal_texts(n)))
+        rng = np.random.default_rng(n)
+        for scale in (0.3, 1.0):
+            bloch = rng.uniform(-1, 1, 3) * scale
+            same = reduced_rom(vset, ExpectationVector.of(np.tile(bloch, n)))
+            assert same.status == "optimal" and same.path == "symmetric"
+            assert abs(same.rom - max(1.0, np.abs(bloch).sum())) < 1e-9
+            per_qubit = rng.uniform(-1, 1, (n, 3)) * scale
+            each = reduced_rom(vset, ExpectationVector.of(per_qubit.ravel()))
+            assert each.status == "optimal" and each.path == "full"
+            assert abs(each.rom - max(1.0, np.abs(per_qubit).sum(axis=1).max())) < 1e-9
 
 
 class TestSolverFailures:

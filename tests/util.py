@@ -1,4 +1,4 @@
-"""Shared test helpers: dense matrices, a dense LP, an injected LP failure,
+"""Shared test helpers: dense matrices, a dense LP, an injected or loosened LP,
 Clifford circuits and hypothesis strategies.
 
 The dense constructions here are deliberately independent of the
@@ -86,6 +86,18 @@ def fail_highs(monkeypatch, module, status: int) -> None:
         return res
 
     monkeypatch.setattr(module, "linprog", failing)
+
+
+def loosen_highs(monkeypatch, module, tolerance: float) -> None:
+    """Patch ``module.linprog`` so that every solve runs at primal and dual
+    feasibility tolerance ``tolerance``; a loose one can leave a duality gap."""
+    solve = module.linprog
+
+    def loosened(*args, options, **kwargs):
+        loose = {"primal_feasibility_tolerance": tolerance, "dual_feasibility_tolerance": tolerance}
+        return solve(*args, options={**options, **loose}, **kwargs)
+
+    monkeypatch.setattr(module, "linprog", loosened)
 
 
 def span_rank(paulis) -> int:
