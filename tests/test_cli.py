@@ -732,20 +732,32 @@ class TestGlobalFlags:
         assert main([flag, value] + argv_of(command)) == EXIT_USAGE
         assert capsys.readouterr().out == ""
 
-    def test_every_lp_solves_at_lp_tolerance(self, argv_of, capsys, linprog_tolerances):
-        primal, dual = "primal_feasibility_tolerance", "dual_feasibility_tolerance"
-        hulls = argv_of("oracle", "--seed", "1")
-        hulls[hulls.index("rom-bound")] = "hulls"
-        reduced = {("rom", primal), ("rom", dual)}
+    # Every robustness LP and every oracle LP solves at LP_TOLERANCE, the one
+    # tolerance there is: each test records the feasibility options each
+    # module's linprog receives.
+    PRIMAL, DUAL = "primal_feasibility_tolerance", "dual_feasibility_tolerance"
+    REDUCED = {("rom", PRIMAL), ("rom", DUAL)}
+
+    @staticmethod
+    def _solves_only_at_lp_tolerance(argv, linprog_tolerances, options):
+        linprog_tolerances.clear()
+        assert main(argv) == EXIT_OK, argv
+        assert {(module, option) for module, option, _ in linprog_tolerances} == options
+        assert {value for *_, value in linprog_tolerances} == {LP_TOLERANCE}, argv
+
+    def test_lp_tol_reaches_rom_solver(self, argv_of, capsys, linprog_tolerances):
+        self._solves_only_at_lp_tolerance(argv_of("rom"), linprog_tolerances, self.REDUCED)
+
+    def test_lp_tol_reaches_scan_solver(self, argv_of, linprog_tolerances):
+        self._solves_only_at_lp_tolerance(argv_of("scan"), linprog_tolerances, self.REDUCED)
+
+    def test_lp_tol_reaches_oracle_solver(self, argv_of, capsys, linprog_tolerances):
         # rom-bound solves the reduced LP and the full one that bounds it; the
         # oracle's own LPs set only the primal tolerance
-        for argv, options in [
-            (argv_of("rom"), reduced),
-            (argv_of("scan"), reduced),
-            (argv_of("oracle", "--seed", "1"), reduced | {("oracle", primal)}),
-            (hulls, {("oracle", primal)}),
-        ]:
-            linprog_tolerances.clear()
-            assert main(argv) == EXIT_OK, argv
-            assert {(module, option) for module, option, _ in linprog_tolerances} == options
-            assert {value for *_, value in linprog_tolerances} == {LP_TOLERANCE}, argv
+        rom_bound = argv_of("oracle", "--seed", "1")
+        self._solves_only_at_lp_tolerance(
+            rom_bound, linprog_tolerances, self.REDUCED | {("oracle", self.PRIMAL)}
+        )
+        hulls = list(rom_bound)
+        hulls[hulls.index("rom-bound")] = "hulls"
+        self._solves_only_at_lp_tolerance(hulls, linprog_tolerances, {("oracle", self.PRIMAL)})
