@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -34,6 +35,7 @@ from .polytope import v_representation
 from .rom import ExpectationVector, reduced_rom, sample_complexity
 from .spinchain import (
     _MAX_QUBITS,
+    COUPLINGS,
     SpinChainSpec,
     hamiltonian_measurement_set,
     sweep_records,
@@ -80,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rom.add_argument("expectations")
 
     p_scan = sub.add_parser("scan", help="spin-chain parameter sweep")
-    p_scan.add_argument("--model", required=True, choices=("tfim", "annni", "xxz"))
+    p_scan.add_argument("--model", required=True, choices=tuple(COUPLINGS))
     p_scan.add_argument("--n", required=True, type=_in_range(
         int, 3, _MAX_QUBITS + 1, f"a qubit count in [3, {_MAX_QUBITS}]"))
     p_scan.add_argument("--grid", required=True, help="param=start:stop:steps[,...]")
@@ -223,6 +225,8 @@ def _parse_grid(spec: str) -> List[Dict[str, float]]:
 
 
 def _cmd_scan(args) -> int:
+    if args.out == "-":  # stdout for polytope, but --resume reads a scan's CSV back
+        raise CliError("scan --out takes a file path, not - (stdout)", EXIT_USAGE)
     grid = _parse_grid(args.grid)
     try:
         spec = SpinChainSpec(args.model, args.n, grid[0], args.boundary)
@@ -249,22 +253,26 @@ def _cmd_scan(args) -> int:
     run = (args.model, str(args.n), args.boundary)
     done = set()
     if args.resume and os.path.exists(args.out):
-        with open(args.out, "rb+") as fh:
-            # a row without its line end was not finished: cut it off before reading
-            fh.truncate(fh.read().rfind(b"\n") + 1)
-        with open(args.out, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is not None and reader.fieldnames != columns:
+        try:
+            with open(args.out, "rb+") as fh:
+                data = fh.read()
+                cut = data.rfind(b"\n") + 1  # a row without its line end was not finished
+                text = data[:cut].decode("utf-8")  # before the cut: a refused file stays as it is
+                fh.truncate(cut)
+        except OSError as exc:
+            raise CliError(str(exc), EXIT_USAGE) from None
+        except UnicodeDecodeError as exc:
+            raise CliError(f"{args.out}: {exc}", EXIT_PARSE) from None
+        reader = csv.DictReader(io.StringIO(text, newline=""))
+        if reader.fieldnames is not None and reader.fieldnames != columns:
+            raise CliError(f"{args.out}: header does not match this scan's columns", EXIT_USAGE)
+        for row in reader:
+            if (row["model"], row["n"], row["boundary"]) != run:
                 raise CliError(
-                    f"{args.out}: header does not match this scan's columns", EXIT_USAGE
+                    f"{args.out}: line {reader.line_num} is from another model, n or boundary",
+                    EXIT_USAGE,
                 )
-            for row in reader:
-                if (row["model"], row["n"], row["boundary"]) != run:
-                    raise CliError(
-                        f"{args.out}: line {reader.line_num} is from another model, n or boundary",
-                        EXIT_USAGE,
-                    )
-                done.add(tuple(row[name] for name in param_names))
+            done.add(tuple(row[name] for name in param_names))
 
     def key(point: Dict[str, float]):
         return tuple(repr(point[name]) for name in param_names)

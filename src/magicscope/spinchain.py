@@ -69,7 +69,19 @@ GROUND_SPACE_CAP = 16
 _CHECK_EVERY = 8
 _KRYLOV_CAP = 1000  # its steps: no run on both grids or at five n = 14 points took over 168
 _RESIDUAL_SLACK = 10.0  # over the stop rule's bound: residuals read at most 1.00 x on both grids
-COUPLINGS = {"tfim": ("g",), "annni": ("k", "g"), "xxz": ("delta", "h")}
+# Each model once, as bond groups of (qubit offsets, terms): a term is a Pauli
+# kind on every offset, the coupling that scales it (None: none; an absent one
+# is 0.0) and a scale.  Group by group, site by site, each site's terms: the
+# term order, and so the all-terms measurement order.
+MODELS = {
+    "tfim": (((0, 1), (("z", None, -1.0),)), ((0,), (("x", "g", -1.0),))),
+    "annni": (((0, 1), (("z", None, -1.0),)), ((0, 2), (("z", "k", 1.0),)),
+              ((0,), (("x", "g", -1.0),))),
+    "xxz": (((0, 1), (("x", None, 0.25), ("y", None, 0.25), ("z", "delta", 0.25))),
+            ((0,), (("x", "h", -0.5),))),
+}
+COUPLINGS = {model: tuple(c for _, terms in groups for _, c, _ in terms if c)
+             for model, groups in MODELS.items()}
 
 TermList = List[Tuple[float, PauliString]]
 
@@ -155,31 +167,16 @@ def _on(n: int, kind: str, *qubits: int) -> PauliString:
 
 
 def _structural_terms(spec: SpinChainSpec) -> TermList:
-    """Every term of the model with its weight (weights may be zero)."""
+    """Every term of the model with its weight (weights may be zero), in ``MODELS`` order."""
     n = spec.n
-    periodic = spec.boundary == "periodic"
-    terms: TermList = []
-    if spec.model in ("tfim", "annni"):
-        k = float(spec.params.get("k", 0.0))
-        g = float(spec.params.get("g", 0.0))
-        for i in range(n if periodic else n - 1):
-            terms.append((-1.0, _on(n, "z", i, (i + 1) % n)))
-        if spec.model == "annni":
-            for i in range(n if periodic else n - 2):
-                terms.append((k, _on(n, "z", i, (i + 2) % n)))
-        for i in range(n):
-            terms.append((-g, _on(n, "x", i)))
-    else:  # xxz
-        delta = float(spec.params.get("delta", 0.0))
-        h = float(spec.params.get("h", 0.0))
-        for i in range(n if periodic else n - 1):
-            j = (i + 1) % n
-            terms.append((0.25, _on(n, "x", i, j)))
-            terms.append((0.25, _on(n, "y", i, j)))
-            terms.append((0.25 * delta, _on(n, "z", i, j)))
-        for i in range(n):
-            terms.append((-0.5 * h, _on(n, "x", i)))
-    return terms
+    # an open chain keeps the bonds that do not wrap
+    return [
+        (scale if c is None else scale * float(spec.params.get(c, 0.0)),
+         _on(n, kind, *[(i + o) % n for o in offsets]))
+        for offsets, group in MODELS[spec.model]
+        for i in range(n if spec.boundary == "periodic" else n - max(offsets))
+        for kind, c, scale in group
+    ]
 
 
 def build_hamiltonian(spec: SpinChainSpec) -> TermList:
@@ -387,24 +384,18 @@ def ground_state(terms: TermList) -> GroundStateResult:
 def hamiltonian_measurement_set(spec: SpinChainSpec, scope: str = "all-terms") -> MeasurementSet:
     """Measurements matching the Hamiltonian's term structure.
 
-    "first-cell" keeps one representative per term type on the lowest
-    indices; "all-terms" keeps every distinct Pauli in the term list.
-    Signs are stripped (weights live in the Hamiltonian).
+    "first-cell" keeps each bond group's terms at site 0, the first cell
+    of "all-terms", which keeps every distinct Pauli in the term list.
+    The Paulis carry no sign (weights live in the Hamiltonian).
     """
-    n = spec.n
     if scope == "first-cell":
-        if spec.model == "tfim":
-            paulis = [_on(n, "z", 0, 1), _on(n, "x", 0)]
-        elif spec.model == "annni":
-            paulis = [_on(n, "z", 0, 1), _on(n, "z", 0, 2), _on(n, "x", 0)]
-        else:
-            paulis = [_on(n, "x", 0, 1), _on(n, "y", 0, 1), _on(n, "z", 0, 1), _on(n, "x", 0)]
-        return MeasurementSet(tuple(paulis))
+        groups = MODELS[spec.model]
+        return MeasurementSet(tuple(_on(spec.n, kind, *offsets)
+                                    for offsets, group in groups for kind, _, _ in group))
     if scope != "all-terms":
         raise ValueError(f"unknown scope {scope!r}")
     # dict.fromkeys keeps the first occurrence of each, in term order
-    stripped = (hermitian(n, p.xbits, p.zbits) for _, p in _structural_terms(spec))
-    return MeasurementSet(tuple(dict.fromkeys(stripped)))
+    return MeasurementSet(tuple(dict.fromkeys(p for _, p in _structural_terms(spec))))
 
 
 @dataclass(frozen=True)

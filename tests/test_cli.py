@@ -404,6 +404,37 @@ class TestScan:
         assert out.read_bytes() == before
 
     @pytest.mark.parametrize(
+        "make, code",
+        [(lambda out: out.mkdir(), EXIT_USAGE),
+         (lambda out: out.write_bytes(b"model,n\n\xff\xfe,4\n"), EXIT_PARSE)],
+        ids=["directory", "not-utf-8"],
+    )
+    def test_resume_reports_an_unreadable_out(self, tmp_path, capsys, monkeypatch, make, code):
+        import magicscope.cli as cli
+
+        builds = []
+        monkeypatch.setattr(cli, "v_representation", lambda *a: builds.append(a))
+        out = tmp_path / "scan.csv"
+        make(out)
+        before = out.read_bytes() if out.is_file() else None
+        assert main(["scan", "--model", "tfim", "--n", "4", "--grid", "g=0:1:3",
+                     "--out", str(out), "--resume"]) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and "scan.csv" in captured.err
+        assert "Traceback" not in captured.err
+        assert builds == [] and sorted(tmp_path.iterdir()) == [out]
+        assert (out.read_bytes() if out.is_file() else None) == before
+
+    def test_out_dash_is_refused(self, tmp_path, capsys, monkeypatch):
+        # "-" is stdout for polytope; a scan's CSV must be a file --resume can read back
+        monkeypatch.chdir(tmp_path)
+        assert main(["scan", "--model", "tfim", "--n", "4", "--grid", "g=0:1:3",
+                     "--out", "-"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--out" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "other", [["--model", "annni"], ["--boundary", "open"]], ids=["other-model", "other-boundary"]
     )
     def test_resume_rejects_rows_of_another_run(self, tmp_path, other):
@@ -628,6 +659,15 @@ class TestGlobalFlags:
                 parser.parse_args(argv)
             except SystemExit:
                 pytest.fail(f"README's magicscope {shlex.join(argv)} does not parse")
+
+    def test_readme_library_sketch_runs(self, capsys):
+        # its python block prints the T state's rom, sqrt(3), and the witness
+        text = (ROOT / "README.md").read_text()
+        (block,) = re.findall(r"^```python\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
+        exec(block, {})
+        rom, witnessed = capsys.readouterr().out.split()
+        assert abs(float(rom) - math.sqrt(3)) < 1e-12
+        assert witnessed == "True"
 
     def test_usage_exit_code(self):
         assert main(["no-such-command"]) == EXIT_USAGE

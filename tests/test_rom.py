@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from magicscope import oracle, polytope, rom
+from magicscope import cli, oracle, polytope, rom
 from magicscope.pauli import MeasurementSet, PauliString, pauli_expectation, read_measurement_file
 from magicscope.polytope import _BLOCK_ROWS, VertexSet, qubit_symmetries, v_representation
 from magicscope.rom import (
@@ -288,6 +288,33 @@ class TestClosedForms:
             each = reduced_rom(vset, ExpectationVector.of(per_qubit.ravel()))
             assert each.status == "optimal" and each.path == "full"
             assert abs(each.rom - max(1.0, np.abs(per_qubit).sum(axis=1).max())) < 1e-9
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_a_set_split_over_disjoint_qubits_gives_its_worse_part(self, seed):
+        # the vertices are the product of the parts' vertices, so the rom is
+        # the larger of the parts' roms
+        rng = np.random.default_rng(seed)
+        parts, roms, b = [], [], []
+        for _ in range(2):
+            n = int(rng.integers(1, 3))
+            part = cli._random_measurement_set(n, int(rng.integers(1, 7)), rng)
+            table = oracle.full_pauli_table(oracle.random_pure_state(n, rng))
+            b_part = oracle.measurement_expectations(table, part)
+            result = reduced_rom(v_representation(part), ExpectationVector.of(b_part))
+            assert result.status == "optimal"
+            parts.append(part)
+            roms.append(result.rom)
+            b += b_part
+        low, high = parts
+        n = low.n + high.n
+        union = MeasurementSet(
+            tuple(PauliString(n, p.phase_k, p.xbits, p.zbits) for p in low)
+            + tuple(PauliString(n, p.phase_k, p.xbits << low.n, p.zbits << low.n) for p in high)
+        )
+        result = reduced_rom(v_representation(union), ExpectationVector.of(b))
+        assert result.status == "optimal"
+        assert abs(result.rom - max(roms)) < 1e-8
 
 
 class TestSolverFailures:

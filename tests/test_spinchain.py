@@ -1,5 +1,6 @@
 """Spin-chain Hamiltonians, exact diagonalization, and parameter sweeps."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -563,6 +564,58 @@ class TestMeasurementSets:
     def test_unknown_scope(self):
         with pytest.raises(ValueError):
             hamiltonian_measurement_set(SpinChainSpec("tfim", 4, {}), "everything")
+
+    @pytest.mark.parametrize("model", sorted(spinchain.COUPLINGS))
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    def test_first_cell_is_the_first_cell_of_all_terms(self, model, boundary):
+        # its Paulis are in all-terms, in the same order
+        for n in range(3, 15):
+            if (model, n, boundary) == ("annni", 3, "periodic"):
+                continue
+            spec = SpinChainSpec(model, n, {}, boundary)
+            cell = list(hamiltonian_measurement_set(spec, "first-cell"))
+            every = list(hamiltonian_measurement_set(spec, "all-terms"))
+            assert [p for p in every if p in cell] == cell, (n, boundary)
+
+
+class TestModelTable:
+    """Each model's terms, weights and measurement sets, from its one entry in ``MODELS``."""
+
+    COUPLINGS = {
+        "tfim": {"g": 0.7}, "annni": {"k": 0.3, "g": 1.1}, "xxz": {"delta": -0.6, "h": 0.9},
+    }
+
+    # sha256 over every n = 3-14 and boundary, with no coupling given (each
+    # weight that a coupling scales is then -0.0 or 0.0) and at the couplings
+    # above: each weight's float.hex and Pauli in _structural_terms and
+    # build_hamiltonian, then both scopes.  The term order fixes the all-terms
+    # measurement order, so the scan CSV's columns and the vertex order.
+    GOLDEN = {
+        "tfim": "bec5a44daf07047477d28854b7e7a62aa1a62d4c56a0208cbed0294afa0b7af6",
+        "annni": "2dcc3e59c7f00ee82b46f84d83fbbcc5eff31e371a7354cd7d0ae8b0e8543a0e",
+        "xxz": "de4120040eefe70fa7b53c8f5533d06ff613f9b214aa8cee7b913183d638a4de",
+    }
+
+    @pytest.mark.parametrize("model", sorted(GOLDEN))
+    def test_golden_term_lists(self, model):
+        lines = []
+        for n in range(3, 15):
+            for boundary in ("periodic", "open"):
+                if (model, n, boundary) == ("annni", 3, "periodic"):
+                    continue
+                for point in ({}, self.COUPLINGS[model]):
+                    spec = SpinChainSpec(model, n, point, boundary)
+                    lines.append(f"{model} {n} {boundary} {sorted(point.items())}")
+                    for terms in (spinchain._structural_terms(spec), build_hamiltonian(spec)):
+                        lines += [f"{w.hex()} {format_pauli(p)}" for w, p in terms]
+                for scope in ("first-cell", "all-terms"):
+                    lines.append(scope)
+                    lines += [format_pauli(p) for p in hamiltonian_measurement_set(spec, scope)]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.GOLDEN[model]
+
+    def test_couplings_are_read_off_the_table(self):
+        assert spinchain.COUPLINGS == {"tfim": ("g",), "annni": ("k", "g"), "xxz": ("delta", "h")}
 
 
 class TestSweep:
