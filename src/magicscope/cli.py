@@ -73,15 +73,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_poly = sub.add_parser("polytope", help="vertex file from a measurement file")
+    p_poly.set_defaults(run=_cmd_polytope)
     p_poly.add_argument("measurements")
     p_poly.add_argument("--out", default="-")
     p_poly.add_argument("--format", choices=("json", "txt"), default="json")
 
     p_rom = sub.add_parser("rom", help="robustness verdict from expectations")
+    p_rom.set_defaults(run=_cmd_rom)
     p_rom.add_argument("measurements")
     p_rom.add_argument("expectations")
 
     p_scan = sub.add_parser("scan", help="spin-chain parameter sweep")
+    p_scan.set_defaults(run=_cmd_scan)
     p_scan.add_argument("--model", required=True, choices=tuple(COUPLINGS))
     p_scan.add_argument("--n", required=True, type=_in_range(
         int, 3, _MAX_QUBITS + 1, f"a qubit count in [3, {_MAX_QUBITS}]"))
@@ -93,6 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--resume", action="store_true")
 
     p_oracle = sub.add_parser("oracle", help="brute-force cross checks")
+    p_oracle.set_defaults(run=_cmd_oracle)
     p_oracle.add_argument("--check", required=True,
                           choices=("hulls", "counts", "rom-bound", "lemma1"))
     p_oracle.add_argument("--n", type=at_least_one, default=2,
@@ -119,7 +123,7 @@ def _read_expectations(path: str, measurements: MeasurementSet) -> ExpectationVe
     except OSError as exc:
         raise CliError(str(exc), EXIT_USAGE) from None
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
         if text.lstrip().startswith("{"):
             values = json.loads(text)["expectations"]
             # float() would take a JSON string, and a JSON boolean reads as 0 or 1
@@ -375,14 +379,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    handlers = {
-        "polytope": _cmd_polytope,
-        "rom": _cmd_rom,
-        "scan": _cmd_scan,
-        "oracle": _cmd_oracle,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code

@@ -210,7 +210,7 @@ def read_measurement_file(path) -> MeasurementSet:
     paulis = []
     width = None
     seen = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

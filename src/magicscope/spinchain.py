@@ -4,12 +4,12 @@ Hamiltonians are kept as weighted Pauli-string term lists.  All three
 chain models commute with the spin flip X^n, so H splits into two real
 CSR blocks of size 2^(n-1), one per flip sector, whose index pattern
 (``SectorPattern``) a sweep builds once; each point only sums its terms'
-fixed entry arrays.  Seeded Lanczos runs on the blocks give the ground
-state at every chain size, then one deflation loop gives the gap and the
-ground space, lifted back to 2^n; a diagonal H (every term a Z-string)
-has its ground space read off its diagonal.  A run (``_lowest``) is the
-plain three-term recurrence on scipy's CSR kernel, with no restart or
-reorthogonalisation; ARPACK's rule stops it, one more product checks it.
+fixed entry arrays.  One loop of seeded Lanczos rounds on the blocks, the
+first undeflated, gives the ground state, the gap and the ground space,
+lifted back to 2^n; a diagonal H (every term a Z-string) has its ground
+space read off its diagonal.  A run (``_lowest``) is the plain three-term
+recurrence on scipy's CSR kernel, with no restart or reorthogonalisation;
+ARPACK's rule stops it, one more product checks it.
 
 The expectations are those of the T -> 0 Gibbs state, tr(P Pi)/d over
 the d-dimensional ground space: the ground state's own at d = 1, and at
@@ -144,7 +144,7 @@ class GroundStateResult:
         """tr(P Pi)/d over the ground space for each P; ``pauli_expectation(state, P)`` at d = 1."""
         space = self.ground_space
         if space.ndim == 2:
-            return pauli_expectations(self.state if self.dimension == 1 else space, paulis)
+            return pauli_expectations(space, paulis)
         values = []
         for p in paulis:
             if not p.is_hermitian:
@@ -323,37 +323,34 @@ def _ground_state(pattern: SectorPattern, terms: TermList) -> GroundStateResult:
         return _diagonal_ground_state(pattern.diagonal(terms))
     rng = np.random.default_rng(_SEED)
     blocks = pattern.blocks(terms)
-    lowest = [_lowest(h, rng.normal(size=h.shape[0]), pattern.krylov) for h in blocks]
-    levels = [level for level, _ in lowest]
-    e0 = min(levels)
-    # sigma exceeds the spectral width: E_max <= sum |w| and E0 >= -sum |w|
-    sigma = sum(abs(w) for w, _ in terms) - e0 + 1.0
-    # found[i]: block i's ground-space vectors; live while its last level was one
-    found = [[vec] if level - e0 < DEGENERACY_THRESHOLD else [] for level, vec in lowest]
-    live = [bool(f) for f in found]
-    while any(live):
+    # found[i]: block i's ground-space vectors and rows[i] their orthonormal rows; round 0
+    # solves every block, each later round those whose last level was within the threshold
+    found, rows = [[] for _ in blocks], [()] * len(blocks)
+    levels, live, sigma = [], range(len(blocks)), 0.0
+    while live:
         d = sum(map(len, found))
         if d > GROUND_SPACE_CAP:
             raise ValueError(f"ground space of dimension d >= {d} exceeds {GROUND_SPACE_CAP}")
-        for i, h in enumerate(blocks):
-            if not live[i]:
-                continue
-            basis = np.linalg.qr(np.column_stack(found[i]))[0].T.copy()  # rows for BLAS
-            # a fresh start each round: Lanczos from the first one only reaches
-            # psi0 inside the ground space, so it would miss a degenerate partner
-            level, vec = _lowest(h, rng.normal(size=h.shape[0]), pattern.krylov, basis, sigma)
-            levels.append(level)
-            live[i] = level - e0 < DEGENERACY_THRESHOLD
-            if live[i]:
-                found[i].append(vec)
+        # a fresh start each round: Lanczos from the first one only reaches
+        # psi0 inside the ground space, so it would miss a degenerate partner
+        solved = {i: _lowest(blocks[i], rng.normal(size=blocks[i].shape[0]), pattern.krylov,
+                             rows[i], sigma) for i in live}
+        levels += [level for level, _ in solved.values()]
+        if not d:  # round 0: E0 is the least block minimum
+            e0 = min(levels)
+            # sigma exceeds the spectral width: E_max <= sum |w| and E0 >= -sum |w|
+            sigma = sum(abs(w) for w, _ in terms) - e0 + 1.0
+        live = [i for i, (level, _) in solved.items() if level - e0 < DEGENERACY_THRESHOLD]
+        for i in live:
+            found[i].append(solved[i][1])
+            rows[i] = np.linalg.qr(np.column_stack(found[i]))[0].T.copy()  # rows for BLAS
     # levels holds every level within the threshold and each block's first above it
     gap = max(0.0, sorted(levels)[1] - e0)
-    first = levels.index(e0)
-    state = pattern.lift(lowest[first][1], pattern.signs[first])
-    if sum(map(len, found)) == 1:
+    first = levels.index(e0)  # a round-0 level: its block's first vector is the state
+    state = pattern.lift(found[first][0], pattern.signs[first])
+    if d == 1:  # the last round found no vector, so d counts them all
         return GroundStateResult(e0, state, gap, state[:, None])
-    space = [pattern.lift(np.linalg.qr(np.column_stack(f))[0], sign)
-             for f, sign in zip(found, pattern.signs) if f]
+    space = [pattern.lift(r.T, sign) for r, sign in zip(rows, pattern.signs) if len(r)]
     return GroundStateResult(e0, state, gap, np.hstack(space))
 
 
@@ -364,17 +361,17 @@ def ground_state(terms: TermList) -> GroundStateResult:
     as the basis states whose diagonal entry lies within
     DEGENERACY_THRESHOLD of the minimum, with no eigensolver.  Any other
     H is split into its spin-flip sector blocks (``SectorPattern``; one
-    block when a term is odd under the flip) and takes seeded Lanczos
-    runs (``_lowest``) on them: one for each block's lowest level,
-    E0 the lower of the two, then one deflation loop over the blocks
-    whose lowest level lies within DEGENERACY_THRESHOLD of E0.  Each
-    round solves such a block's B + sigma Q, where Q projects onto the
-    levels it has given so far, so that sigma lifts them above the
-    spectrum; a block leaves the loop at its first level that clears the
-    threshold.  The gap is the next level above E0 across the blocks, so
-    a degeneracy between the sectors is found from the two minima alone.
-    The ground-space columns are the blocks' vectors lifted back to 2^n; a
-    ValueError names d above GROUND_SPACE_CAP, or a run's residual or cap.
+    block when a term is odd under the flip) and takes one loop of seeded
+    Lanczos runs (``_lowest``) on them.  Round 0 solves each block B, E0
+    the least of those levels; each later round solves B + sigma Q for the
+    blocks whose last level lay within DEGENERACY_THRESHOLD of E0, where
+    Q projects onto the orthonormal rows of the vectors the block has
+    given so far, so that sigma lifts them above the spectrum.  A block
+    leaves the loop at its first level that clears the threshold.  The
+    gap is the next level above E0 across the blocks, so a degeneracy
+    between the sectors is found in round 0.  The ground-space columns
+    are the blocks' last deflation rows lifted back to 2^n; a ValueError
+    names d above GROUND_SPACE_CAP, or a run's residual or cap.
     """
     if not terms:
         raise ValueError("empty term list")

@@ -213,7 +213,14 @@ class TestRom:
     def test_json_expectations(self, octahedron_file, tmp_path, capsys):
         b = write(tmp_path / "b.json", json.dumps({"expectations": [0, 0, 0]}))
         assert main(["rom", octahedron_file, b]) == EXIT_OK
-        assert json.loads(capsys.readouterr().out)["rom"] == pytest.approx(1.0)
+        out = capsys.readouterr().out
+        assert json.loads(out)["rom"] == pytest.approx(1.0)
+        # a UTF-8 byte-order mark before the JSON, or before the same values
+        # one a line, changes nothing
+        for text in (json.dumps({"expectations": [0, 0, 0]}), "0\n0\n0\n"):
+            (tmp_path / "bom").write_bytes(b"\xef\xbb\xbf" + text.encode())
+            assert main(["rom", octahedron_file, str(tmp_path / "bom")]) == EXIT_OK
+            assert capsys.readouterr().out == out
 
     def test_misaligned_files(self, octahedron_file, tmp_path, capsys):
         b = write(tmp_path / "b.txt", "0.5\n0.5\n")

@@ -136,6 +136,9 @@ class TestPauliExpectations:
             pauli_expectations(state, [parse_pauli("XZ"), parse_pauli("XZZ")])
         with pytest.raises(ValueError, match="state length does not match qubit count"):
             pauli_expectation(kernel_inputs(3, 0)[2], parse_pauli("XZ"))
+        # a norm of 1e4: the rounding of <P>, 1e8 in size, leaves an imaginary part of 2e-9
+        with pytest.raises(ValueError, match="imaginary residue in Hermitian expectation"):
+            pauli_expectation(1e4 * kernel_inputs(3, 1)[1], parse_pauli("XYZ"))
 
 
 class TestMultiply:
@@ -269,6 +272,9 @@ class TestMeasurementFile:
         path.write_text("# header\nXX  # transverse\n\n-ZZ\n")
         ms = read_measurement_file(path)
         assert [format_pauli(p) for p in ms] == ["+XX", "-ZZ"]
+        # a UTF-8 byte-order mark, as some editors write, is not a character of line 1
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert read_measurement_file(path) == ms
 
     def test_width_mismatch_names_line(self, tmp_path):
         path = tmp_path / "m.txt"

@@ -250,7 +250,13 @@ class TestLowest:
         assert record.solver_status.startswith("error") and "cap of 5 steps" in record.solver_status
         assert record.energy is None and record.rom is None
 
-    def test_a_doublet_takes_four_solves(self, monkeypatch):
+    @pytest.mark.parametrize("delta, d, count", [
+        (-1.1, 2, 4),  # minima of both blocks, then a deflated solve in each
+        (-1.0, 7, 9),  # the ferromagnetic multiplet, 4 + 3 levels and each block's first above
+    ], ids=["doublet", "multiplet"])
+    def test_each_round_solves_the_blocks_still_in_the_ground_space(
+        self, monkeypatch, delta, d, count
+    ):
         solves = []
         lowest = spinchain._lowest
 
@@ -259,9 +265,9 @@ class TestLowest:
             return lowest(block, *args)
 
         monkeypatch.setattr(spinchain, "_lowest", recording)
-        gs = ground_state(build_hamiltonian(SpinChainSpec("xxz", 6, {"delta": -1.1, "h": 0.0})))
-        assert gs.dimension == 2  # minima of both blocks, then a deflated solve in each
-        assert solves == [32] * 4
+        gs = ground_state(build_hamiltonian(SpinChainSpec("xxz", 6, {"delta": delta, "h": 0.0})))
+        assert gs.dimension == d
+        assert solves == [32] * count
 
 
 class TestGroundState:
