@@ -11,6 +11,8 @@ Every other module takes these conventions from here:
 
 - ``hermitian(n, xbits, zbits, negative)`` builds the Hermitian
   ``+-P``, each Y counted as iXZ;
+- ``identity_sign(p, q, ...)`` is the sign of a product equal to +-1,
+  in ``multiply``'s phase rule but without building partial products;
 - ``pauli_expectations`` evaluates a list of Paulis on a state vector of
   length 2^n (basis index bit ``i`` = qubit ``i+1``) or on the
   orthonormal columns of a ground space in one pass,
@@ -133,13 +135,17 @@ def commutes(p1: PauliString, p2: PauliString) -> bool:
     return omega % 2 == 0
 
 
-def identity_sign(p: PauliString) -> Optional[int]:
-    """+1/-1 if p is (+-)identity, None if p is not proportional to it."""
-    if p.xbits or p.zbits:
+def identity_sign(*factors: PauliString) -> Optional[int]:
+    """+1/-1 if the factors' product (``multiply``'s, on one n) is (+-)identity, else None."""
+    k = xbits = zbits = 0
+    for p in factors:
+        k += p.phase_k + 2 * (zbits & p.xbits).bit_count()
+        xbits, zbits = xbits ^ p.xbits, zbits ^ p.zbits
+    if xbits or zbits:
         return None
-    if p.phase_k % 2:
+    if k % 2:
         raise PauliError("imaginary multiple of the identity")
-    return 1 if p.phase_k == 0 else -1
+    return 1 if k % 4 == 0 else -1
 
 
 def identity(n: int) -> PauliString:

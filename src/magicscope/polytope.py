@@ -7,7 +7,8 @@ admissible assignments come from one GF(2) elimination over the
 members' symplectic vectors, in subset order: a member independent of
 those before it is a pivot whose sign is free, 2^rank assignments in
 all, and every other member is +-1 times the product of the pivots it
-reduces against, which fixes its sign.
+reduces against, which fixes its sign.  Subsets with one elimination
+share their signs, so each distinct one is expanded once per build.
 
 The qubit cyclic shifts and reflections that map the signed measurement
 set onto itself permute the measurements and the vertices.  Their
@@ -29,7 +30,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .fgraph import build_frustration_graph, enumerate_maximal_independent_sets
-from .pauli import MeasurementSet, PauliString, commutes, format_pauli, identity_sign, multiply
+from .pauli import MeasurementSet, PauliString, commutes, format_pauli, identity_sign
 
 __all__ = [
     "VertexSet",
@@ -312,7 +313,7 @@ def _extreme_points(points: np.ndarray) -> np.ndarray:
     return np.unique(found)
 
 
-_Elimination = Tuple[List[int], List[Tuple[int, List[int], int]]]
+_Elimination = Tuple[Tuple[int, ...], Tuple[Tuple[int, Tuple[int, ...], int], ...]]
 
 
 def _eliminate(measurements: MeasurementSet, subset: Tuple[int, ...]) -> _Elimination:
@@ -323,7 +324,7 @@ def _eliminate(measurements: MeasurementSet, subset: Tuple[int, ...]) -> _Elimin
     leading bit, remembering which members every basis vector is the
     product of.  A member that survives is a pivot, independent of the
     members before it; one that reduces to zero is lam = +-1 times the
-    product of the pivots it marked.
+    product of the pivots it marked.  Hashable: it fixes the signs alone.
     """
     n = measurements.n
     basis = {}  # leading bit -> (vector, bit mask of the members it is the product of)
@@ -340,17 +341,15 @@ def _eliminate(measurements: MeasurementSet, subset: Tuple[int, ...]) -> _Elimin
             basis[vector.bit_length() - 1] = (vector, members)
             pivots.append(c)
         else:
-            marked = [j for j in pivots if (members >> j) & 1]
+            marked = tuple(j for j in pivots if (members >> j) & 1)
             # P_c = lam * prod(P_marked), and the product is Hermitian, so P_c * prod = lam * 1
-            product = p
-            for j in marked:
-                product = multiply(product, measurements[subset[j]])
-            dependents.append((c, marked, identity_sign(product)))
-    return pivots, dependents
+            lam = identity_sign(p, *(measurements[subset[j]] for j in marked))
+            dependents.append((c, marked, lam))
+    return tuple(pivots), tuple(dependents)
 
 
-def _write_signs(out: np.ndarray, columns: np.ndarray, elimination: _Elimination) -> None:
-    """Write a subset's admissible signs into the 2^rank rows of ``out``, member c's in columns[c].
+def _write_signs(out: np.ndarray, elimination: _Elimination) -> None:
+    """Write a subset's admissible signs into the 2^rank rows of ``out``, member c's in column c.
 
     Row k gives pivot i the sign of bit rank-1-i of k (0 -> -1), so the
     pivots, the lexicographically first independent members, ascend
@@ -360,16 +359,16 @@ def _write_signs(out: np.ndarray, columns: np.ndarray, elimination: _Elimination
     pivots, dependents = elimination
     rank = len(pivots)
     k = np.arange(1 << rank)[:, None]
-    out[:, columns[pivots]] = 2 * ((k >> np.arange(rank - 1, -1, -1)) & 1) - 1
+    out[:, pivots] = 2 * ((k >> np.arange(rank - 1, -1, -1)) & 1) - 1
     for c, marked, lam in dependents:
-        out[:, columns[c]] = lam * np.prod(out[:, columns[marked]], axis=1)
+        out[:, c] = lam * np.prod(out[:, marked], axis=1)
 
 
 def _sign_block(measurements: MeasurementSet, subset: Tuple[int, ...]) -> np.ndarray:
     """Admissible signs of a sorted commuting subset: one int8 row each, in sorted order."""
     elimination = _eliminate(measurements, subset)
     block = np.empty((1 << len(elimination[0]), len(subset)), dtype=np.int8)
-    _write_signs(block, np.arange(len(subset)), elimination)
+    _write_signs(block, elimination)
     return block
 
 
@@ -396,22 +395,27 @@ def admissible_signs(
 
 
 def v_representation(measurements: MeasurementSet) -> VertexSet:
-    """Enumerate every (maximal commuting subset, admissible signs) vertex."""
+    """Every (maximal commuting subset, admissible signs) vertex, one block per elimination."""
     m = len(measurements)
     subsets = enumerate_maximal_independent_sets(build_frustration_graph(measurements))
     # A row's support is its whole subset (every sign is +-1) and the rows of one
     # block differ on its pivots, so a vertex repeats only if a subset does.
     if any(a >= b for a, b in zip(subsets, subsets[1:])):
         raise AssertionError("duplicate vertices from distinct contexts")
-    eliminations = [_eliminate(measurements, subset) for subset in subsets]
-    # the first row of each block, then the row count
-    starts = np.cumsum([0] + [1 << len(pivots) for pivots, _ in eliminations])
-    # each block's signs go straight into its rows of the one array
+    starts = [0]  # the first row of each block, then the row count
+    groups = {}  # elimination -> (first row, subset) of each subset that has it
+    for subset in subsets:
+        elimination = _eliminate(measurements, subset)
+        groups.setdefault(elimination, []).append((starts[-1], subset))
+        starts.append(starts[-1] + (1 << len(elimination[0])))
     vertices = np.zeros((starts[-1], m), dtype=np.int8)
-    for subset, elimination, a, b in zip(subsets, eliminations, starts, starts[1:]):
-        _write_signs(vertices[a:b], np.array(subset), elimination)
+    for (pivots, dependents), members in groups.items():
+        block = np.empty((1 << len(pivots), len(pivots) + len(dependents)), dtype=np.int8)
+        _write_signs(block, (pivots, dependents))
+        for a, subset in members:
+            vertices[a:a + len(block), subset] = block
     vertices.setflags(write=False)
-    return VertexSet(measurements, vertices, tuple(starts[:-1].tolist()))
+    return VertexSet(measurements, vertices, tuple(starts[:-1]))
 
 
 def _isotropic_subspace_count(n: int) -> int:

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from functools import reduce
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from magicscope.pauli import (
@@ -22,6 +24,20 @@ from magicscope.pauli import (
     read_measurement_file,
 )
 from util import pauli_matrix, pauli_pairs, pauli_strings
+
+
+@st.composite
+def signed_factors(draw, max_n=3):
+    """1-6 signed Hermitian Paulis on one n; if drawn so, the last closes the product to i^k."""
+    n = draw(st.integers(1, max_n))
+    bits = st.integers(0, (1 << n) - 1)
+    raw = draw(st.lists(st.tuples(bits, bits, st.booleans()), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        x = z = 0
+        for rx, rz, _ in raw[:-1]:
+            x, z = x ^ rx, z ^ rz
+        raw[-1] = (x, z, raw[-1][2])
+    return [hermitian(n, x, z, negative) for x, z, negative in raw]
 
 
 class TestPauliString:
@@ -219,6 +235,21 @@ class TestIdentitySign:
     def test_imaginary_identity_raises(self):
         with pytest.raises(PauliError):
             identity_sign(PauliString(1, 1, 0, 0))
+
+    @given(signed_factors())
+    @example([parse_pauli(t) for t in ("XX", "YY", "ZZ")])  # -1
+    @example([parse_pauli(t) for t in ("X", "Z", "Y")])  # XZY = -i
+    @example([parse_pauli(t) for t in ("-Y", "Y")])  # +1
+    @example([parse_pauli(t) for t in ("XZ", "ZX")])  # YY, not a multiple of 1
+    @settings(max_examples=300)
+    def test_several_factors_are_the_multiply_chain(self, factors):
+        try:
+            expected = identity_sign(reduce(multiply, factors))
+        except PauliError:
+            with pytest.raises(PauliError, match="imaginary multiple of the identity"):
+                identity_sign(*factors)
+        else:
+            assert identity_sign(*factors) == expected
 
 
 class TestPad:

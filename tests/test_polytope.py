@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from magicscope.pauli import (
     identity,
     identity_sign,
     multiply,
+    read_measurement_file,
 )
 from magicscope.polytope import admissible_signs, size_bound, v_representation
 from magicscope.spinchain import SpinChainSpec, hamiltonian_measurement_set
@@ -28,6 +30,12 @@ from util import span_rank, vertex_json, vertex_txt
 XXZ5_ALL_TERMS = hamiltonian_measurement_set(
     SpinChainSpec("xxz", 5, {"delta": 0.5, "h": 0.0}, "periodic"), "all-terms"
 )
+# the benchmark's restricted window: 109 maximal commuting subsets, 42 distinct eliminations
+XXZ12_WINDOW = read_measurement_file(
+    Path(__file__).resolve().parent.parent / "perfbench" / "data" / "xxz12_window.txt"
+)
+# two maximal commuting subsets whose eliminations differ only in lam (found by search)
+OPPOSITE_LAM = MeasurementSet.from_strings(["-XI", "+IZ", "+XZ", "+XX", "-IX"])
 
 
 def measurement_sets(max_n=3, max_m=6):
@@ -273,12 +281,20 @@ class TestVRepresentation:
         with pytest.raises(AssertionError, match="duplicate vertices from distinct contexts"):
             v_representation(ms)
 
-    def test_build_peak_memory_is_near_the_vertex_array(self):
-        # N x m bytes is the int8 array, and each subset's signs are written
-        # into its rows: the rest is one subset's eliminations and temporaries.
-        # Per-subset blocks next to their concatenation would be 2x, and a
-        # float64 copy of the array alone 8x.
-        ms = hamiltonian_measurement_set(SpinChainSpec("annni", 10, {}), "all-terms")
+    @pytest.mark.parametrize(
+        "model, n, shape",
+        [
+            pytest.param("annni", 10, (362240, 30), id="annni10"),
+            pytest.param("xxz", 9, (228352, 36), id="xxz9"),
+        ],
+    )
+    def test_build_peak_memory_is_near_the_vertex_array(self, model, n, shape):
+        # N x m bytes is the int8 array, and each elimination's signs are
+        # written into its subsets' rows: the rest is the eliminations, one
+        # elimination's block and temporaries. Every block kept at once read
+        # 1.175x at ANNNI n=10, per-subset blocks next to their concatenation
+        # would be 2x, and a float64 copy of the array alone 8x.
+        ms = hamiltonian_measurement_set(SpinChainSpec(model, n, {}), "all-terms")
         tracemalloc.start()
         try:
             vset = v_representation(ms)
@@ -286,15 +302,38 @@ class TestVRepresentation:
         finally:
             tracemalloc.stop()
         rows, m = vset.vertices.shape
-        assert (rows, m) == (362240, 30)
+        assert (rows, m) == shape
         assert peak <= 1.2 * rows * m
+
+    def test_the_largest_benchmark_array_is_pinned(self):
+        # ANNNI n=10 all-terms, the annni10-sweep set: the build's bytes and
+        # block starts must not move (the XXZ n=9 export is pinned in test_cli)
+        ms = hamiltonian_measurement_set(SpinChainSpec("annni", 10, {}), "all-terms")
+        vset = v_representation(ms)
+        digest = hashlib.sha256(vset.vertices.tobytes()).hexdigest()
+        assert digest == "6d07b4416ada249c0f028148d654a0af0514a867594db9de5bfb4a1dce6cfc9f"
+        assert len(vset.starts) == 759
+        assert vset.starts[:3] == (0, 512, 1024) and vset.starts[-1] == 361216
+        starts = hashlib.sha256(np.array(vset.starts, dtype=np.int64).tobytes()).hexdigest()
+        assert starts == "1927bf84adbcfbff23d25b2088e15889245d8904978d4d7ab4d5de043057f927"
+
+    def test_opposite_lam_is_another_elimination(self):
+        # {-XI, IZ, XZ} and {-XI, XX, -IX} both have pivots (0, 1) and the
+        # dependent (2, (0, 1)), but XZ = -(-XI)(IZ) and XX = +(-XI)(-IX)
+        subsets = enumerate_maximal_independent_sets(build_frustration_graph(OPPOSITE_LAM))
+        assert (0, 1, 2) in subsets and (0, 3, 4) in subsets
+        assert polytope._eliminate(OPPOSITE_LAM, (0, 1, 2)) == ((0, 1), ((2, (0, 1), -1),))
+        assert polytope._eliminate(OPPOSITE_LAM, (0, 3, 4)) == ((0, 1), ((2, (0, 1), 1),))
 
     @given(measurement_sets())
     @example(XXZ5_ALL_TERMS)
     @example(hamiltonian_measurement_set(SpinChainSpec("annni", 8, {}), "all-terms"))
+    @example(XXZ12_WINDOW)
+    @example(OPPOSITE_LAM)
     @settings(max_examples=60, deadline=None)
     def test_blocks_are_the_sign_blocks_of_their_subsets(self, ms):
-        # the build writes the signs in place; _sign_block expands the same
+        # the build writes each distinct elimination's block into the rows of
+        # every subset that has it; _sign_block expands a subset's own
         # elimination into an array of its own
         vset = v_representation(ms)
         for a, b in zip(vset.starts, vset.starts[1:] + (len(vset.vertices),)):
