@@ -4,11 +4,13 @@ Each maximal commuting subset S of the measurement set, together with
 an admissible sign assignment f (no signed subset product equal to -1),
 contributes one vertex with entries f on S and 0 elsewhere.  The
 admissible assignments come from one GF(2) elimination over the
-members' symplectic vectors, in subset order: a member independent of
-those before it is a pivot whose sign is free, 2^rank assignments in
-all, and every other member is +-1 times the product of the pivots it
-reduces against, which fixes its sign.  Subsets with one elimination
-share their signs, so each distinct one is expanded once per build.
+members' symplectic vectors, in subset order, that carries each
+product's phase: a member independent of those before it is a pivot
+whose sign is free, 2^rank assignments in all, and every other member is
++-1 times the product of the pivots it reduces against, so its sign is
++-1 times a parity of the row's pivot bits.  Subsets with one elimination
+share their signs, and the distinct eliminations of one rank are
+expanded together, a parity column per member, once per build.
 
 The qubit cyclic shifts and reflections that map the signed measurement
 set onto itself permute the measurements and the vertices.  Their
@@ -30,7 +32,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .fgraph import build_frustration_graph, enumerate_maximal_independent_sets
-from .pauli import MeasurementSet, PauliString, commutes, format_pauli, identity_sign
+from .pauli import MeasurementSet, PauliError, PauliString, commutes, format_pauli
 
 __all__ = [
     "VertexSet",
@@ -59,6 +61,9 @@ _HULL_MAX_ORBITS = 6
 # 1 MB here, against 8 MB at 4,096 rows.
 _PROBE_DIRECTIONS = 256
 _PROBE_ROWS = 512
+# Most signs the build computes at once, which bounds its temporaries (k & M_c
+# and the parity) at a few hundred kB next to the vertex array.
+_CHUNK_ENTRIES = 1 << 16
 
 
 def _json_list(items: Sequence[str], depth: int) -> str:
@@ -321,55 +326,65 @@ def _eliminate(measurements: MeasurementSet, subset: Tuple[int, ...]) -> _Elimin
 
     Members are positions in ``subset``.  Each member's symplectic vector
     ``xbits | zbits << n`` is reduced against an XOR basis keyed by
-    leading bit, remembering which members every basis vector is the
-    product of.  A member that survives is a pivot, independent of the
-    members before it; one that reduces to zero is lam = +-1 times the
+    leading bit; a basis vector carries the members it is the product of
+    and that product's phase exponent, and each step multiplies by it with
+    ``multiply``'s rule.  A member that survives is a pivot, independent of
+    the members before it; one that reduces to zero is lam = +-1 times the
     product of the pivots it marked.  Hashable: it fixes the signs alone.
     """
     n = measurements.n
-    basis = {}  # leading bit -> (vector, bit mask of the members it is the product of)
+    basis = {}  # leading bit -> (vector, phase exponent, mask of the members it is the product of)
     pivots: List[int] = []
     dependents = []
     for c, index in enumerate(subset):
         p = measurements[index]
-        vector, members = p.xbits | p.zbits << n, 1 << c
-        while vector and vector.bit_length() - 1 in basis:
-            reducer, marks = basis[vector.bit_length() - 1]
+        vector, k, members = p.xbits | p.zbits << n, p.phase_k, 1 << c
+        lead = vector.bit_length() - 1  # -1 once the vector is zero
+        while lead in basis:
+            reducer, phase, marks = basis[lead]
+            k += phase + 2 * ((vector >> n) & reducer).bit_count()  # z against the reducer's x
             vector ^= reducer
             members ^= marks
+            lead = vector.bit_length() - 1
         if vector:
-            basis[vector.bit_length() - 1] = (vector, members)
+            basis[lead] = (vector, k, members)
             pivots.append(c)
+        elif k % 2:
+            raise PauliError("imaginary multiple of the identity")
         else:
             marked = tuple(j for j in pivots if (members >> j) & 1)
-            # P_c = lam * prod(P_marked), and the product is Hermitian, so P_c * prod = lam * 1
-            lam = identity_sign(p, *(measurements[subset[j]] for j in marked))
-            dependents.append((c, marked, lam))
+            dependents.append((c, marked, 1 if k % 4 == 0 else -1))
     return tuple(pivots), tuple(dependents)
 
 
-def _write_signs(out: np.ndarray, elimination: _Elimination) -> None:
-    """Write a subset's admissible signs into the 2^rank rows of ``out``, member c's in column c.
+def _sign_blocks(rank: int, eliminations: Sequence[_Elimination]) -> List[np.ndarray]:
+    """Each elimination's admissible signs: 2^rank int8 rows, member c's in column c.
 
     Row k gives pivot i the sign of bit rank-1-i of k (0 -> -1), so the
     pivots, the lexicographically first independent members, ascend
-    lexicographically.  A dependent member is fixed by pivots to its
-    left, so the whole rows are in sorted() order as well.
+    lexicographically; a dependent member is fixed by pivots to its left,
+    so the whole rows are in sorted() order as well.  One expression gives
+    every column c as s_c (1 - 2 parity(k & M_c)): a pivot's M_c is its own
+    bit and s_c is -1, a dependent's M_c its marked pivots' bits and s_c lam (-1)^|marked|.
     """
-    pivots, dependents = elimination
-    rank = len(pivots)
-    k = np.arange(1 << rank)[:, None]
-    out[:, pivots] = 2 * ((k >> np.arange(rank - 1, -1, -1)) & 1) - 1
-    for c, marked, lam in dependents:
-        out[:, c] = lam * np.prod(out[:, marked], axis=1)
+    code, ends = [], []  # each column's (M_c, s_c), and where each elimination's columns end
+    for pivots, dependents in eliminations:
+        bits = {c: 1 << (rank - 1 - i) for i, c in enumerate(pivots)}
+        columns = {c: (bit, -1) for c, bit in bits.items()}
+        for c, marked, lam in dependents:
+            columns[c] = (sum(bits[j] for j in marked), lam * (-1) ** len(marked))
+        code += [columns[c] for c in range(len(columns))]
+        ends.append(len(code))
+    masks, signs = zip(*code)
+    k = np.arange(1 << rank, dtype=np.min_scalar_type((1 << rank) - 1))[:, None]  # narrow k & M_c
+    parity = (np.bitwise_count(k & np.array(masks, k.dtype)) & 1).view(np.int8)
+    return np.split(np.array(signs, dtype=np.int8) * (1 - 2 * parity), ends[:-1], axis=1)
 
 
 def _sign_block(measurements: MeasurementSet, subset: Tuple[int, ...]) -> np.ndarray:
     """Admissible signs of a sorted commuting subset: one int8 row each, in sorted order."""
     elimination = _eliminate(measurements, subset)
-    block = np.empty((1 << len(elimination[0]), len(subset)), dtype=np.int8)
-    _write_signs(block, elimination)
-    return block
+    return _sign_blocks(len(elimination[0]), [elimination])[0]
 
 
 def admissible_signs(
@@ -408,12 +423,17 @@ def v_representation(measurements: MeasurementSet) -> VertexSet:
         elimination = _eliminate(measurements, subset)
         groups.setdefault(elimination, []).append((starts[-1], subset))
         starts.append(starts[-1] + (1 << len(elimination[0])))
+    ranks = {}  # rank -> its distinct eliminations
+    for elimination in groups:
+        ranks.setdefault(len(elimination[0]), []).append(elimination)
     vertices = np.zeros((starts[-1], m), dtype=np.int8)
-    for (pivots, dependents), members in groups.items():
-        block = np.empty((1 << len(pivots), len(pivots) + len(dependents)), dtype=np.int8)
-        _write_signs(block, (pivots, dependents))
-        for a, subset in members:
-            vertices[a:a + len(block), subset] = block
+    for rank, eliminations in ranks.items():
+        step = max(1, _CHUNK_ENTRIES // (m << rank))  # an elimination has at most m columns
+        for i in range(0, len(eliminations), step):
+            chunk = eliminations[i:i + step]
+            for elimination, block in zip(chunk, _sign_blocks(rank, chunk)):
+                for a, subset in groups[elimination]:
+                    vertices[a:a + len(block), subset] = block
     vertices.setflags(write=False)
     return VertexSet(measurements, vertices, tuple(starts[:-1]))
 

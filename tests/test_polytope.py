@@ -202,13 +202,22 @@ class TestVRepresentation:
         top = list(topdown_vertices(ms))
         assert hull_equal(bottom, top)
 
-    def test_commuting_free_set_gives_full_hypercube(self):
-        ms = MeasurementSet.from_strings(["XII", "IZI", "IIX"])
-        vset = v_representation(ms)
-        assert len(vset.vertices) == 8
-        assert set(map(tuple, vset.vertices.tolist())) == {
-            (a, b, c) for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)
-        }
+    @pytest.mark.parametrize(
+        "texts",
+        [
+            pytest.param(["XII", "IZI", "IIX"], id="n3"),
+            # Z on each of 17 qubits: one subset of rank 17, whose row index
+            # needs uint32 where rank 16 fits uint16
+            pytest.param(["I" * q + "Z" + "I" * (16 - q) for q in range(17)], id="n17"),
+        ],
+    )
+    def test_commuting_free_set_gives_full_hypercube(self, texts):
+        n = len(texts)
+        vset = v_representation(MeasurementSet.from_strings(texts))
+        # every sign assignment once, in sorted order
+        hypercube = 2 * ((np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1) - 1
+        assert vset.vertices.shape == (1 << n, n)
+        assert np.array_equal(vset.vertices, hypercube)
 
     def test_vertex_extremality_small(self):
         for texts in (["X", "Y", "Z"], ["ZZ", "XI"], ["XI", "IX"]):
@@ -305,17 +314,34 @@ class TestVRepresentation:
         assert (rows, m) == shape
         assert peak <= 1.2 * rows * m
 
-    def test_the_largest_benchmark_array_is_pinned(self):
-        # ANNNI n=10 all-terms, the annni10-sweep set: the build's bytes and
-        # block starts must not move (the XXZ n=9 export is pinned in test_cli)
-        ms = hamiltonian_measurement_set(SpinChainSpec("annni", 10, {}), "all-terms")
+    # The sweep benchmarks' sets: the build's bytes and block starts must not
+    # move (the XXZ n=9 export is pinned in test_cli).  Each entry is the set,
+    # the array's shape, the subset count, the first three and the last start,
+    # and the sha256 of the int8 array and of the starts as int64.
+    PINNED = {
+        "annni10": (
+            hamiltonian_measurement_set(SpinChainSpec("annni", 10, {}), "all-terms"),
+            (362240, 30), 759, (0, 512, 1024), 361216,
+            "6d07b4416ada249c0f028148d654a0af0514a867594db9de5bfb4a1dce6cfc9f",
+            "1927bf84adbcfbff23d25b2088e15889245d8904978d4d7ab4d5de043057f927",
+        ),
+        "xxz12-window": (
+            XXZ12_WINDOW, (7936, 25), 109, (0, 128, 256), 7872,
+            "2787f8365817df6c23e007a8aa981b7b9a0d82a6f6b4b1934d20fd92f8fb7c08",
+            "e43624e3543e40e843a3ee850078409f1590a9351eefbf524f4758bd563d9b75",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_the_largest_benchmark_array_is_pinned(self, name):
+        ms, shape, count, first, last, digest, starts_digest = self.PINNED[name]
         vset = v_representation(ms)
-        digest = hashlib.sha256(vset.vertices.tobytes()).hexdigest()
-        assert digest == "6d07b4416ada249c0f028148d654a0af0514a867594db9de5bfb4a1dce6cfc9f"
-        assert len(vset.starts) == 759
-        assert vset.starts[:3] == (0, 512, 1024) and vset.starts[-1] == 361216
-        starts = hashlib.sha256(np.array(vset.starts, dtype=np.int64).tobytes()).hexdigest()
-        assert starts == "1927bf84adbcfbff23d25b2088e15889245d8904978d4d7ab4d5de043057f927"
+        assert vset.vertices.shape == shape
+        assert hashlib.sha256(vset.vertices.tobytes()).hexdigest() == digest
+        assert len(vset.starts) == count
+        assert vset.starts[:3] == first and vset.starts[-1] == last
+        starts = np.array(vset.starts, dtype=np.int64)
+        assert hashlib.sha256(starts.tobytes()).hexdigest() == starts_digest
 
     def test_opposite_lam_is_another_elimination(self):
         # {-XI, IZ, XZ} and {-XI, XX, -IX} both have pivots (0, 1) and the
@@ -325,6 +351,16 @@ class TestVRepresentation:
         assert polytope._eliminate(OPPOSITE_LAM, (0, 1, 2)) == ((0, 1), ((2, (0, 1), -1),))
         assert polytope._eliminate(OPPOSITE_LAM, (0, 3, 4)) == ((0, 1), ((2, (0, 1), 1),))
 
+    @given(measurement_sets(max_m=10))
+    @example(OPPOSITE_LAM)
+    @settings(max_examples=100, deadline=None)
+    def test_the_carried_lam_is_the_sign_of_the_product(self, ms):
+        # the elimination takes lam from the phases it carries; by definition
+        # lam is the sign of P_c times the product of the pivots it marks
+        for subset in enumerate_maximal_independent_sets(build_frustration_graph(ms)):
+            for c, marked, lam in polytope._eliminate(ms, subset)[1]:
+                assert lam == identity_sign(ms[subset[c]], *(ms[subset[j]] for j in marked))
+
     @given(measurement_sets())
     @example(XXZ5_ALL_TERMS)
     @example(hamiltonian_measurement_set(SpinChainSpec("annni", 8, {}), "all-terms"))
@@ -332,9 +368,11 @@ class TestVRepresentation:
     @example(OPPOSITE_LAM)
     @settings(max_examples=60, deadline=None)
     def test_blocks_are_the_sign_blocks_of_their_subsets(self, ms):
-        # the build writes each distinct elimination's block into the rows of
-        # every subset that has it; _sign_block expands a subset's own
-        # elimination into an array of its own
+        # the build computes the blocks of one rank's distinct eliminations
+        # together, a chunk of them at a time, and writes each into the rows
+        # of every subset that has it; _sign_block expands a subset's own
+        # elimination alone.  ANNNI n=8 has 51 eliminations of rank 7, three
+        # chunks of at most 21 (m = 24).
         vset = v_representation(ms)
         for a, b in zip(vset.starts, vset.starts[1:] + (len(vset.vertices),)):
             block = vset.vertices[a:b]

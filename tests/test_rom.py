@@ -289,6 +289,24 @@ class TestClosedForms:
             assert each.status == "optimal" and each.path == "full"
             assert abs(each.rom - max(1.0, np.abs(per_qubit).sum(axis=1).max())) < 1e-9
 
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_tfim_all_terms_at_the_free_fermion_expectations(self, n):
+        # The periodic TFIM ground state's <Z_i Z_i+1> and <X_i>, in closed form
+        # over k = pi (2j + 1) / n (Pfeuty, Ann. Phys. 57, 79, 1970).  The
+        # anticommuting pair {Z1Z2, X1} gives rom max(1, |<ZZ>| + |<X>|), and so
+        # does the whole set: a projection bounds it below, and the all-ZZ and
+        # all-X contexts' orbit sums (n, 0) and (0, +-n) bound it above.
+        ms = hamiltonian_measurement_set(SpinChainSpec("tfim", n, {}), "all-terms")
+        vset = v_representation(ms)
+        k = np.pi * (2 * np.arange(n) + 1) / n
+        for g in (0.2, 0.5, 1.0, 2.0, 10.0):
+            energies = np.sqrt(1 + g * g - 2 * g * np.cos(k))
+            zz = np.mean((1 - g * np.cos(k)) / energies)
+            x = np.mean((g - np.cos(k)) / energies)
+            result = reduced_rom(vset, ExpectationVector.of([x if p.xbits else zz for p in ms]))
+            assert result.status == "optimal" and result.path == "symmetric"
+            assert abs(result.rom - max(1.0, abs(zz) + abs(x))) < 1e-12
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_a_set_split_over_disjoint_qubits_gives_its_worse_part(self, seed):
