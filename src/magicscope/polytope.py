@@ -357,8 +357,10 @@ def _eliminate(measurements: MeasurementSet, subset: Tuple[int, ...]) -> _Elimin
     return tuple(pivots), tuple(dependents)
 
 
-def _sign_blocks(rank: int, eliminations: Sequence[_Elimination]) -> List[np.ndarray]:
-    """Each elimination's admissible signs: 2^rank int8 rows, member c's in column c.
+def _sign_blocks(rank: int, eliminations: Sequence[_Elimination], start: int = 0,
+                 stop: Optional[int] = None) -> List[np.ndarray]:
+    """Each elimination's admissible signs: rows start to stop (all 2^rank by default)
+    of int8, member c's in column c.
 
     Row k gives pivot i the sign of bit rank-1-i of k (0 -> -1), so the
     pivots, the lexicographically first independent members, ascend
@@ -376,7 +378,8 @@ def _sign_blocks(rank: int, eliminations: Sequence[_Elimination]) -> List[np.nda
         code += [columns[c] for c in range(len(columns))]
         ends.append(len(code))
     masks, signs = zip(*code)
-    k = np.arange(1 << rank, dtype=np.min_scalar_type((1 << rank) - 1))[:, None]  # narrow k & M_c
+    dtype = np.min_scalar_type((1 << rank) - 1)  # narrow k & M_c
+    k = np.arange(start, (1 << rank) if stop is None else stop, dtype=dtype)[:, None]
     parity = (np.bitwise_count(k & np.array(masks, k.dtype)) & 1).view(np.int8)
     return np.split(np.array(signs, dtype=np.int8) * (1 - 2 * parity), ends[:-1], axis=1)
 
@@ -428,12 +431,17 @@ def v_representation(measurements: MeasurementSet) -> VertexSet:
         ranks.setdefault(len(elimination[0]), []).append(elimination)
     vertices = np.zeros((starts[-1], m), dtype=np.int8)
     for rank, eliminations in ranks.items():
-        step = max(1, _CHUNK_ENTRIES // (m << rank))  # an elimination has at most m columns
+        # a chunk is whole blocks, or rows of one elimination wider than a chunk
+        # (an elimination has at most m columns)
+        height = min(1 << rank, max(1, _CHUNK_ENTRIES // m))
+        step = max(1, _CHUNK_ENTRIES // (m * height))
         for i in range(0, len(eliminations), step):
             chunk = eliminations[i:i + step]
-            for elimination, block in zip(chunk, _sign_blocks(rank, chunk)):
-                for a, subset in groups[elimination]:
-                    vertices[a:a + len(block), subset] = block
+            for r in range(0, 1 << rank, height):
+                blocks = _sign_blocks(rank, chunk, r, min(r + height, 1 << rank))
+                for elimination, rows in zip(chunk, blocks):
+                    for a, subset in groups[elimination]:
+                        vertices[a + r:a + r + len(rows), subset] = rows
     vertices.setflags(write=False)
     return VertexSet(measurements, vertices, tuple(starts[:-1]))
 

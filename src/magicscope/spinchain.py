@@ -8,8 +8,9 @@ fixed entry arrays.  One loop of seeded Lanczos rounds on the blocks, the
 first undeflated, gives the ground state, the gap and the ground space,
 lifted back to 2^n; a diagonal H (every term a Z-string) has its ground
 space read off its diagonal.  A run (``_lowest``) is the plain three-term
-recurrence on scipy's CSR kernel, with no restart or reorthogonalisation;
-ARPACK's rule stops it, one more product checks it.
+recurrence on scipy's CSR kernel, with no reorthogonalisation; ARPACK's
+rule or a breakdown stops it, one more product checks it, and a run that
+fails the check runs once more from its Ritz vector.
 
 The expectations are those of the T -> 0 Gibbs state, tr(P Pi)/d over
 the d-dimensional ground space: the ground state's own at d = 1, and at
@@ -18,13 +19,19 @@ depend on the Lanczos seed and commutes with every qubit symmetry of H.
 ``GroundStateResult.expectations`` takes a point's whole measurement set
 in one ``pauli.pauli_expectations`` pass.
 The sweep driver reuses a single reduced-polytope V-representation
-across a parameter grid and reports one record per grid point.
+across a parameter grid and reports one record per grid point, in grid
+order.  It splits the grid over one process per CPU, forked once the
+sector pattern and the orbit reduction exist; each process has its own
+Lanczos rows, and a record is the same in whichever process computes it.
 """
 
 from __future__ import annotations
 
 import math
 import mmap
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -228,8 +235,10 @@ class SectorPattern:
         """The Lanczos rows of every run on the blocks, in an anonymous mapping whose
         4 KB pages cost memory once a run writes them (numpy would ask for 2 MB pages)."""
         rows, dtype = len(self.cols), self.per_term.dtype
-        size = (min(rows, _KRYLOV_CAP) + 1) * rows * dtype.itemsize
-        return np.frombuffer(mmap.mmap(-1, size), dtype).reshape(-1, rows)
+        size = (_KRYLOV_CAP + 1) * rows * dtype.itemsize
+        # private: a sweep forks with the pattern built, and each process writes its own rows
+        private = mmap.mmap(-1, size, mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+        return np.frombuffer(private, dtype).reshape(-1, rows)
 
     def _entries(self, terms: TermList) -> np.ndarray:
         """sum_j w_j D_j as a rows x width array, one column per X-part."""
@@ -269,7 +278,8 @@ class SectorPattern:
 def _lowest(block: sp.csr_matrix, v0: np.ndarray, basis: np.ndarray,
             deflation: Sequence[np.ndarray] = (), sigma: float = 0.0) -> Tuple[float, np.ndarray]:
     """Lowest eigenpair (theta, unit x) of B + sigma Q, Q projecting onto the orthonormal
-    ``deflation`` rows, by Lanczos from v0 (module docstring) in the rows of ``basis``."""
+    ``deflation`` rows, by Lanczos from v0 (module docstring) in the rows of ``basis``; a
+    run whose Ritz pair fails the residual check runs once more from its Ritz vector."""
     rows = block.shape[0]
     axpy, dotc, nrm2, scal = get_blas_funcs(("axpy", "dotc", "nrm2", "scal"), (block.data,))
 
@@ -280,33 +290,38 @@ def _lowest(block: sp.csr_matrix, v0: np.ndarray, basis: np.ndarray,
             axpy(f, out, a=sigma * dotc(f, v))
         return out
 
-    q, previous, alphas, betas, scale = basis[0], None, [], [], 0.0
-    q[:] = v0 / np.linalg.norm(v0)  # every row read below is written first
-    for j in range(min(rows, len(basis) - 1)):
-        w = product(q, basis[j + 1])
-        if j:
-            axpy(previous, w, a=-betas[-1])
-        alphas.append(dotc(q, w).real)
-        axpy(q, w, a=-alphas[-1])
-        betas.append(nrm2(w))
-        scale = max(scale, abs(alphas[-1]), betas[-1])
-        stop = j + 1 == rows or betas[-1] <= EIG_TOLERANCE * scale  # the end, or a breakdown
-        if stop or (j + 1) % _CHECK_EVERY == 0:  # dstemr ignores the last beta
-            _, theta, s, _ = dstemr(np.array(alphas), np.array(betas), 2, 0.0, 0.0, 1, 1)
-            theta, s = float(theta[0]), s[:, 0]
-            if stop or betas[-1] * abs(s[-1]) <= EIG_TOLERANCE * abs(theta):  # ARPACK's rule
-                break
-        scal(1.0 / betas[-1], w)
-        q, previous = w, q
-    else:
-        raise ValueError(f"Lanczos found no eigenpair within its cap of {len(basis) - 1} steps")
-    x = s @ basis[:len(s)]
-    x /= np.linalg.norm(x)
-    residual = np.linalg.norm(product(x, np.empty_like(x)) - theta * x)
-    limit = _RESIDUAL_SLACK * max(EIG_TOLERANCE * abs(theta), np.finfo(float).eps * scale)
-    if not residual <= limit:  # NaN fails; rounding passes where theta ~ 0
-        raise ValueError(f"Lanczos eigen-residual {residual:.3g} exceeds {limit:.3g}")
-    return theta, x
+    for _ in range(2):  # a run whose Ritz pair fails the residual check runs once more
+        q, previous, alphas, betas, scale = basis[0], None, [], [], 0.0
+        q[:] = v0 / np.linalg.norm(v0)  # every row read below is written first
+        # past the block's dimension too: a small block's rows lose their orthogonality
+        # before it, and a Ritz vector taken there fails the residual check
+        for j in range(len(basis) - 1):
+            w = product(q, basis[j + 1])
+            if j:
+                axpy(previous, w, a=-betas[-1])
+            alphas.append(dotc(q, w).real)
+            axpy(q, w, a=-alphas[-1])
+            betas.append(nrm2(w))
+            scale = max(scale, abs(alphas[-1]), betas[-1])
+            breakdown = betas[-1] <= EIG_TOLERANCE * scale
+            if breakdown or (j + 1) % _CHECK_EVERY == 0:  # dstemr ignores the last beta
+                _, theta, s, _ = dstemr(np.array(alphas), np.array(betas), 2, 0.0, 0.0, 1, 1)
+                theta, s = float(theta[0]), s[:, 0]
+                # ARPACK's rule
+                if breakdown or betas[-1] * abs(s[-1]) <= EIG_TOLERANCE * abs(theta):
+                    break
+            scal(1.0 / betas[-1], w)
+            q, previous = w, q
+        else:
+            raise ValueError(f"Lanczos found no eigenpair within its cap of {len(basis) - 1} steps")
+        x = s @ basis[:len(s)]
+        x /= np.linalg.norm(x)
+        residual = np.linalg.norm(product(x, np.empty_like(x)) - theta * x)
+        limit = _RESIDUAL_SLACK * max(EIG_TOLERANCE * abs(theta), np.finfo(float).eps * scale)
+        if residual <= limit:  # NaN fails; rounding passes where theta ~ 0
+            return theta, x
+        v0 = x  # from the Ritz vector
+    raise ValueError(f"Lanczos eigen-residual {residual:.3g} exceeds {limit:.3g}")
 
 
 def _diagonal_ground_state(diagonal: np.ndarray) -> GroundStateResult:
@@ -412,18 +427,30 @@ def sweep_records(
     grid: Sequence[Dict[str, float]],
     vset: VertexSet,
 ) -> Iterator[SweepRecord]:
-    """One record per grid point, yielded in grid order as each finishes, on
-    the caller's thread; eigensolver failures are recorded, not raised.
+    """One record per grid point, yielded in grid order as each finishes;
+    eigensolver failures are recorded, not raised.
 
     A point's expectations are those of ``vset.measurements``, the set
     whose polytope the LP solves over, from one
     ``GroundStateResult.expectations`` pass: the ground state's at a
     non-degenerate point, the ground-space average tr(P Pi)/d at a flagged
     one.  A ground space above GROUND_SPACE_CAP gives an error record.
+
+    The grid is split over W processes, one per CPU in
+    ``os.sched_getaffinity(0)`` and at most one per point; W = 1 where the
+    platform lacks it, as every platform without ``os.fork`` does.  Once
+    the sector pattern and ``vset.symmetry`` exist, W - 1 children are
+    forked: child w computes the points i = w (mod W) and sends each
+    record down its own pipe, and this process computes the points
+    i = 0 (mod W).  A record depends only on its point, so each is the one
+    a single process gives.  A child whose pipe ends early leaves its
+    remaining points to this process; closing the generator kills and
+    reaps every child.
     """
 
     # every point's H fills the pattern of the model's structural terms
     pattern = SectorPattern(p for _, p in _structural_terms(spec))
+    vset.symmetry  # built once here: a child would build it again at every call
 
     def run(point: Dict[str, float]) -> SweepRecord:
         try:
@@ -444,9 +471,44 @@ def sweep_records(
         except Exception as exc:  # per-point failures must not kill the sweep
             return SweepRecord(dict(point), None, None, None, None, None, f"error: {exc}")
 
-    # one thread: a point's CSR products and Lanczos steps mostly hold the
-    # GIL, and a second thread slowed ANNNI n = 10 sweeps (README)
-    yield from map(run, grid)
+    # a point's CSR products and Lanczos steps mostly hold the GIL, which
+    # processes do not share (README)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(grid))
+    children = {}  # w -> (pid, the read end of its pipe)
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # only through os._exit: no atexit handler runs, and no buffer the
+                # caller holds (a scan's CSV) is flushed twice
+                try:
+                    os.close(read)
+                    for _, earlier in children.values():
+                        earlier.close()
+                    with open(write, "wb") as out:
+                        for point in grid[w::workers]:
+                            pickle.dump(run(point), out)
+                            out.flush()  # a broken pipe, its caller gone, ends the child
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children[w] = (pid, open(read, "rb"))
+        streams = {w: reader for w, (_, reader) in children.items()}
+        for i, point in enumerate(grid):
+            record = None
+            if i % workers in streams:
+                try:
+                    record = pickle.load(streams[i % workers])
+                except (EOFError, pickle.UnpicklingError):  # the child ended early
+                    del streams[i % workers]
+            yield run(point) if record is None else record
+    finally:
+        for pid, reader in children.values():
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def sweep(
@@ -457,7 +519,7 @@ def sweep(
     threads: int = 1,
 ) -> List[SweepRecord]:
     """``sweep_records`` as a list; ``measurements`` must be ``vset.measurements``
-    and ``threads`` 1, the one thread every sweep runs on."""
+    and ``threads`` 1, the one thread of each process a sweep runs in."""
     if measurements != vset.measurements:
         raise ValueError("measurements differ from the vertex set's")
     if threads != 1:

@@ -291,19 +291,24 @@ class TestVRepresentation:
             v_representation(ms)
 
     @pytest.mark.parametrize(
-        "model, n, shape",
+        "ms, shape",
         [
-            pytest.param("annni", 10, (362240, 30), id="annni10"),
-            pytest.param("xxz", 9, (228352, 36), id="xxz9"),
+            pytest.param(hamiltonian_measurement_set(SpinChainSpec("annni", 10, {}), "all-terms"),
+                         (362240, 30), id="annni10"),
+            pytest.param(hamiltonian_measurement_set(SpinChainSpec("xxz", 9, {}), "all-terms"),
+                         (228352, 36), id="xxz9"),
+            # one rank-17 elimination, wider than a chunk: built whole, it read 6.24x
+            pytest.param(MeasurementSet.from_strings(["I" * q + "Z" + "I" * (16 - q)
+                                                      for q in range(17)]),
+                         (131072, 17), id="z17"),
         ],
     )
-    def test_build_peak_memory_is_near_the_vertex_array(self, model, n, shape):
+    def test_build_peak_memory_is_near_the_vertex_array(self, ms, shape):
         # N x m bytes is the int8 array, and each elimination's signs are
         # written into its subsets' rows: the rest is the eliminations, one
-        # elimination's block and temporaries. Every block kept at once read
+        # chunk of signs and temporaries. Every block kept at once read
         # 1.175x at ANNNI n=10, per-subset blocks next to their concatenation
         # would be 2x, and a float64 copy of the array alone 8x.
-        ms = hamiltonian_measurement_set(SpinChainSpec(model, n, {}), "all-terms")
         tracemalloc.start()
         try:
             vset = v_representation(ms)

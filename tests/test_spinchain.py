@@ -2,12 +2,14 @@
 
 import hashlib
 import math
+import os
+import pickle
 
 import numpy as np
 import pytest
 
 from magicscope import spinchain
-from magicscope.cli import EXIT_SOLVER, main
+from magicscope.cli import EXIT_SOLVER, _parse_grid, main
 from magicscope.pauli import (
     MeasurementSet,
     PauliString,
@@ -366,6 +368,36 @@ class TestGroundState:
             gs.expectations([PauliString(4, 1, 0, 0b1)])  # iZ
 
 
+class TestSmallChains:
+    """Every point of small chains' grids against dense ``eigh`` of the full H.
+
+    Their sector blocks have 4-32 rows, and the Lanczos recurrence runs
+    up to the block's dimension or past it.
+    """
+
+    GRIDS = {"tfim": "g=0:10:21", "annni": "k=0:1.5:7,g=0:10:11", "xxz": "delta=-2:2:9,h=0:10:11"}
+
+    @pytest.mark.parametrize("model, boundary, n", [
+        (model, boundary, n)
+        for model in GRIDS for boundary in ("periodic", "open") for n in range(3, 7)
+        if (model, boundary, n) != ("annni", "periodic", 3)
+    ])
+    def test_every_point_matches_dense(self, model, boundary, n):
+        spec = SpinChainSpec(model, n, {}, boundary)
+        ms = hamiltonian_measurement_set(spec, "all-terms")
+        paulis = np.array([pauli_matrix(p) for p in ms])
+        for point in _parse_grid(self.GRIDS[model]):
+            terms = build_hamiltonian(spec.with_params(point))
+            gs = ground_state(terms)
+            evals, evecs = np.linalg.eigh(dense_hamiltonian(terms))
+            space = evecs[:, evals < evals[0] + DEGENERACY_THRESHOLD]
+            # tr(P Pi)/d over the dense ground space
+            dense = np.einsum("ia,pij,ja->p", space.conj(), paulis, space).real / space.shape[1]
+            assert gs.energy == pytest.approx(evals[0], abs=1e-9), point
+            assert gs.dimension == space.shape[1], point
+            assert np.allclose(gs.expectations(ms), dense, rtol=0, atol=1e-9), point
+
+
 class TestGroundSpace:
     @pytest.mark.parametrize("model, n, params, d", [
         ("annni", 6, {"k": 0.75, "g": 0.0}, 18),  # diagonal: basis states
@@ -660,9 +692,11 @@ class TestSweep:
         assert reverse.solver_status == "optimal"
         assert reverse.rom == pytest.approx(forward.rom, abs=1e-9)
 
-    def test_a_record_does_not_depend_on_the_lanczos_rows_before_it(self):
+    def test_a_record_does_not_depend_on_the_lanczos_rows_before_it(self, monkeypatch):
         # a sweep keeps its Lanczos vectors across solves and points, so
-        # a point's record must not depend on what they held before
+        # a point's record must not depend on what they held before; one
+        # CPU keeps every point below in one process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         spec = SpinChainSpec("xxz", 8, {})
         ms = hamiltonian_measurement_set(spec, "all-terms")
         vset = v_representation(ms)
@@ -679,6 +713,70 @@ class TestSweep:
         *_, after = spinchain.sweep_records(spec, grid, vset)
         assert alone.solver_status == "optimal"
         assert after == alone
+
+    # an XXZ n = 8 all-terms grid with a flagged point (delta = -1.1, h = 0)
+    # and an error record (xxz takes no coupling g)
+    SPLIT_GRID = [{"delta": 0.3, "h": 0.7}, {"delta": -1.1, "h": 0.0}, {"delta": 0.5, "g": 1.0},
+                  {"delta": 0.9, "h": 0.1}, {"delta": -0.4, "h": 1.5}, {"delta": 1.6, "h": 0.0},
+                  {"delta": 2.0, "h": 3.0}]
+
+    @staticmethod
+    def split_inputs():
+        spec = SpinChainSpec("xxz", 8, {})
+        return spec, v_representation(hamiltonian_measurement_set(spec, "all-terms"))
+
+    def test_a_split_grid_gives_the_one_process_records_in_grid_order(self, monkeypatch):
+        spec, vset = self.split_inputs()
+        swept = {}
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            swept[cpus] = list(spinchain.sweep_records(spec, self.SPLIT_GRID, vset))
+        alone = swept[1]
+        assert [r.params for r in alone] == self.SPLIT_GRID
+        assert alone[1].degenerate_flag and alone[1].solver_status == "optimal"
+        assert alone[2].solver_status.startswith("error: xxz has no coupling 'g'")
+        assert swept[2] == alone
+        assert swept[3] == alone
+
+    def test_a_child_that_ends_early_leaves_its_points_to_the_caller(self, monkeypatch):
+        spec, vset = self.split_inputs()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        alone = list(spinchain.sweep_records(spec, self.SPLIT_GRID, vset))
+        dump = pickle.dump
+
+        def dump_once(record, out):  # each child ends after its first record
+            dump(record, out)
+            out.flush()
+            os._exit(0)
+
+        monkeypatch.setattr(pickle, "dump", dump_once)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert list(spinchain.sweep_records(spec, self.SPLIT_GRID, vset)) == alone
+
+    def test_closing_a_split_sweep_leaves_no_child(self, monkeypatch):
+        spec, vset = self.split_inputs()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        records = spinchain.sweep_records(spec, self.SPLIT_GRID, vset)
+        assert next(records).params == self.SPLIT_GRID[0]
+        records.close()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_the_lanczos_rows_are_private_to_each_process(self):
+        # a sweep forks with the pattern built: a child's rows must not reach the caller's
+        terms = build_hamiltonian(SpinChainSpec("tfim", 4, {"g": 1.0}))
+        krylov = SectorPattern(p for _, p in terms).krylov
+        krylov[0, 0] = 1.0
+        pid = os.fork()
+        if pid == 0:
+            try:
+                krylov[0, 0] = 2.0
+                os._exit(0)
+            finally:
+                os._exit(1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert krylov[0, 0] == 1.0
 
     def test_failures_recorded_not_raised(self):
         spec = SpinChainSpec("tfim", 6, {})
