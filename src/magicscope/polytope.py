@@ -32,7 +32,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .fgraph import build_frustration_graph, enumerate_maximal_independent_sets
-from .pauli import MeasurementSet, PauliError, PauliString, commutes, format_pauli
+from .pauli import MeasurementSet, PauliError, commutes, format_pauli
 
 __all__ = [
     "VertexSet",
@@ -196,29 +196,22 @@ class VertexSet:
         return _orbit_reduction(self.measurements, self.vertices)
 
 
-def _move_qubits(p: PauliString, target: List[int]) -> PauliString:
-    """p with qubit q sent to qubit target[q]."""
-
-    def move(bits: int) -> int:
-        return sum(((bits >> q) & 1) << t for q, t in enumerate(target))
-
-    return PauliString(p.n, p.phase_k, move(p.xbits), move(p.zbits))
-
-
 def qubit_symmetries(measurements: MeasurementSet) -> np.ndarray:
     """Measurement permutations of the qubit shifts and reflections that fix the signed set.
 
     Of the 2n maps q -> q + k and q -> k - q (mod n), those that send
     every signed measurement to a member of the set; row g holds the
     index of g(P_i) for each i, the identity first, one row per distinct
-    permutation.  They form a group.
+    permutation.  They form a group.  On ``format_pauli``'s text the shift by
+    k rotates the letters right by k; the reflection reverses, then rotates by k + 1.
     """
     n = measurements.n
-    index = {p: i for i, p in enumerate(measurements)}
+    index = {format_pauli(p): i for i, p in enumerate(measurements)}  # the texts in set order
+    mirrors = [t[0] + t[:0:-1] for t in index]  # each sign, then its letters reversed
     perms: List[List[int]] = []
     for k in range(n):
-        for target in ([(q + k) % n for q in range(n)], [(k - q) % n for q in range(n)]):
-            images = [index.get(_move_qubits(p, target)) for p in measurements]
+        for texts, r in ((index, k), (mirrors, k + 1)):
+            images = [index.get(t[0] + t[n + 1 - r:] + t[1:n + 1 - r]) for t in texts]
             if None not in images and images not in perms:
                 perms.append(images)
     return np.array(perms, dtype=np.intp)

@@ -443,9 +443,9 @@ def sweep_records(
     forked: child w computes the points i = w (mod W) and sends each
     record down its own pipe, and this process computes the points
     i = 0 (mod W).  A record depends only on its point, so each is the one
-    a single process gives.  A child whose pipe ends early leaves its
-    remaining points to this process; closing the generator kills and
-    reaps every child.
+    a single process gives.  This process computes the points left by a
+    child whose pipe ends early, or whose pipe or fork fails, which ends
+    the forking; closing the generator kills and reaps every child.
     """
 
     # every point's H fills the pattern of the model's structural terms
@@ -478,8 +478,14 @@ def sweep_records(
     children = {}  # w -> (pid, the read end of its pipe)
     try:
         for w in range(1, workers):
-            read, write = os.pipe()
-            pid = os.fork()
+            ends = ()
+            try:
+                ends = read, write = os.pipe()
+                pid = os.fork()
+            except OSError:  # a descriptor, process or memory limit: w's points on stay here
+                for fd in ends:
+                    os.close(fd)
+                break
             if pid == 0:
                 # only through os._exit: no atexit handler runs, and no buffer the
                 # caller holds (a scan's CSV) is flushed twice

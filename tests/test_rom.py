@@ -1,5 +1,6 @@
 """Robustness LP, membership verdict, and resource-monotone properties."""
 
+import hashlib
 import math
 import tracemalloc
 from pathlib import Path
@@ -11,7 +12,14 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from magicscope import cli, oracle, polytope, rom
-from magicscope.pauli import MeasurementSet, PauliString, pauli_expectation, read_measurement_file
+from magicscope.pauli import (
+    MeasurementSet,
+    PauliString,
+    format_pauli,
+    parse_pauli,
+    pauli_expectation,
+    read_measurement_file,
+)
 from magicscope.polytope import _BLOCK_ROWS, VertexSet, qubit_symmetries, v_representation
 from magicscope.rom import (
     DECISION_TOLERANCE,
@@ -29,7 +37,9 @@ from magicscope.spinchain import (
 )
 from util import fail_highs, fibres, lift, loosen_highs, random_clifford, solve_l1_dense
 
-XXZ12_WINDOW = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "xxz12_window.txt"
+DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
+XXZ12_WINDOW = DATA / "xxz12_window.txt"
+XXZ9_EXPORT = DATA / "xxz9_all_terms.txt"
 
 OCTAHEDRON = MeasurementSet.from_strings(["X", "Y", "Z"])
 DIAMOND = MeasurementSet.from_strings(["ZZ", "XI"])
@@ -680,6 +690,83 @@ class TestQubitSymmetries:
         rows = {tuple(v) for v in vset.vertices.tolist()}
         for perm in vset.symmetry.perms:
             assert {tuple(v) for v in vset.vertices[:, perm].tolist()} == rows
+
+    # The benchmark sets' permutation rows: the shape and the sha256 of the
+    # intp array.  The orbits, and so every symmetric-path LP, follow from them.
+    PINNED = {
+        "annni10": ((20, 30), "27139e8fa69aae9addc5256eb72b6463b572da5ef5363e844e7be7ee83c240ca"),
+        "xxz9-export": ((18, 36),
+                        "49929e9b7de45019464ade0adc6651fc291174d047f7447cfdc3c9d66cf28be6"),
+        "xxz12-window": ((2, 25),
+                         "beefe3464564bf02ec4b9ef65ef61bc24fe02730b098799b70632e0f92ac75c5"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_the_benchmark_groups_are_pinned(self, name):
+        ms = {
+            "annni10": lambda: hamiltonian_measurement_set(SpinChainSpec("annni", 10, {})),
+            "xxz9-export": lambda: read_measurement_file(XXZ9_EXPORT),
+            "xxz12-window": lambda: read_measurement_file(XXZ12_WINDOW),
+        }[name]()
+        shape, digest = self.PINNED[name]
+        perms = qubit_symmetries(ms)
+        assert perms.dtype == np.intp and perms.shape == shape
+        assert hashlib.sha256(perms.tobytes()).hexdigest() == digest
+
+    @given(st.integers(1, 8), st.integers(1, 10), st.sampled_from(["none", "shifts", "all"]),
+           st.integers(0, 2**32 - 1))
+    @example(3, 3, "none", 0)
+    @settings(max_examples=150, deadline=None)
+    def test_rows_are_the_maps_that_fix_the_set(self, n, m, closure, seed):
+        # half the sets drawn are closed under the shifts, or under all 2n maps,
+        # so that the group is not only the identity
+        ms = cli._random_measurement_set(n, min(m, 4**n - 1), np.random.default_rng(seed))
+        if closure != "none":
+            maps = qubit_maps(n) if closure == "all" else qubit_maps(n)[::2]
+            ms = MeasurementSet(tuple(dict.fromkeys(moved(p, t) for t in maps for p in ms)))
+        index = {p: i for i, p in enumerate(ms)}
+        rows = []
+        for target in qubit_maps(n):
+            images = [index.get(moved(p, target)) for p in ms]
+            if None not in images and images not in rows:
+                rows.append(images)
+        perms = qubit_symmetries(ms)
+        assert perms.dtype == np.intp
+        assert np.array_equal(perms, np.array(rows, dtype=np.intp))
+
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_a_padded_window_keeps_its_vertices_group_and_rom(self, n):
+        # Lemma 1 at scale: the window on qubits 1-7 of a chain of n qubits
+        # has the n = 12 window's vertex array, group and rom, at the
+        # expectations of xxz12 grid point 137 (perfbench's grid order)
+        window = read_measurement_file(XXZ12_WINDOW)
+        padded = v_representation(window.padded(n))
+        digest = "2787f8365817df6c23e007a8aa981b7b9a0d82a6f6b4b1934d20fd92f8fb7c08"
+        assert hashlib.sha256(padded.vertices.tobytes()).hexdigest() == digest
+        assert np.array_equal(qubit_symmetries(padded.measurements), qubit_symmetries(window))
+        point = {"delta": float(np.linspace(-2, 2, 20)[6]), "h": float(np.linspace(0, 4, 20)[17])}
+        gs = ground_state(build_hamiltonian(SpinChainSpec("xxz", 12, point)))
+        b = ExpectationVector.of(gs.expectations(window))
+        base = reduced_rom(v_representation(window), b)
+        result = reduced_rom(padded, b)
+        assert base.path == result.path == "symmetric"
+        assert base.status == result.status == "optimal"
+        assert result.rom == base.rom
+
+
+def qubit_maps(n):
+    """The 2n targets q -> q + k and q -> k - q (mod n), k outer, the shift first."""
+    return [target for k in range(n)
+            for target in ([(q + k) % n for q in range(n)], [(k - q) % n for q in range(n)])]
+
+
+def moved(p, target):
+    """p with qubit q's letter moved to qubit target[q]."""
+    text = format_pauli(p)
+    letters = [""] * p.n
+    for q, t in enumerate(target):
+        letters[t] = text[1 + q]
+    return parse_pauli(text[0] + "".join(letters))
 
 
 class TestMembership:

@@ -561,6 +561,29 @@ class TestPhysicalInvariants:
             v = pauli_expectation(gs.state, p)
             assert -1.0 <= v <= 1.0
 
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    @pytest.mark.parametrize("n", range(3, 15))
+    def test_tfim_ground_state_is_free_fermions(self, n, boundary):
+        # H = -sum Z_i Z_i+1 - g sum X_i is free fermions under Jordan-Wigner
+        # (Pfeuty, Ann. Phys. 57, 79, 1970): E0 = -sum of the mode energies,
+        # and sum <X_i> = -dE0/dg by Hellmann-Feynman.  Periodic: the
+        # even-parity modes k = pi (2j + 1) / n.  Open: the singular values
+        # of g I - (ones on the superdiagonal), whose derivative in g is u.v.
+        spec = SpinChainSpec("tfim", n, {}, boundary)
+        ms = hamiltonian_measurement_set(spec, "all-terms")
+        k = np.pi * (2 * np.arange(n) + 1) / n
+        for g in (0.5, 0.9, 1.0, 1.7, 4.0):
+            if boundary == "periodic":
+                modes = np.sqrt(1 + g * g - 2 * g * np.cos(k))
+                x_sum = np.sum((g - np.cos(k)) / modes)
+            else:
+                u, modes, vt = np.linalg.svd(g * np.eye(n) - np.eye(n, k=1))
+                x_sum = np.sum(u * vt.T)
+            gs = ground_state(build_hamiltonian(spec.with_params({"g": g})))
+            expectations = gs.expectations(ms)
+            assert abs(gs.energy + modes.sum()) < 1e-12
+            assert abs(sum(v for v, p in zip(expectations, ms) if p.xbits) - x_sum) < 1e-9
+
 
 class TestMeasurementSets:
     def test_tfim_first_cell(self):
@@ -752,6 +775,29 @@ class TestSweep:
         monkeypatch.setattr(pickle, "dump", dump_once)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         assert list(spinchain.sweep_records(spec, self.SPLIT_GRID, vset)) == alone
+
+    @pytest.mark.parametrize("cpus, failing_call", [(2, 1), (3, 2)])
+    def test_a_failed_fork_leaves_its_points_to_the_running_processes(self, monkeypatch, cpus,
+                                                                       failing_call):
+        # a fork at a process or memory limit raises; the sweep goes on
+        # without that child, and the autouse fixture finds no child or pipe left
+        spec = SpinChainSpec("tfim", 6, {})
+        vset = v_representation(hamiltonian_measurement_set(spec, "all-terms"))
+        grid = [{"g": g} for g in (0.5, 1.0, 1.5, 3.0)]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        alone = list(spinchain.sweep_records(spec, grid, vset))
+        fork, calls = os.fork, []
+
+        def fork_until_limit():
+            calls.append(None)
+            if len(calls) == failing_call:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_until_limit)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert list(spinchain.sweep_records(spec, grid, vset)) == alone
+        assert len(calls) == failing_call
 
     def test_closing_a_split_sweep_leaves_no_child(self, monkeypatch):
         spec, vset = self.split_inputs()
